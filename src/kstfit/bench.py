@@ -4,7 +4,8 @@ tables, convergence slopes and pivotal counts as CSV."""
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,12 +50,20 @@ class ExperimentSpec:
     methods: tuple = ("dls", "pivotal")
     cache_dir: str = None
 
-    def resolved(self):
+    def build_kwargs(self):
+        """Keyword arguments of build_basis_set, defaults resolved."""
         return {
-            "eval_grid": self.eval_grid or _DEFAULT_EVAL_GRID.get(self.d, 41),
+            "fit_grid": self.fit_grid, "degree": self.degree,
+            "penalty": self.penalty,
             "segments": self.segments or default_segments(self.d),
             "inner_rank": self.inner_rank or default_rank(self.d),
+            "rank_tol": self.rank_tol,
         }
+
+    def eval_points(self):
+        """The evaluation grid, per-dimension default when eval_grid is 0."""
+        return PointSet.grid(
+            self.d, self.eval_grid or _DEFAULT_EVAL_GRID.get(self.d, 41))
 
 
 @dataclass
@@ -80,35 +89,14 @@ class BasisSet:
         return pivotal_locations(self.grid, self.rows)
 
 
-def _build_config(d, n, fit_grid, degree, penalty, segments, inner_rank,
-                  rank_tol):
-    return {
-        "d": d, "n": n, "fit_grid": fit_grid, "degree": degree,
-        "penalty": penalty, "segments": segments, "inner_rank": inner_rank,
-        "rank_tol": rank_tol, "prune_tol": PRUNE_TOL,
-    }
-
-
-def _rank_via_space_gram(lkb, grid, rank_tol):
-    """Numerical rank of the column matrix through its tensor-space
-    factorization M = B C: the singular values of M equal those of
-    W = chol(B^T B)^T C, and W has only dim(space) rows, which keeps the
-    cost flat as the column count grows."""
-    from scipy.linalg import cholesky
-    from .smoothing import _axis_design
-
-    cfg = lkb.config
-    gram = np.array([[1.0]])
-    for axis in grid.grid_axes:
-        b = _axis_design(cfg.degree, cfg.segments, axis)
-        gram = np.kron(gram, b.T @ b)
-    coeffs = np.stack([s.coeffs.reshape(-1) for s in lkb.surfaces], axis=1)
-    w = cholesky(gram, lower=True).T @ coeffs
-    eig = np.linalg.eigvalsh(w @ w.T)[::-1]
-    svals = np.sqrt(np.clip(eig, 0.0, None))
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals >= rank_tol * svals[0]))
+def _basis_set(n, grid, lkb, select):
+    """The LKB columns sampled on the grid, with the ids of the basis and
+    the grid, packaged with the (rows, cols) that select(matrix) picks."""
+    matrix = DesignMatrix(values=lkb.design_matrix(grid), kept=lkb.kept,
+                          basis_id=lkb.kb_id, points_id=grid.ident)
+    rows, cols = select(matrix)
+    return BasisSet(d=grid.d, n=n, fit_grid_per_axis=len(grid.grid_axes[0]),
+                    grid=grid, lkb=lkb, matrix=matrix, rows=rows, cols=cols)
 
 
 def build_basis_set(d, n, fit_grid=41, degree=3, penalty=1.0, segments=None,
@@ -124,53 +112,40 @@ def build_basis_set(d, n, fit_grid=41, degree=3, penalty=1.0, segments=None,
                                   tol=PRUNE_TOL)
     cfg = SmoothingConfig(penalty=penalty, degree=degree, segments=segments)
     lkb = build_lkb_basis(kb, grid, cfg, raw_matrix=raw)
-    matrix = DesignMatrix(values=lkb.design_matrix(grid), kept=lkb.kept,
-                          basis_id=kb.ident, points_id=grid.ident)
-    if matrix.shape[1] <= 2000:
-        r = estimate_rank(matrix, rank_tol)
-    else:
-        r = _rank_via_space_gram(lkb, grid, rank_tol)
-    r = min(r, *matrix.shape)
-    rows, cols = maxvol_select(matrix, r)
-    return BasisSet(d=d, n=n, fit_grid_per_axis=fit_grid, grid=grid,
-                    lkb=lkb, matrix=matrix, rows=rows, cols=cols)
+    # the rank factor has the singular values of the sampled matrix and
+    # no more rows than it, so r never exceeds either dimension
+    r = estimate_rank(lkb.rank_factor(grid), rank_tol)
+    return _basis_set(n, grid, lkb, partial(maxvol_select, r=r))
 
 
 def get_basis_set(d, n, cache_dir=None, **kwargs):
     """build_basis_set behind a binary cache: load when a file with a
     matching configuration hash exists, rebuild (with a warning) when the
-    file is stale or corrupt."""
+    file is stale or corrupt.  The cache keeps the coefficients and the
+    pivots; a load samples the matrix again exactly as a build does."""
+    kwargs = ExperimentSpec(d=d, n_list=(n,), **kwargs).build_kwargs()
     if cache_dir is None:
         return build_basis_set(d, n, **kwargs)
-    cfg = _build_config(
-        d, n,
-        fit_grid=kwargs.get("fit_grid", 41),
-        degree=kwargs.get("degree", 3),
-        penalty=kwargs.get("penalty", 1.0),
-        segments=kwargs.get("segments") or default_segments(d),
-        inner_rank=kwargs.get("inner_rank") or default_rank(d),
-        rank_tol=kwargs.get("rank_tol", PIPELINE_RANK_TOL))
+    config = {"d": d, "n": n, "prune_tol": PRUNE_TOL, **kwargs}
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"basis-d{d}-n{n}.lkbc")
     if os.path.exists(path):
         try:
-            blob = cache_io.read_basis_cache(path, cfg)
-            grid = PointSet.grid(d, blob["grid_per_axis"])
-            matrix = DesignMatrix(values=blob["matrix"].values,
-                                  kept=blob["matrix"].kept,
-                                  points_id=grid.ident)
-            return BasisSet(d=d, n=n,
-                            fit_grid_per_axis=blob["grid_per_axis"],
-                            grid=grid, lkb=blob["lkb"], matrix=matrix,
-                            rows=blob["rows"], cols=blob["cols"])
+            blob = cache_io.read_basis_cache(path, config)
+            return _basis_set(n, PointSet.grid(d, blob["grid_per_axis"]),
+                              blob["lkb"],
+                              lambda _: (blob["rows"], blob["cols"]))
         except cache_io.CacheMismatch as exc:
             warnings.warn(f"rebuilding stale basis cache: {exc}")
     basis = build_basis_set(d, n, **kwargs)
-    cache_io.write_basis_cache(path, basis, cfg)
+    cache_io.write_basis_cache(path, basis, config)
     return basis
 
 
-def _fit_cell(basis, func, eval_pts, method, sparsity=None):
+def fit_by_method(basis, func, method, eval_pts, sparsity=None):
+    """Fit func's samples on the basis grid by 'dls' (all samples),
+    'pivotal' (the pivotal rows only) or 'omp' (sparsity columns, default
+    the pivotal rank), then record the RMSE over eval_pts on the fit."""
     target = func(basis.grid.points)
     if method == "dls":
         fit = dls_fit(basis.matrix, target)
@@ -190,15 +165,11 @@ def run_table_experiment(spec):
     """RMSE table over the registry: one row per function, and per n one
     full-grid column next to one pivotal column whose header carries the
     pivotal sample count.  Returns the CSV text."""
-    res = spec.resolved()
     n_list = list(spec.n_list)
     bases = [get_basis_set(spec.d, n, cache_dir=spec.cache_dir,
-                           fit_grid=spec.fit_grid, degree=spec.degree,
-                           penalty=spec.penalty, segments=spec.segments or None,
-                           inner_rank=spec.inner_rank or None,
-                           rank_tol=spec.rank_tol)
+                           **spec.build_kwargs())
              for n in n_list]
-    eval_pts = PointSet.grid(spec.d, res["eval_grid"])
+    eval_pts = spec.eval_points()
     header = ["function"]
     for basis, n in zip(bases, n_list):
         for method in spec.methods:
@@ -210,7 +181,7 @@ def run_table_experiment(spec):
         cells = [func.fid]
         for basis in bases:
             for method in spec.methods:
-                fit = _fit_cell(basis, func, eval_pts, method)
+                fit = fit_by_method(basis, func, method, eval_pts)
                 cells.append(f"{fit.eval_rmse:.2e}")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -239,18 +210,13 @@ def estimate_convergence_slope(errors, n_list):
 
 def run_slope_experiment(spec, fid, method="pivotal"):
     """Per-n eval RMSE of one function plus the fitted slope; CSV text."""
-    res = spec.resolved()
-    eval_pts = PointSet.grid(spec.d, res["eval_grid"])
+    eval_pts = spec.eval_points()
     func = next(f for f in registry(spec.d) if f.fid == fid)
     errors = []
     for n in spec.n_list:
         basis = get_basis_set(spec.d, n, cache_dir=spec.cache_dir,
-                              fit_grid=spec.fit_grid, degree=spec.degree,
-                              penalty=spec.penalty,
-                              segments=spec.segments or None,
-                              inner_rank=spec.inner_rank or None,
-                              rank_tol=spec.rank_tol)
-        fit = _fit_cell(basis, func, eval_pts, method)
+                              **spec.build_kwargs())
+        fit = fit_by_method(basis, func, method, eval_pts)
         errors.append(fit.eval_rmse)
     slope, label = estimate_convergence_slope(errors, list(spec.n_list))
     lines = ["n,eval_rmse"]
@@ -265,11 +231,7 @@ def pivotal_count_experiment(spec):
     counts = []
     for n in spec.n_list:
         basis = get_basis_set(spec.d, n, cache_dir=spec.cache_dir,
-                              fit_grid=spec.fit_grid, degree=spec.degree,
-                              penalty=spec.penalty,
-                              segments=spec.segments or None,
-                              inner_rank=spec.inner_rank or None,
-                              rank_tol=spec.rank_tol)
+                              **spec.build_kwargs())
         counts.append(basis.rank)
     if np.any(np.diff(counts) < 0):
         warnings.warn(f"pivotal counts not monotone over n: {counts}")

@@ -1,23 +1,25 @@
 """Binary cache of built basis sets.
 
 Layout: magic "LKBC", format version, the basic shape parameters, a
-sha256 of the full build configuration, the design-matrix block in
-column-major little-endian f64, the kept-column map, the pivotal row and
-column sets, and finally the coefficient tensors of the denoised columns.
-A hash or header mismatch invalidates the file; truncated files are
-detected by length checks while parsing.
+sha256 of the full build configuration, the kept-column map, the pivotal
+row and column sets, the basis and grid ids, and finally the coefficient
+tensors of the denoised columns.  The sampled matrix is not stored: it is
+one contraction of those coefficients, recomputed on load.  A hash or
+header mismatch invalidates the file; truncated files are detected by
+length checks while parsing.
 """
 
 import hashlib
+import os
 import struct
+import uuid
 
 import numpy as np
 
-from .kb import DesignMatrix
 from .smoothing import LKBBasis, SmoothSurface, SmoothingConfig
 
 MAGIC = b"LKBC"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CacheMismatch(Exception):
@@ -30,95 +32,83 @@ def config_hash(build_config):
     return hashlib.sha256(text.encode()).digest()
 
 
-def _need(data, offset, count, path):
-    if offset + count > len(data):
-        raise CacheMismatch(f"{path}: truncated (need {offset + count} "
-                            f"bytes, file has {len(data)})")
-    return offset + count
-
-
 def write_basis_cache(path, basis_set, build_config):
+    """Write to a temporary file beside path, then rename it into place, so
+    a crash or a concurrent writer never leaves a partial file at path."""
     bs = basis_set
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIIII", FORMAT_VERSION, bs.d, bs.n,
-                             bs.lkb.config.degree, bs.fit_grid_per_axis))
-        fh.write(config_hash(build_config))
-        m = bs.matrix.values
-        fh.write(struct.pack("<QQ", *m.shape))
-        fh.write(np.asfortranarray(m).astype("<f8").tobytes(order="F"))
-        fh.write(struct.pack("<Q", len(bs.matrix.kept)))
-        fh.write(bs.matrix.kept.astype("<i8").tobytes())
-        for idx in (bs.rows, bs.cols):
-            fh.write(struct.pack("<Q", len(idx)))
-            fh.write(np.asarray(idx).astype("<i8").tobytes())
-        fh.write(struct.pack("<QII", len(bs.lkb.surfaces),
-                             bs.lkb.config.segments,
-                             bs.lkb.config.quad_points))
-        fh.write(struct.pack("<d", bs.lkb.config.penalty))
-        for s in bs.lkb.surfaces:
-            fh.write(np.ascontiguousarray(s.coeffs, "<f8").tobytes())
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<IIIII", FORMAT_VERSION, bs.d, bs.n,
+                                 bs.lkb.config.degree, bs.fit_grid_per_axis))
+            fh.write(config_hash(build_config))
+            blobs = [np.asarray(idx).astype("<i8").tobytes()
+                     for idx in (bs.lkb.kept, bs.rows, bs.cols)]
+            blobs += [bs.lkb.kb_id.encode(), bs.lkb.grid_id.encode()]
+            for blob in blobs:
+                fh.write(struct.pack("<Q", len(blob)))
+                fh.write(blob)
+            fh.write(struct.pack("<QII", len(bs.lkb.surfaces),
+                                 bs.lkb.config.segments,
+                                 bs.lkb.config.quad_points))
+            fh.write(struct.pack("<d", bs.lkb.config.penalty))
+            for s in bs.lkb.surfaces:
+                fh.write(np.ascontiguousarray(s.coeffs, "<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_basis_cache(path, build_config):
     """Parse a cache file, validating header and configuration hash."""
     with open(path, "rb") as fh:
         data = fh.read()
-    off = _need(data, 0, 4, path) - 4
-    if data[:4] != MAGIC:
+    off = 0
+
+    def take(count):
+        nonlocal off
+        if off + count > len(data):
+            raise CacheMismatch(f"{path}: truncated (need {off + count} "
+                                f"bytes, file has {len(data)})")
+        off += count
+        return data[off - count:off]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def sized():
+        (count,) = unpack("<Q")
+        return take(count)
+
+    if take(4) != MAGIC:
         raise CacheMismatch(f"{path}: bad magic")
-    off = _need(data, 4, 20, path) - 20
-    version, d, n, degree, grid_per_axis = struct.unpack_from("<IIIII",
-                                                              data, 4)
+    version, d, n, degree, grid_per_axis = unpack("<IIIII")
     if version != FORMAT_VERSION:
         raise CacheMismatch(f"{path}: format version {version}")
-    off = 24
-    _need(data, off, 32, path)
-    if data[off:off + 32] != config_hash(build_config):
+    if take(32) != config_hash(build_config):
         raise CacheMismatch(f"{path}: configuration hash mismatch")
-    off += 32
-    _need(data, off, 16, path)
-    n_rows, n_cols = struct.unpack_from("<QQ", data, off)
-    off += 16
-    off_end = _need(data, off, 8 * n_rows * n_cols, path)
-    values = np.frombuffer(data, "<f8", n_rows * n_cols,
-                           off).reshape((n_rows, n_cols), order="F").copy()
-    off = off_end
-    _need(data, off, 8, path)
-    (n_kept,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    off_end = _need(data, off, 8 * n_kept, path)
-    kept = np.frombuffer(data, "<i8", n_kept, off).copy()
-    off = off_end
-    index_sets = []
-    for _ in range(2):
-        _need(data, off, 8, path)
-        (cnt,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        off_end = _need(data, off, 8 * cnt, path)
-        index_sets.append(np.frombuffer(data, "<i8", cnt, off).copy())
-        off = off_end
-    _need(data, off, 16, path)
-    n_surf, segments, quad_points = struct.unpack_from("<QII", data, off)
-    off += 16
-    _need(data, off, 8, path)
-    (penalty,) = struct.unpack_from("<d", data, off)
-    off += 8
+    kept, rows, cols = [np.frombuffer(sized(), "<i8").copy()
+                        for _ in range(3)]
+    try:
+        kb_id, grid_id = [sized().decode() for _ in range(2)]
+    except UnicodeDecodeError:
+        raise CacheMismatch(f"{path}: ids are not text")
+    n_surf, segments, quad_points = unpack("<QII")
+    (penalty,) = unpack("<d")
     cfg = SmoothingConfig(penalty=penalty, degree=degree, segments=segments,
                           quad_points=quad_points)
-    ncf = cfg.coeffs_per_axis
+    shape = (cfg.coeffs_per_axis,) * d
     surfaces = []
     for _ in range(n_surf):
-        off_end = _need(data, off, 8 * ncf ** d, path)
-        coeffs = np.frombuffer(data, "<f8", ncf ** d,
-                               off).reshape((ncf,) * d).copy()
-        surfaces.append(SmoothSurface(coeffs=coeffs, degree=degree,
-                                      segments=segments))
-        off = off_end
-    lkb = LKBBasis(surfaces=surfaces, kept=kept, config=cfg)
-    matrix = DesignMatrix(values=values, kept=kept)
-    return {
-        "d": d, "n": n, "grid_per_axis": grid_per_axis,
-        "matrix": matrix, "lkb": lkb,
-        "rows": index_sets[0], "cols": index_sets[1],
-    }
+        coeffs = np.frombuffer(take(8 * int(np.prod(shape))), "<f8")
+        surfaces.append(SmoothSurface(coeffs=coeffs.reshape(shape).copy(),
+                                      degree=degree, segments=segments))
+    lkb = LKBBasis(surfaces=surfaces, kept=kept, config=cfg, kb_id=kb_id,
+                   grid_id=grid_id)
+    return {"d": d, "n": n, "grid_per_axis": grid_per_axis, "lkb": lkb,
+            "rows": rows, "cols": cols}

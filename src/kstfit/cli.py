@@ -10,13 +10,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .bench import (ExperimentSpec, get_basis_set, pivotal_count_experiment,
-                    run_knet_rate, run_slope_experiment, run_table_experiment)
-from .fitting import dls_fit, evaluate_fit, omp_fit
-from .kb import PointSet
-from .pivotal import pivotal_fit
+from .bench import (ExperimentSpec, fit_by_method, get_basis_set,
+                    pivotal_count_experiment, run_knet_rate,
+                    run_slope_experiment, run_table_experiment)
 from .testfuncs import get as get_function
 
 FULL_SWEEP_2D = (100, 200, 400, 1000, 10000)
@@ -133,9 +129,7 @@ def main(argv=None):
     if args.command == "build-basis":
         spec = _spec(args, [args.n])
         basis = get_basis_set(args.d, args.n, cache_dir=spec.cache_dir,
-                              fit_grid=args.grid, degree=args.degree,
-                              penalty=args.lambda_pen,
-                              segments=args.segments or None)
+                              **spec.build_kwargs())
         locs = basis.pivotal_points
         lines = [f"# d={args.d} n={args.n} rank={basis.rank} "
                  f"columns={basis.matrix.shape[1]}"]
@@ -145,23 +139,11 @@ def main(argv=None):
 
     if args.command == "fit":
         spec = _spec(args, [args.n])
-        res = spec.resolved()
         basis = get_basis_set(args.d, args.n, cache_dir=spec.cache_dir,
-                              fit_grid=args.grid, degree=args.degree,
-                              penalty=args.lambda_pen,
-                              segments=args.segments or None)
-        func = get_function(args.d, args.function)
-        target = func(basis.grid.points)
-        if args.method == "dls":
-            fit = dls_fit(basis.matrix, target)
-        elif args.method == "pivotal":
-            fit = pivotal_fit(basis.matrix, basis.rows, basis.cols,
-                              target[basis.rows])
-        else:
-            fit = omp_fit(basis.matrix, target,
-                          sparsity=args.sparsity or basis.rank)
-        eval_pts = PointSet.grid(args.d, res["eval_grid"])
-        evaluate_fit(fit, basis.lkb, eval_pts, func)
+                              **spec.build_kwargs())
+        fit = fit_by_method(basis, get_function(args.d, args.function),
+                            args.method, spec.eval_points(),
+                            sparsity=args.sparsity)
         if args.out:
             fit.save_json(args.out)
         sys.stdout.write(

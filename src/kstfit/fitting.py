@@ -22,6 +22,18 @@ def rms_seminorm(values):
     return float(np.sqrt(np.mean(v * v)))
 
 
+def target_vector(values, count):
+    """values as a float vector of length count; raises ValueError on a
+    wrong shape or a non-finite entry, which would poison every fitted
+    coefficient without an error."""
+    f = np.asarray(values, dtype=float)
+    if f.shape != (count,):
+        raise ValueError(f"expected {count} target values, got {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("target values must be finite")
+    return f
+
+
 @dataclass
 class FitResult:
     """Coefficients over the kept columns plus bookkeeping.
@@ -82,10 +94,7 @@ def dls_fit(matrix, f_values):
     Rank-deficient systems get the unique minimum-norm solution (SVD with
     relative threshold LSTSQ_RCOND), so repeated runs are bit-identical.
     """
-    f = np.asarray(f_values, dtype=float)
-    if f.shape != (matrix.values.shape[0],):
-        raise ValueError(
-            f"expected {matrix.values.shape[0]} target values, got {f.shape}")
+    f = target_vector(f_values, matrix.values.shape[0])
     coef, _, _, _ = np.linalg.lstsq(matrix.values, f, rcond=LSTSQ_RCOND)
     resid = rms_seminorm(matrix.values @ coef - f)
     return FitResult(coefficients=coef, training_rmse=resid, method="dls",
@@ -120,10 +129,8 @@ def omp_fit(matrix, f_values, sparsity=None, residual_tol=None):
     """
     if sparsity is None and residual_tol is None:
         raise ValueError("need a sparsity or a residual tolerance to stop")
-    f = np.asarray(f_values, dtype=float)
     m = matrix.values
-    if f.shape != (m.shape[0],):
-        raise ValueError(f"expected {m.shape[0]} target values")
+    f = target_vector(f_values, m.shape[0])
     norms = np.linalg.norm(m, axis=0)
     usable = norms > 0
     phi = np.where(usable, norms, 1.0)

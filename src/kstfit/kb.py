@@ -33,6 +33,8 @@ class PointSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValueError(f"points must have shape (N, {self.d})")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
             raise ValueError("points must lie in the unit cube")
         object.__setattr__(self, "points", pts)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .fitting import FitResult, rms_seminorm
+from .fitting import FitResult, rms_seminorm, target_vector
 
 # Minimal volume improvement a swap must bring to be accepted.
 SWAP_MARGIN = 1e-2
@@ -204,9 +204,7 @@ def pivotal_fit(matrix, rows, cols, f_at_rows):
     """Least-squares solve of the pivotal block M[I, J] x ~= f_I, embedded
     as a full-length coefficient vector (zeros off J)."""
     m = _values(matrix)
-    f = np.asarray(f_at_rows, dtype=float)
-    if f.shape != (len(rows),):
-        raise ValueError(f"need {len(rows)} values, one per pivotal row")
+    f = target_vector(f_at_rows, len(rows))
     core = m[np.ix_(rows, cols)]
     cond = np.linalg.cond(core)
     if not np.isfinite(cond) or cond > PIVOTAL_CONDITION_LIMIT:

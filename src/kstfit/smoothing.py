@@ -81,6 +81,14 @@ def _axis_design(degree, segments, t):
     return np.asarray(dm.todense())
 
 
+def _contract_axes(mats, t):
+    """Apply mats[a] along axis a of the tensor t, for every matrix given;
+    axes past len(mats), such as a trailing column axis, pass through."""
+    for a, m in enumerate(mats):
+        t = np.moveaxis(np.tensordot(m, t, axes=(1, a)), 0, a)
+    return t
+
+
 @lru_cache(maxsize=32)
 def _axis_grams(degree, segments, quad_points):
     """Gram matrices of derivative orders 0, 1, 2 on [0, 1], by exact
@@ -182,10 +190,8 @@ class GridSmoother:
         """A^T z for a stack of sample columns, shape (N, m)."""
         m = values.shape[1]
         t = values.reshape(self.shape + (m,), order="F")
-        for a in range(self.d):
-            t = np.moveaxis(np.tensordot(self.designs[a].T, t, axes=(1, a)),
-                            0, a)
-        return t.reshape(-1, m)
+        return _contract_axes([b.T for b in self.designs],
+                              t).reshape(-1, m)
 
     def denoise(self, values):
         """Coefficient tensors of the smoothed columns.
@@ -238,11 +244,9 @@ def eval_surface_on_grid(surface, grid):
     """Fast path for tensor grids; returns values in grid row order."""
     if not grid.is_grid:
         return eval_surface(surface, grid.points)
-    t = surface.coeffs
-    for a in range(surface.d):
-        b = _axis_design(surface.degree, surface.segments, grid.grid_axes[a])
-        t = np.moveaxis(np.tensordot(b, t, axes=(1, a)), 0, a)
-    return t.reshape(-1, order="F")
+    designs = [_axis_design(surface.degree, surface.segments, axis)
+               for axis in grid.grid_axes]
+    return _contract_axes(designs, surface.coeffs).reshape(-1, order="F")
 
 
 @dataclass(frozen=True)
@@ -276,13 +280,39 @@ class LKBBasis:
         return SmoothSurface(coeffs=acc, degree=self.config.degree,
                              segments=self.config.segments)
 
+    def _factors(self, grid):
+        """Per-axis designs B_a and the coefficient tensors stacked along
+        a trailing column axis: the factors of M = (B_1 x ... x B_d) C."""
+        if not grid.is_grid:
+            raise ValueError("the factored form needs a full uniform grid")
+        designs = [_axis_design(self.config.degree, self.config.segments,
+                                axis) for axis in grid.grid_axes]
+        return designs, np.stack([s.coeffs for s in self.surfaces], axis=-1)
+
     def design_matrix(self, pts):
-        """(|pts|, n_columns) samples of every column at the points."""
-        cols = np.empty((len(pts), self.n_columns))
-        for j, s in enumerate(self.surfaces):
-            cols[:, j] = (eval_surface_on_grid(s, pts) if pts.is_grid
-                          else eval_surface(s, pts.points))
-        return cols
+        """(|pts|, n_columns) samples of every column at the points; on a
+        grid, one contraction of the factors of M = (B_1 x ... x B_d) C."""
+        if not pts.is_grid:
+            cols = np.empty((len(pts), self.n_columns))
+            for j, s in enumerate(self.surfaces):
+                cols[:, j] = eval_surface(s, pts.points)
+            return cols
+        t = _contract_axes(*self._factors(pts))
+        # grid rows run first axis fastest: in C order that is the point
+        # axes reversed, then the column axis (one copy at most)
+        order = list(range(pts.d))[::-1] + [pts.d]
+        return np.ascontiguousarray(t.transpose(order)).reshape(len(pts), -1)
+
+    def rank_factor(self, grid):
+        """W = (R_1 x ... x R_d) C with R_a the triangular factor of the
+        axis design B_a = Q_a R_a.
+
+        W^T W = M^T M for M = design_matrix(grid), so W has the singular
+        values of M, but only prod_a min(|axis_a|, coeffs per axis) rows:
+        its SVD costs the same for any grid size."""
+        designs, coeffs = self._factors(grid)
+        rs = [np.linalg.qr(b, mode="r") for b in designs]
+        return _contract_axes(rs, coeffs).reshape(-1, self.n_columns)
 
 
 def build_lkb_basis(kb_basis, grid, cfg, prune_tol=1e-10, raw_matrix=None):

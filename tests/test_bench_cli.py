@@ -98,6 +98,43 @@ def test_cache_roundtrip_bit_identical(cache_dir):
     for a, b in zip(built.lkb.surfaces, loaded.lkb.surfaces):
         assert np.array_equal(a.coeffs, b.coeffs)
 
+    def ids(bs):
+        return (bs.matrix.basis_id, bs.matrix.points_id, bs.lkb.kb_id,
+                bs.lkb.grid_id)
+
+    assert ids(loaded) == ids(built)
+    assert built.matrix.basis_id.startswith("kb-d2-n40")
+
+
+def test_cache_cold_and_warm_fit_json_identical(tmp_path):
+    cache = str(tmp_path / "cache")
+    texts = []
+    for run in ("cold", "warm"):
+        out = tmp_path / f"{run}.json"
+        assert cli.main(["fit", "--d", "2", "--n", "20", "--function", "f5",
+                         "--method", "pivotal", "--eval-grid", "21",
+                         "--cache-dir", cache, "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_failed_cache_write_leaves_no_file(tmp_path):
+    from dataclasses import replace
+
+    from kstfit.cache import write_basis_cache
+
+    class Unwritable:
+        @property
+        def coeffs(self):
+            raise RuntimeError("disk full")
+
+    basis = get_basis_set(2, 20)
+    lkb = replace(basis.lkb, surfaces=basis.lkb.surfaces[:3] + [Unwritable()])
+    path = tmp_path / "basis.lkbc"
+    with pytest.raises(RuntimeError, match="disk full"):
+        write_basis_cache(str(path), replace(basis, lkb=lkb), {})
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_cache_mismatch_forces_rebuild(cache_dir):
     get_basis_set(2, 40, cache_dir=cache_dir)
@@ -111,9 +148,7 @@ def test_cache_mismatch_forces_rebuild(cache_dir):
 
 
 def test_cache_detects_corruption(cache_dir, tmp_path):
-    from kstfit.bench import (PIPELINE_RANK_TOL, _build_config,
-                              default_segments)
-    from kstfit.inner import default_rank
+    from kstfit.bench import PRUNE_TOL
 
     get_basis_set(2, 40, cache_dir=cache_dir)
     path = os.path.join(cache_dir, "basis-d2-n40.lkbc")
@@ -122,8 +157,8 @@ def test_cache_detects_corruption(cache_dir, tmp_path):
     bad_magic.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(CacheMismatch, match="magic"):
         read_basis_cache(str(bad_magic), {})
-    cfg = _build_config(2, 40, 41, 3, 1.0, default_segments(2),
-                        default_rank(2), PIPELINE_RANK_TOL)
+    cfg = {"d": 2, "n": 40, "prune_tol": PRUNE_TOL,
+           **ExperimentSpec(d=2, n_list=(40,)).build_kwargs()}
     short = tmp_path / "short.lkbc"
     short.write_bytes(raw[: len(raw) - 200])
     with pytest.raises(CacheMismatch, match="truncated"):

@@ -8,6 +8,7 @@ from kstfit.fitting import FitResult, dls_fit, evaluate_fit, omp_fit, \
 from kstfit.inner import build_inner_family
 from kstfit.kb import DesignMatrix, KBBasis, PointSet, \
     assemble_design_matrix, prune_near_zero_columns
+from kstfit.pivotal import pivotal_fit
 from kstfit.smoothing import SmoothingConfig, build_lkb_basis
 
 
@@ -70,6 +71,25 @@ def test_dls_dimension_mismatch(pipeline):
     _, matrix, _ = pipeline
     with pytest.raises(ValueError):
         dls_fit(matrix, np.ones(3))
+
+
+def _nan_at(values, i=1):
+    values = np.array(values, dtype=float)
+    values.flat[i] = np.nan
+    return values
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PointSet.from_points(_nan_at(np.full((3, 2), 0.5))),
+    lambda: dls_fit(DesignMatrix(values=np.eye(4), kept=np.arange(4)),
+                    _nan_at(np.ones(4))),
+    lambda: omp_fit(DesignMatrix(values=np.eye(4), kept=np.arange(4)),
+                    _nan_at(np.ones(4)), sparsity=2),
+    lambda: pivotal_fit(np.eye(4), [0, 1], [0, 1], _nan_at(np.ones(2))),
+], ids=["PointSet", "dls_fit", "omp_fit", "pivotal_fit"])
+def test_non_finite_input_rejected(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 def test_dls_deterministic(pipeline):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import second_derivative_sup, thin_plate_energy_of
 from kstfit.inner import build_inner_family
@@ -7,7 +8,9 @@ from kstfit.kb import KBBasis, PointSet, assemble_design_matrix, \
     prune_near_zero_columns
 from kstfit.smoothing import (
     GridSmoother,
+    LKBBasis,
     SmoothingConfig,
+    SmoothSurface,
     build_lkb_basis,
     denoise_samples,
     eval_lkb,
@@ -176,3 +179,47 @@ def test_surface_point_eval_matches_grid_eval(grid):
     via_grid = eval_surface_on_grid(s, grid)
     via_points = eval_surface(s, grid.points)
     assert np.allclose(via_grid, via_points, atol=1e-12)
+
+
+@st.composite
+def random_lkb_on_grid(draw):
+    """A random LKB basis (d = 1, 2, 3) and a grid whose per-axis sizes may
+    fall below the coefficients per axis."""
+    d = draw(st.integers(1, 3))
+    cfg = SmoothingConfig(degree=draw(st.sampled_from([2, 3])),
+                          segments=draw(st.integers(4, 7)))
+    top = {1: 30, 2: 16, 3: 10}[d]
+    per_axis = tuple(draw(st.lists(st.integers(2, top), min_size=d,
+                                   max_size=d)))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (cfg.coeffs_per_axis,) * d
+    surfaces = [SmoothSurface(coeffs=rng.uniform(-1.0, 1.0, shape),
+                              degree=cfg.degree, segments=cfg.segments)
+                for _ in range(m)]
+    lkb = LKBBasis(surfaces=surfaces, kept=np.arange(m), config=cfg)
+    return lkb, PointSet.grid(d, per_axis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_lkb_on_grid())
+def test_grid_design_matrix_matches_per_column_eval(case):
+    lkb, grid = case
+    values = lkb.design_matrix(grid)
+    oracle = np.stack([eval_surface_on_grid(s, grid) for s in lkb.surfaces],
+                      axis=1)
+    assert values.flags.c_contiguous
+    assert values.shape == oracle.shape
+    assert np.max(np.abs(values - oracle)) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_lkb_on_grid())
+def test_rank_factor_has_the_singular_values_of_the_matrix(case):
+    lkb, grid = case
+    want = np.linalg.svd(lkb.design_matrix(grid), compute_uv=False)
+    got = np.linalg.svd(lkb.rank_factor(grid), compute_uv=False)
+    k = min(len(want), len(got))
+    tol = 1e-10 * want[0]
+    assert np.all(np.abs(got[:k] - want[:k]) <= tol)
+    assert np.all(want[k:] <= tol) and np.all(got[k:] <= tol)
