@@ -111,7 +111,7 @@ def build_basis_set(d, n, fit_grid=41, degree=3, penalty=1.0, segments=None,
     raw = prune_near_zero_columns(assemble_design_matrix(kb, grid),
                                   tol=PRUNE_TOL)
     cfg = SmoothingConfig(penalty=penalty, degree=degree, segments=segments)
-    lkb = build_lkb_basis(kb, grid, cfg, raw_matrix=raw)
+    lkb = build_lkb_basis(raw, grid, cfg)
     # the rank factor has the singular values of the sampled matrix and
     # no more rows than it, so r never exceeds either dimension
     r = estimate_rank(lkb.rank_factor(grid), rank_tol)
@@ -119,16 +119,16 @@ def build_basis_set(d, n, fit_grid=41, degree=3, penalty=1.0, segments=None,
 
 
 def get_basis_set(d, n, cache_dir=None, **kwargs):
-    """build_basis_set behind a binary cache: load when a file with a
-    matching configuration hash exists, rebuild (with a warning) when the
-    file is stale or corrupt.  The cache keeps the coefficients and the
-    pivots; a load samples the matrix again exactly as a build does."""
+    """build_basis_set behind a binary cache, one file per configuration
+    hash: load when that file exists, rebuild (with a warning) when it is
+    stale or corrupt.  The cache keeps the coefficients and the pivots; a
+    load samples the matrix again exactly as a build does."""
     kwargs = ExperimentSpec(d=d, n_list=(n,), **kwargs).build_kwargs()
     if cache_dir is None:
         return build_basis_set(d, n, **kwargs)
     config = {"d": d, "n": n, "prune_tol": PRUNE_TOL, **kwargs}
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"basis-d{d}-n{n}.lkbc")
+    path = cache_io.cache_path(cache_dir, config)
     if os.path.exists(path):
         try:
             blob = cache_io.read_basis_cache(path, config)

@@ -30,43 +30,11 @@ class UniformBSplineBasis:
                                 np.full(self.degree, self.upper)])
         object.__setattr__(self, "knots", knots)
 
-    def _check_domain(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > self.upper):
-            raise ValueError(f"argument outside [0, {self.upper}]")
-        return t
-
-    def eval_one(self, j, t):
-        """Basis function j at t, by the Cox-de Boor recursion."""
-        if not 0 <= j < self.count:
-            raise IndexError(f"basis index {j} out of range 0..{self.count - 1}")
-        ta = self._check_domain(t)
-        if ta.ndim == 0:
-            return self._recurse(j, self.degree, float(ta))
-        return np.array([self._recurse(j, self.degree, x) for x in ta.ravel()]
-                        ).reshape(ta.shape)
-
-    def _recurse(self, i, k, x):
-        t = self.knots
-        if k == 0:
-            if t[i] <= x < t[i + 1]:
-                return 1.0
-            # close the last nonempty interval at the right end
-            if x == self.upper and t[i] < t[i + 1] == self.upper:
-                return 1.0
-            return 0.0
-        left = 0.0
-        if t[i + k] > t[i]:
-            left = (x - t[i]) / (t[i + k] - t[i]) * self._recurse(i, k - 1, x)
-        right = 0.0
-        if t[i + k + 1] > t[i + 1]:
-            right = ((t[i + k + 1] - x) / (t[i + k + 1] - t[i + 1])
-                     * self._recurse(i + 1, k - 1, x))
-        return left + right
-
     def design_matrix(self, t):
         """Dense (len(t), count) matrix of all basis functions at t."""
-        ta = np.atleast_1d(self._check_domain(t))
+        ta = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any(ta < 0.0) or np.any(ta > self.upper):
+            raise ValueError(f"argument outside [0, {self.upper}]")
         dm = BSpline.design_matrix(ta, self.knots, self.degree,
                                    extrapolate=False)
         return np.asarray(dm.todense())

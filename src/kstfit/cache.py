@@ -1,12 +1,12 @@
-"""Binary cache of built basis sets.
+"""Binary cache of built basis sets, one file per build configuration.
 
 Layout: magic "LKBC", format version, the basic shape parameters, a
 sha256 of the full build configuration, the kept-column map, the pivotal
 row and column sets, the basis and grid ids, and finally the coefficient
-tensors of the denoised columns.  The sampled matrix is not stored: it is
-one contraction of those coefficients, recomputed on load.  A hash or
-header mismatch invalidates the file; truncated files are detected by
-length checks while parsing.
+tensors of the denoised columns as one block, column after column.  The
+sampled matrix is not stored: it is one contraction of those
+coefficients, recomputed on load.  A hash or header mismatch invalidates
+the file; truncated files are detected by length checks while parsing.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ import uuid
 
 import numpy as np
 
-from .smoothing import LKBBasis, SmoothSurface, SmoothingConfig
+from .smoothing import LKBBasis, SmoothingConfig
 
 MAGIC = b"LKBC"
 FORMAT_VERSION = 3
@@ -30,6 +30,14 @@ def config_hash(build_config):
     """sha256 over the canonical text of all build inputs."""
     text = repr(sorted(build_config.items()))
     return hashlib.sha256(text.encode()).digest()
+
+
+def cache_path(cache_dir, build_config):
+    """File name of one configuration, keyed by its hash, so that
+    configurations sharing (d, n) do not overwrite each other."""
+    return os.path.join(cache_dir, f"basis-d{build_config['d']}"
+                        f"-n{build_config['n']}"
+                        f"-{config_hash(build_config).hex()[:16]}.lkbc")
 
 
 def write_basis_cache(path, basis_set, build_config):
@@ -50,12 +58,13 @@ def write_basis_cache(path, basis_set, build_config):
             for blob in blobs:
                 fh.write(struct.pack("<Q", len(blob)))
                 fh.write(blob)
-            fh.write(struct.pack("<QII", len(bs.lkb.surfaces),
+            fh.write(struct.pack("<QII", bs.lkb.n_columns,
                                  bs.lkb.config.segments,
                                  bs.lkb.config.quad_points))
             fh.write(struct.pack("<d", bs.lkb.config.penalty))
-            for s in bs.lkb.surfaces:
-                fh.write(np.ascontiguousarray(s.coeffs, "<f8").tobytes())
+            # column after column: no copy for a built or loaded basis
+            fh.write(np.ascontiguousarray(np.moveaxis(bs.lkb.coeffs, -1, 0),
+                                          "<f8"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -98,17 +107,14 @@ def read_basis_cache(path, build_config):
         kb_id, grid_id = [sized().decode() for _ in range(2)]
     except UnicodeDecodeError:
         raise CacheMismatch(f"{path}: ids are not text")
-    n_surf, segments, quad_points = unpack("<QII")
+    n_columns, segments, quad_points = unpack("<QII")
     (penalty,) = unpack("<d")
     cfg = SmoothingConfig(penalty=penalty, degree=degree, segments=segments,
                           quad_points=quad_points)
-    shape = (cfg.coeffs_per_axis,) * d
-    surfaces = []
-    for _ in range(n_surf):
-        coeffs = np.frombuffer(take(8 * int(np.prod(shape))), "<f8")
-        surfaces.append(SmoothSurface(coeffs=coeffs.reshape(shape).copy(),
-                                      degree=degree, segments=segments))
-    lkb = LKBBasis(surfaces=surfaces, kept=kept, config=cfg, kb_id=kb_id,
-                   grid_id=grid_id)
+    shape = (n_columns,) + (cfg.coeffs_per_axis,) * d
+    block = np.frombuffer(take(8 * int(np.prod(shape))), "<f8").copy()
+    # the same strides as a built basis, so combine() rounds the same
+    lkb = LKBBasis(coeffs=np.moveaxis(block.reshape(shape), 0, -1),
+                   kept=kept, config=cfg, kb_id=kb_id, grid_id=grid_id)
     return {"d": d, "n": n, "grid_per_axis": grid_per_axis, "lkb": lkb,
             "rows": rows, "cols": cols}

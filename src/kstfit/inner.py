@@ -392,7 +392,10 @@ def make_kl_function(family, kind, scale=1.0, basis=None, index=None):
     elif kind == "bspline":
         if basis is None or index is None:
             raise ValueError("kind='bspline' needs basis= and index=")
-        g = lambda t: basis.eval_one(index, t)
+
+        def g(t):
+            col = basis.design_matrix(np.ravel(t))[:, index]
+            return col.reshape(np.shape(t)) if np.ndim(t) else float(col[0])
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
 

@@ -121,7 +121,7 @@ def eval_kb(basis, j, x):
     z = basis.z_values(pts)
     acc = np.zeros(len(pts))
     for q in range(z.shape[0]):
-        acc += basis.univariate.eval_one(j, z[q])
+        acc += basis.univariate.design_matrix(z[q])[:, j]
     return float(acc[0]) if single else acc
 
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from .bsplines import LinearSpline, linear_spline_to_relu
 from .inner import forward_superpose
+from .kb import PointSet
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,6 @@ def eval_knetwork(net, x):
     return out.reshape(xa.shape[:-1])
 
 
-def _dense_grid(d, per_axis):
-    axes = [np.linspace(0.0, 1.0, per_axis)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def rate_experiment(family, g, n_list, grid_per_axis=None):
     """Sup-error of the m=n network against the family's own superposition
     of g, for each n, plus the fitted log-log slope.
@@ -94,7 +89,7 @@ def rate_experiment(family, g, n_list, grid_per_axis=None):
     d = family.d
     if grid_per_axis is None:
         grid_per_axis = {1: 2001, 2: 201, 3: 61}.get(d, 21)
-    pts = _dense_grid(d, grid_per_axis)
+    pts = PointSet.grid(d, grid_per_axis).points
     reference = forward_superpose(family, g, pts)
     errors = []
     for n in n_list:

@@ -56,15 +56,6 @@ def estimate_rank(matrix, tol=1e-8):
     return int(np.sum(svals >= tol * svals[0]))
 
 
-def _lu_pivot_order(m):
-    """Row order chosen by partially pivoted LU."""
-    _, piv = sla.lu_factor(m, check_finite=False)
-    order = np.arange(m.shape[0])
-    for i, p in enumerate(piv):
-        order[i], order[p] = order[p], order[i]
-    return order
-
-
 def _full_pivot_init(m, r, skip=0):
     """Rows/columns of the first r completely pivoted LU steps, optionally
     skipping the `skip` largest residual entries to diversify starts."""
@@ -88,21 +79,18 @@ def _full_pivot_init(m, r, skip=0):
     return rows, cols
 
 
-# Above this work estimate (entries * rank) only two starts are tried.
+# Above this work estimate (entries * rank) only the first start is tried.
 _DIVERSE_START_BUDGET = 2.0e8
 
 
 def _initial_selections(m, r):
-    """Pivoted-LU starting pairs; small problems get extra diversified
-    complete-pivot starts because the alternating sweeps only explore
-    single swaps and can stall on a local optimum."""
+    """Complete-pivot starting pairs; small problems get extra diversified
+    starts because the alternating sweeps only explore single swaps and
+    can stall on a local optimum."""
     starts = [_full_pivot_init(m, r)]
     if m.size * r <= _DIVERSE_START_BUDGET:
         starts += [_full_pivot_init(m, r, skip=s) for s in range(1, 6)]
-    cols = _lu_pivot_order(m.T)[:r].tolist()
-    rows = _lu_pivot_order(m[:, cols])[:r].tolist()
-    starts.append((rows, cols))
-    return [(list(a), list(b)) for a, b in starts if len(a) == r]
+    return [(rows, cols) for rows, cols in starts if len(rows) == r]
 
 
 def _sweep_rows(m, rows, cols, log):
@@ -137,7 +125,7 @@ def _sweep_rows(m, rows, cols, log):
 
 
 def maxvol_select(matrix, r, with_history=False):
-    """Greedy dominant r x r submatrix: pivoted-LU initialization, then
+    """Greedy dominant r x r submatrix: complete-pivot starts, then
     alternating row and column sweeps, each swap growing the volume by a
     factor above 1 + SWAP_MARGIN (so the loop always terminates).
 

@@ -74,11 +74,8 @@ class SmoothSurface:
 
 
 def _axis_design(degree, segments, t):
-    basis = UniformBSplineBasis(count=segments + degree, degree=degree,
-                                upper=1.0)
-    dm = BSpline.design_matrix(np.clip(t, 0.0, 1.0), basis.knots, degree,
-                               extrapolate=False)
-    return np.asarray(dm.todense())
+    return UniformBSplineBasis(count=segments + degree, degree=degree,
+                               upper=1.0).design_matrix(t)
 
 
 def _contract_axes(mats, t):
@@ -147,10 +144,7 @@ def thin_plate_energy(surface, quad_points=4):
     c = surface.coeffs
     total = 0.0
     for alpha, weight in _second_order_multi_indices(c.ndim):
-        t = c
-        for a in range(c.ndim):
-            t = np.moveaxis(np.tensordot(grams[alpha[a]], t, axes=(1, a)),
-                            0, a)
+        t = _contract_axes([grams[k] for k in alpha], c)
         total += weight * float(np.sum(c * t))
     return max(total, 0.0)
 
@@ -158,8 +152,9 @@ def thin_plate_energy(surface, quad_points=4):
 class GridSmoother:
     """Factored penalized normal equations for one (grid, config) pair.
 
-    denoise() solves for one or many sample columns; the factorization is
-    shared read-only, so column batches are embarrassingly parallel.
+    coefficients() solves for a block of sample columns, denoise() for
+    one; the factorization is shared read-only, so column batches are
+    embarrassingly parallel.
     """
 
     def __init__(self, grid, cfg):
@@ -193,24 +188,26 @@ class GridSmoother:
         return _contract_axes([b.T for b in self.designs],
                               t).reshape(-1, m)
 
-    def denoise(self, values):
-        """Coefficient tensors of the smoothed columns.
+    def coefficients(self, values):
+        """Coefficient tensors of the smoothed columns of values (N, m),
+        stacked along a trailing column axis: shape (ncf,)*d + (m,).
 
-        values has shape (N,) or (N, m); returns one SmoothSurface or a
-        list of them.
-        """
+        LAPACK returns the solve column-major, so the reshape is a view
+        whose column blocks are contiguous (the cache's byte layout)."""
         v = np.asarray(values, dtype=float)
-        single = v.ndim == 1
-        v = v.reshape(len(v), -1)
-        if v.shape[0] != len(self.grid):
+        if v.ndim != 2 or v.shape[0] != len(self.grid):
             raise ValueError("sample count does not match the grid")
         x = cho_solve(self._cho, self._rhs(v) / len(self.grid))
-        shape = (self._ncf,) * self.d
-        surfaces = [SmoothSurface(coeffs=x[:, c].reshape(shape),
-                                  degree=self.cfg.degree,
-                                  segments=self.cfg.segments)
-                    for c in range(v.shape[1])]
-        return surfaces[0] if single else surfaces
+        return x.reshape((self._ncf,) * self.d + (v.shape[1],))
+
+    def denoise(self, values):
+        """The smoothed surface of one sample column of shape (N,)."""
+        v = np.asarray(values, dtype=float)
+        if v.ndim != 1:
+            raise ValueError("denoise takes one sample column")
+        return SmoothSurface(coeffs=self.coefficients(v[:, None])[..., 0],
+                             degree=self.cfg.degree,
+                             segments=self.cfg.segments)
 
 
 def denoise_samples(values, grid, cfg):
@@ -251,9 +248,13 @@ def eval_surface_on_grid(surface, grid):
 
 @dataclass(frozen=True)
 class LKBBasis:
-    """Denoised versions of the kept design-matrix columns."""
+    """Denoised versions of the kept design-matrix columns.
 
-    surfaces: list
+    coeffs has shape (ncf,)*d + (m,): the coefficient tensors of all m
+    columns along a trailing column axis, which is the matrix C of
+    M = (B_1 x ... x B_d) C."""
+
+    coeffs: np.ndarray
     kept: np.ndarray
     config: SmoothingConfig
     kb_id: str = ""
@@ -261,11 +262,20 @@ class LKBBasis:
 
     @property
     def n_columns(self):
-        return len(self.surfaces)
+        return self.coeffs.shape[-1]
 
     @property
     def d(self):
-        return self.surfaces[0].d
+        return self.coeffs.ndim - 1
+
+    def column(self, j):
+        """The surface of column j."""
+        if not 0 <= j < self.n_columns:
+            raise IndexError(
+                f"column {j} out of range 0..{self.n_columns - 1}")
+        return SmoothSurface(coeffs=self.coeffs[..., j],
+                             degree=self.config.degree,
+                             segments=self.config.segments)
 
     def combine(self, coefficients):
         """The surface sum_j coefficients[j] * column_j; linear combos of
@@ -273,35 +283,25 @@ class LKBBasis:
         c = np.asarray(coefficients, dtype=float)
         if c.shape != (self.n_columns,):
             raise ValueError("coefficient length must match column count")
-        acc = np.zeros_like(self.surfaces[0].coeffs)
-        for w, s in zip(c, self.surfaces):
-            if w != 0.0:
-                acc += w * s.coeffs
-        return SmoothSurface(coeffs=acc, degree=self.config.degree,
+        return SmoothSurface(coeffs=self.coeffs @ c,
+                             degree=self.config.degree,
                              segments=self.config.segments)
 
-    def _factors(self, grid):
-        """Per-axis designs B_a and the coefficient tensors stacked along
-        a trailing column axis: the factors of M = (B_1 x ... x B_d) C."""
+    def _designs(self, grid):
+        """The per-axis designs B_a of M = (B_1 x ... x B_d) C."""
         if not grid.is_grid:
             raise ValueError("the factored form needs a full uniform grid")
-        designs = [_axis_design(self.config.degree, self.config.segments,
-                                axis) for axis in grid.grid_axes]
-        return designs, np.stack([s.coeffs for s in self.surfaces], axis=-1)
+        return [_axis_design(self.config.degree, self.config.segments, axis)
+                for axis in grid.grid_axes]
 
-    def design_matrix(self, pts):
-        """(|pts|, n_columns) samples of every column at the points; on a
-        grid, one contraction of the factors of M = (B_1 x ... x B_d) C."""
-        if not pts.is_grid:
-            cols = np.empty((len(pts), self.n_columns))
-            for j, s in enumerate(self.surfaces):
-                cols[:, j] = eval_surface(s, pts.points)
-            return cols
-        t = _contract_axes(*self._factors(pts))
+    def design_matrix(self, grid):
+        """(|grid|, n_columns) samples of every column on a full uniform
+        grid: one contraction of the factors of M = (B_1 x ... x B_d) C."""
         # grid rows run first axis fastest: in C order that is the point
         # axes reversed, then the column axis (one copy at most)
-        order = list(range(pts.d))[::-1] + [pts.d]
-        return np.ascontiguousarray(t.transpose(order)).reshape(len(pts), -1)
+        order = list(range(grid.d))[::-1] + [grid.d]
+        t = _contract_axes(self._designs(grid), self.coeffs).transpose(order)
+        return np.ascontiguousarray(t).reshape(len(grid), -1)
 
     def rank_factor(self, grid):
         """W = (R_1 x ... x R_d) C with R_a the triangular factor of the
@@ -310,35 +310,22 @@ class LKBBasis:
         W^T W = M^T M for M = design_matrix(grid), so W has the singular
         values of M, but only prod_a min(|axis_a|, coeffs per axis) rows:
         its SVD costs the same for any grid size."""
-        designs, coeffs = self._factors(grid)
-        rs = [np.linalg.qr(b, mode="r") for b in designs]
-        return _contract_axes(rs, coeffs).reshape(-1, self.n_columns)
+        rs = [np.linalg.qr(b, mode="r") for b in self._designs(grid)]
+        return _contract_axes(rs, self.coeffs).reshape(-1, self.n_columns)
 
 
-def build_lkb_basis(kb_basis, grid, cfg, prune_tol=1e-10, raw_matrix=None):
-    """Denoise every kept raw column independently on the grid.
-
-    raw_matrix may pass in a previously assembled (and possibly pruned)
-    design matrix for the same basis and grid to avoid recomputation.
-    """
-    from .kb import assemble_design_matrix, prune_near_zero_columns
-
-    if raw_matrix is None:
-        raw_matrix = prune_near_zero_columns(
-            assemble_design_matrix(kb_basis, grid), tol=prune_tol)
+def build_lkb_basis(raw_matrix, grid, cfg):
+    """Denoise every column of the pruned raw design matrix on the grid."""
     smoother = GridSmoother(grid, cfg)
     try:
-        surfaces = smoother.denoise(raw_matrix.values)
+        coeffs = smoother.coefficients(raw_matrix.values)
     except ValueError as exc:
         raise ValueError(f"denoising failed on columns "
                          f"{list(raw_matrix.kept)}: {exc}")
-    return LKBBasis(surfaces=surfaces, kept=raw_matrix.kept.copy(),
-                    config=cfg, kb_id=raw_matrix.basis_id,
-                    grid_id=raw_matrix.points_id)
+    return LKBBasis(coeffs=coeffs, kept=raw_matrix.kept.copy(), config=cfg,
+                    kb_id=raw_matrix.basis_id, grid_id=raw_matrix.points_id)
 
 
 def eval_lkb(basis, j, x):
     """Denoised column j at a point or point stack."""
-    if not 0 <= j < basis.n_columns:
-        raise IndexError(f"column {j} out of range 0..{basis.n_columns - 1}")
-    return eval_surface(basis.surfaces[j], x)
+    return eval_surface(basis.column(j), x)

@@ -266,9 +266,8 @@ def test_criterion_11_omp_planted_recovery():
     raw = prune_near_zero_columns(assemble_design_matrix(kb, grid))
     # light smoothing keeps columns distinguishable; the unit-penalty
     # columns are too collinear for exact support identification
-    lkb = build_lkb_basis(kb, grid, SmoothingConfig(penalty=1e-6,
-                                                    segments=24),
-                          raw_matrix=raw)
+    lkb = build_lkb_basis(raw, grid, SmoothingConfig(penalty=1e-6,
+                                                    segments=24))
     values = lkb.design_matrix(grid)
     unit = values / np.linalg.norm(values, axis=0)
     gram = np.abs(unit.T @ unit)

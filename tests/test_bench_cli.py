@@ -1,5 +1,5 @@
 import json
-import os
+import shutil
 import warnings
 
 import numpy as np
@@ -16,7 +16,7 @@ from kstfit.bench import (
     run_slope_experiment,
     run_table_experiment,
 )
-from kstfit.cache import CacheMismatch, read_basis_cache
+from kstfit.cache import CacheMismatch, cache_path, read_basis_cache
 from kstfit.testfuncs import get as get_function, registry
 
 
@@ -95,8 +95,9 @@ def test_cache_roundtrip_bit_identical(cache_dir):
     assert np.array_equal(built.matrix.kept, loaded.matrix.kept)
     assert np.array_equal(built.rows, loaded.rows)
     assert np.array_equal(built.cols, loaded.cols)
-    for a, b in zip(built.lkb.surfaces, loaded.lkb.surfaces):
-        assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(built.lkb.coeffs, loaded.lkb.coeffs)
+    # one memory layout for both, so combine() rounds the same way
+    assert built.lkb.coeffs.strides == loaded.lkb.coeffs.strides
 
     def ids(bs):
         return (bs.matrix.basis_id, bs.matrix.points_id, bs.lkb.kb_id,
@@ -123,42 +124,76 @@ def test_failed_cache_write_leaves_no_file(tmp_path):
 
     from kstfit.cache import write_basis_cache
 
+    basis = get_basis_set(2, 20)
+
     class Unwritable:
-        @property
-        def coeffs(self):
+        """Stands in for the coefficient block, which is written last,
+        after the header; reading its values fails like a full disk."""
+        shape = basis.lkb.coeffs.shape
+
+        def __array__(self, *args, **kwargs):
             raise RuntimeError("disk full")
 
-    basis = get_basis_set(2, 20)
-    lkb = replace(basis.lkb, surfaces=basis.lkb.surfaces[:3] + [Unwritable()])
+    lkb = replace(basis.lkb, coeffs=Unwritable())
     path = tmp_path / "basis.lkbc"
     with pytest.raises(RuntimeError, match="disk full"):
         write_basis_cache(str(path), replace(basis, lkb=lkb), {})
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cache_mismatch_forces_rebuild(cache_dir):
-    get_basis_set(2, 40, cache_dir=cache_dir)
-    path = os.path.join(cache_dir, "basis-d2-n40.lkbc")
+def basis_config(d, n, **kwargs):
+    """The build configuration get_basis_set hashes and names files by."""
+    from kstfit.bench import PRUNE_TOL
+
+    return {"d": d, "n": n, "prune_tol": PRUNE_TOL,
+            **ExperimentSpec(d=d, n_list=(n,), **kwargs).build_kwargs()}
+
+
+def test_cache_mismatch_forces_rebuild(tmp_path):
+    cache = str(tmp_path)
+    get_basis_set(2, 40, cache_dir=cache)
+    path = cache_path(cache, basis_config(2, 40))
     with pytest.raises(CacheMismatch, match="hash"):
         read_basis_cache(path, {"d": 2, "n": 41})
+    # a file of another configuration under this configuration's name
+    # is stale: it is rebuilt with a warning, then served
+    other = cache_path(cache, basis_config(2, 40, penalty=0.5))
+    shutil.copyfile(path, other)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        get_basis_set(2, 40, cache_dir=cache_dir, penalty=0.5)
+        get_basis_set(2, 40, cache_dir=cache, penalty=0.5)
         assert any("stale" in str(w.message) for w in caught)
+    read_basis_cache(other, basis_config(2, 40, penalty=0.5))
+
+
+def test_configs_sharing_d_and_n_keep_their_own_files(tmp_path,
+                                                       monkeypatch):
+    import kstfit.bench
+
+    cache = str(tmp_path)
+    first = {p: get_basis_set(2, 20, cache_dir=cache, penalty=p)
+             for p in (0.5, 1.0)}
+    assert len(list(tmp_path.iterdir())) == 2
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("cache miss: basis rebuilt")
+
+    monkeypatch.setattr(kstfit.bench, "build_basis_set", no_build)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (0.5, 1.0, 0.5, 1.0):
+            hit = get_basis_set(2, 20, cache_dir=cache, penalty=p)
+            assert np.array_equal(hit.matrix.values, first[p].matrix.values)
 
 
 def test_cache_detects_corruption(cache_dir, tmp_path):
-    from kstfit.bench import PRUNE_TOL
-
+    cfg = basis_config(2, 40)
     get_basis_set(2, 40, cache_dir=cache_dir)
-    path = os.path.join(cache_dir, "basis-d2-n40.lkbc")
-    raw = open(path, "rb").read()
+    raw = open(cache_path(cache_dir, cfg), "rb").read()
     bad_magic = tmp_path / "bad.lkbc"
     bad_magic.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(CacheMismatch, match="magic"):
         read_basis_cache(str(bad_magic), {})
-    cfg = {"d": 2, "n": 40, "prune_tol": PRUNE_TOL,
-           **ExperimentSpec(d=2, n_list=(40,)).build_kwargs()}
     short = tmp_path / "short.lkbc"
     short.write_bytes(raw[: len(raw) - 200])
     with pytest.raises(CacheMismatch, match="truncated"):

@@ -32,29 +32,50 @@ def test_nonnegative_with_local_support(degree):
         assert np.all(dm[outside, j] == 0.0)
 
 
+def cox_de_boor(knots, i, k, x):
+    """B-spline i of degree k at the scalar x, by the Cox-de Boor
+    recursion; the last nonempty knot interval is closed at the right."""
+    t = knots
+    if k == 0:
+        if t[i] <= x < t[i + 1]:
+            return 1.0
+        if x == t[-1] and t[i] < t[i + 1] == t[-1]:
+            return 1.0
+        return 0.0
+    left = 0.0
+    if t[i + k] > t[i]:
+        left = (x - t[i]) / (t[i + k] - t[i]) * cox_de_boor(t, i, k - 1, x)
+    right = 0.0
+    if t[i + k + 1] > t[i + 1]:
+        right = ((t[i + k + 1] - x) / (t[i + k + 1] - t[i + 1])
+                 * cox_de_boor(t, i + 1, k - 1, x))
+    return left + right
+
+
 def test_degree1_hat_peaks_at_interior_knot():
     basis = UniformBSplineBasis(count=11, degree=1, upper=1.0)
     # interior basis function j peaks with value 1 at its middle knot
     for j in range(1, 10):
         peak = basis.knots[j + 1]
-        assert basis.eval_one(j, peak) == pytest.approx(1.0, abs=1e-14)
+        assert basis.design_matrix(peak)[0, j] == pytest.approx(1.0,
+                                                                abs=1e-14)
 
 
-def test_eval_one_matches_design_matrix():
-    basis = UniformBSplineBasis(count=9, degree=3, upper=2.0)
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_design_matrix_matches_cox_de_boor_recursion(degree):
+    basis = UniformBSplineBasis(count=9, degree=degree, upper=2.0)
     t = np.linspace(0, 2, 41)
     dm = basis.design_matrix(t)
-    for j in (0, 3, 8):
-        one = basis.eval_one(j, t)
-        assert np.allclose(one, dm[:, j], atol=1e-13)
+    ref = np.array([[cox_de_boor(basis.knots, j, degree, x)
+                     for j in range(basis.count)] for x in t])
+    assert np.allclose(dm, ref, rtol=0, atol=1e-13)
 
 
-def test_eval_one_rejects_bad_input():
+def test_design_matrix_rejects_points_outside_the_domain():
     basis = UniformBSplineBasis(count=9, degree=3, upper=2.0)
-    with pytest.raises(IndexError):
-        basis.eval_one(9, 0.5)
-    with pytest.raises(ValueError):
-        basis.eval_one(0, 2.5)
+    for bad in (2.5, -0.1, [0.5, 2.0 + 1e-9]):
+        with pytest.raises(ValueError, match="outside"):
+            basis.design_matrix(bad)
 
 
 def test_linear_interpolant_reproduces_linear_and_kinks():

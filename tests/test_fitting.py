@@ -18,8 +18,7 @@ def pipeline():
     kb = KBBasis(fam, n=25)
     grid = PointSet.grid(2, 41)
     raw = prune_near_zero_columns(assemble_design_matrix(kb, grid))
-    lkb = build_lkb_basis(kb, grid, SmoothingConfig(penalty=1.0, segments=8),
-                          raw_matrix=raw)
+    lkb = build_lkb_basis(raw, grid, SmoothingConfig(penalty=1.0, segments=8))
     matrix = DesignMatrix(values=lkb.design_matrix(grid), kept=lkb.kept,
                           basis_id=lkb.kb_id, points_id=lkb.grid_id)
     return lkb, matrix, grid

@@ -168,6 +168,13 @@ def test_superpose_of_basis_profile_equals_kb_column(fam2):
         f = make_kl_function(fam2, "bspline", basis=basis.univariate,
                              index=j)
         assert np.allclose(f(pts), eval_kb(basis, j, pts), atol=1e-13)
+        # a scalar in gives a scalar out, at one point and in the profile
+        assert f(pts[0]) == pytest.approx(eval_kb(basis, j, pts[0]),
+                                          abs=1e-13)
+        value = f.profile(1.3)
+        assert isinstance(value, float)
+        assert value == basis.univariate.design_matrix(1.3)[0, j]
+        assert f.profile(np.full((2, 3), 1.3)).shape == (2, 3)
 
 
 def test_density_residual_nonincreasing(fam2):

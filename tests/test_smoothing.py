@@ -10,7 +10,6 @@ from kstfit.smoothing import (
     GridSmoother,
     LKBBasis,
     SmoothingConfig,
-    SmoothSurface,
     build_lkb_basis,
     denoise_samples,
     eval_lkb,
@@ -125,7 +124,7 @@ def test_lkb_constant_column_and_leakage(grid):
     kb = KBBasis(fam, n=30)
     cfg = SmoothingConfig(penalty=1.0, segments=8)
     raw = prune_near_zero_columns(assemble_design_matrix(kb, grid))
-    lkb = build_lkb_basis(kb, grid, cfg, raw_matrix=raw)
+    lkb = build_lkb_basis(raw, grid, cfg)
     assert lkb.n_columns == len(raw.kept) < kb.n_columns
 
     # denoising is linear and reproduces constants, so the column sum
@@ -149,7 +148,7 @@ def test_lkb_leakage_decays_with_distance(grid):
     kb = KBBasis(fam, n=30)
     cfg = SmoothingConfig(penalty=1.0, segments=8)
     raw = prune_near_zero_columns(assemble_design_matrix(kb, grid))
-    lkb = build_lkb_basis(kb, grid, cfg, raw_matrix=raw)
+    lkb = build_lkb_basis(raw, grid, cfg)
     col = 0
     vals = raw.values[:, col]
     supp = grid.points[np.abs(vals) > 1e-12]
@@ -164,10 +163,10 @@ def test_lkb_matches_fitted_surface_at_nodes(grid):
     kb = KBBasis(fam, n=20)
     cfg = SmoothingConfig(penalty=1.0, segments=8)
     raw = prune_near_zero_columns(assemble_design_matrix(kb, grid))
-    lkb = build_lkb_basis(kb, grid, cfg, raw_matrix=raw)
+    lkb = build_lkb_basis(raw, grid, cfg)
     j = lkb.n_columns // 2
     node_vals = eval_lkb(lkb, j, grid.points)
-    fitted = eval_surface_on_grid(lkb.surfaces[j], grid)
+    fitted = eval_surface_on_grid(lkb.column(j), grid)
     assert np.allclose(node_vals, fitted, atol=1e-12)
     with pytest.raises(IndexError):
         eval_lkb(lkb, lkb.n_columns, grid.points[0])
@@ -179,6 +178,32 @@ def test_surface_point_eval_matches_grid_eval(grid):
     via_grid = eval_surface_on_grid(s, grid)
     via_points = eval_surface(s, grid.points)
     assert np.allclose(via_grid, via_points, atol=1e-12)
+
+
+def test_block_coefficients_match_per_column_denoise(grid):
+    cfg = SmoothingConfig(penalty=1.0, segments=8)
+    smoother = GridSmoother(grid, cfg)
+    x, y = grid.points.T
+    values = np.stack([np.sin(3 * x) * y, x * x - y, np.exp(x * y)], axis=1)
+    coeffs = smoother.coefficients(values)
+    assert coeffs.shape == (cfg.coeffs_per_axis,) * 2 + (3,)
+    # column after column in memory: the cache writes this block as is
+    assert np.moveaxis(coeffs, -1, 0).flags.c_contiguous
+    for j in range(3):
+        one = smoother.denoise(values[:, j]).coeffs
+        assert np.allclose(coeffs[..., j], one, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        smoother.denoise(values)
+
+
+def test_lkb_design_matrix_needs_a_grid(grid):
+    lkb = LKBBasis(coeffs=np.zeros((11, 11, 2)), kept=np.arange(2),
+                   config=SmoothingConfig(segments=8))
+    scattered = PointSet.from_points(grid.points[:50])
+    with pytest.raises(ValueError, match="grid"):
+        lkb.design_matrix(scattered)
+    with pytest.raises(ValueError, match="grid"):
+        lkb.rank_factor(scattered)
 
 
 @st.composite
@@ -193,11 +218,10 @@ def random_lkb_on_grid(draw):
                                    max_size=d)))
     m = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    shape = (cfg.coeffs_per_axis,) * d
-    surfaces = [SmoothSurface(coeffs=rng.uniform(-1.0, 1.0, shape),
-                              degree=cfg.degree, segments=cfg.segments)
-                for _ in range(m)]
-    lkb = LKBBasis(surfaces=surfaces, kept=np.arange(m), config=cfg)
+    # column blocks contiguous, as GridSmoother lays them out
+    block = rng.uniform(-1.0, 1.0, (m,) + (cfg.coeffs_per_axis,) * d)
+    lkb = LKBBasis(coeffs=np.moveaxis(block, 0, -1), kept=np.arange(m),
+                   config=cfg)
     return lkb, PointSet.grid(d, per_axis)
 
 
@@ -206,8 +230,8 @@ def random_lkb_on_grid(draw):
 def test_grid_design_matrix_matches_per_column_eval(case):
     lkb, grid = case
     values = lkb.design_matrix(grid)
-    oracle = np.stack([eval_surface_on_grid(s, grid) for s in lkb.surfaces],
-                      axis=1)
+    oracle = np.stack([eval_surface_on_grid(lkb.column(j), grid)
+                       for j in range(lkb.n_columns)], axis=1)
     assert values.flags.c_contiguous
     assert values.shape == oracle.shape
     assert np.max(np.abs(values - oracle)) <= 1e-14
@@ -223,3 +247,13 @@ def test_rank_factor_has_the_singular_values_of_the_matrix(case):
     tol = 1e-10 * want[0]
     assert np.all(np.abs(got[:k] - want[:k]) <= tol)
     assert np.all(want[k:] <= tol) and np.all(got[k:] <= tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_lkb_on_grid())
+def test_combine_matches_per_column_sum(case):
+    lkb, _ = case
+    x = np.linspace(-1.0, 1.0, lkb.n_columns)
+    oracle = sum(w * lkb.column(j).coeffs for j, w in enumerate(x))
+    # |coeffs| <= 1 and |x| <= 1: only the summation order differs
+    assert np.max(np.abs(lkb.combine(x).coeffs - oracle)) <= 1e-13
