@@ -20,6 +20,10 @@ from .smoothing import LKBBasis, SmoothingConfig
 
 MAGIC = b"LKBC"
 FORMAT_VERSION = 3
+# Version of the rules that turn a configuration into a basis and its
+# pivots (numerical rank, maxvol search).  Part of the configuration hash:
+# bump it when those rules change, so that old files are not served.
+ALGO_VERSION = 1
 
 
 class CacheMismatch(Exception):
@@ -27,8 +31,9 @@ class CacheMismatch(Exception):
 
 
 def config_hash(build_config):
-    """sha256 over the canonical text of all build inputs."""
-    text = repr(sorted(build_config.items()))
+    """sha256 over the canonical text of all build inputs and the
+    algorithm version."""
+    text = repr((ALGO_VERSION, sorted(build_config.items())))
     return hashlib.sha256(text.encode()).digest()
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.blas import dger as _dger
 
 from .fitting import FitResult, rms_seminorm, target_vector
 
@@ -56,26 +57,59 @@ def estimate_rank(matrix, tol=1e-8):
     return int(np.sum(svals >= tol * svals[0]))
 
 
+def _rank_one_downdate(a, x, y, scale):
+    """a -= scale * outer(x, y) in place: one BLAS pass, no temporary.
+
+    dger updates the Fortran-ordered view a.T in place; for any other
+    layout f2py would update a copy and leave a unchanged.  x and y must
+    not alias a.
+    """
+    if not (a.flags.c_contiguous and a.dtype == np.float64):
+        raise ValueError("rank-one downdate needs a C-contiguous float64 "
+                         "array")
+    _dger(-scale, y, x, a=a.T, overwrite_a=True)
+
+
+def _abs_argmax(a):
+    """(i, j) of np.argmax(np.abs(a)), the first largest magnitude in
+    row-major order, from one argmax and one argmin without |a|."""
+    hi, lo = int(np.argmax(a)), int(np.argmin(a))
+    top, bottom = a.flat[hi], -a.flat[lo]
+    flat = lo if bottom > top or (bottom == top and lo < hi) else hi
+    return divmod(flat, a.shape[1])
+
+
 def _full_pivot_init(m, r, skip=0):
     """Rows/columns of the first r completely pivoted LU steps, optionally
     skipping the `skip` largest residual entries to diversify starts."""
-    resid = np.array(m, dtype=float)
+    resid = np.array(m, dtype=float, order="C")
     rows, cols = [], []
-    banned = []
+    ban_i, ban_j = [], []
     for step in range(r + skip):
-        a = np.abs(resid)
-        for bi, bj in banned:
-            a[bi, bj] = -1.0
-        i, j = divmod(int(np.argmax(a)), m.shape[1])
+        # banned entries read as zero during the scan only; they keep
+        # their residual, which the updates still reach
+        held = resid[ban_i, ban_j]
+        resid[ban_i, ban_j] = 0.0
+        i, j = _abs_argmax(resid)
         piv = resid[i, j]
+        resid[ban_i, ban_j] = held
+        if len(ban_i) >= resid.size:
+            # all entries banned: the scan lands on (0, 0), and like an
+            # argmax over a wholly masked |resid| it takes that entry
+            piv = resid[i, j]
         if piv == 0.0:
             break
         if step < skip:
-            banned.append((i, j))
+            ban_i.append(i)
+            ban_j.append(j)
             continue
         rows.append(i)
         cols.append(j)
-        resid = resid - np.outer(resid[:, j], resid[i, :]) / piv
+        _rank_one_downdate(resid, resid[:, j].copy(), resid[i, :].copy(),
+                           1.0 / piv)
+        # zero in exact arithmetic; rounding must not let them pivot again
+        resid[i, :] = 0.0
+        resid[:, j] = 0.0
     return rows, cols
 
 
@@ -109,19 +143,25 @@ def _sweep_rows(m, rows, cols, log):
                           check_finite=False).T
     except sla.LinAlgError:
         return False
+    b = np.ascontiguousarray(b)
     for _ in range(4 * len(rows)):
-        flat = int(np.argmax(np.abs(b)))
-        i, j = divmod(flat, len(rows))
+        i, j = _abs_argmax(b)
         gain = abs(b[i, j])
         if gain <= 1.0 + SWAP_MARGIN or i in rows:
             break
         update = b[i, :].copy()
         update[j] -= 1.0
-        b -= np.outer(b[:, j] / b[i, j], update)
+        _rank_one_downdate(b, b[:, j].copy(), update, 1.0 / b[i, j])
         rows[j] = i
         log.append(log[-1] * gain)
         changed = True
     return changed
+
+
+def _singular_values(m):
+    """All singular values of m, largest first: the one SVD that the rank
+    guard and the certificate of a cross approximation share."""
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def maxvol_select(matrix, r, with_history=False):
@@ -133,10 +173,17 @@ def maxvol_select(matrix, r, with_history=False):
     relative-volume trace (strictly increasing across accepted swaps).
     """
     m = _values(matrix)
+    rows, cols, log = _maxvol(m, r, _singular_values(m))
+    if with_history:
+        return rows, cols, log
+    return rows, cols
+
+
+def _maxvol(m, r, svals):
+    """maxvol_select on an ndarray whose singular values are svals."""
     n_rows, n_cols = m.shape
     if not 1 <= r <= min(n_rows, n_cols):
         raise ValueError(f"rank {r} out of range for a {m.shape} matrix")
-    svals = np.linalg.svd(m, compute_uv=False)
     if svals[r - 1] <= max(m.shape) * np.finfo(float).eps * svals[0]:
         achieved = int(np.sum(svals > max(m.shape) * np.finfo(float).eps
                               * svals[0]))
@@ -155,15 +202,17 @@ def maxvol_select(matrix, r, with_history=False):
         if best is None or logvol > best[0]:
             best = (logvol, rows, cols, log)
     _, rows, cols, log = best
-    out = np.array(sorted(rows)), np.array(sorted(cols))
-    if with_history:
-        return out + (log,)
-    return out
+    return np.array(sorted(rows)), np.array(sorted(cols)), log
 
 
 def cross_certificate(matrix, rows, cols):
     """(Chebyshev residual, (1+r) sigma_{r+1}) of the skeleton on (I, J)."""
     m = _values(matrix)
+    return _certificate(m, rows, cols, _singular_values(m))
+
+
+def _certificate(m, rows, cols, svals):
+    """cross_certificate on an ndarray whose singular values are svals."""
     core = m[np.ix_(rows, cols)]
     r = len(rows)
     try:
@@ -171,16 +220,16 @@ def cross_certificate(matrix, rows, cols):
     except sla.LinAlgError:
         raise ValueError("pivot block M[I, J] is singular")
     residual = float(np.max(np.abs(m - m[:, cols] @ mid)))
-    svals = np.linalg.svd(m, compute_uv=False)
     sigma_next = float(svals[r]) if r < len(svals) else 0.0
     return residual, (1 + r) * sigma_next
 
 
 def build_cross_approximation(matrix, r):
-    """maxvol_select plus the certificate, packaged."""
-    rows, cols = maxvol_select(matrix, r)
-    residual, bound = cross_certificate(matrix, rows, cols)
+    """maxvol_select plus the certificate, packaged; one SVD serves both."""
     m = _values(matrix)
+    svals = _singular_values(m)
+    rows, cols, _ = _maxvol(m, r, svals)
+    residual, bound = _certificate(m, rows, cols, svals)
     cond = float(np.linalg.cond(m[np.ix_(rows, cols)]))
     return CrossApproximation(rows=rows, cols=cols, rank=r,
                               residual_chebyshev=residual,

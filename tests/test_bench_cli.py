@@ -186,6 +186,35 @@ def test_configs_sharing_d_and_n_keep_their_own_files(tmp_path,
             assert np.array_equal(hit.matrix.values, first[p].matrix.values)
 
 
+def test_algorithm_version_bump_invalidates_cached_pivots(tmp_path,
+                                                          monkeypatch):
+    import kstfit.bench
+    import kstfit.cache
+
+    cache = str(tmp_path)
+    cfg = basis_config(2, 20)
+    get_basis_set(2, 20, cache_dir=cache)
+    old_path = cache_path(cache, cfg)
+    monkeypatch.setattr(kstfit.cache, "ALGO_VERSION",
+                        kstfit.cache.ALGO_VERSION + 1)
+    # a file from the old version is refused even under the new name
+    with pytest.raises(CacheMismatch, match="hash"):
+        read_basis_cache(old_path, cfg)
+    new_path = cache_path(cache, cfg)
+    assert new_path != old_path
+
+    builds = []
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return build_basis_set(*args, **kwargs)
+
+    monkeypatch.setattr(kstfit.bench, "build_basis_set", counted_build)
+    get_basis_set(2, 20, cache_dir=cache)
+    assert builds == [(2, 20)]
+    read_basis_cache(new_path, cfg)
+
+
 def test_cache_detects_corruption(cache_dir, tmp_path):
     cfg = basis_config(2, 40)
     get_basis_set(2, 40, cache_dir=cache_dir)

@@ -1,8 +1,15 @@
+import warnings
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import linalg as sla
 
+from kstfit import pivotal
 from kstfit.pivotal import (
     SWAP_MARGIN,
     build_cross_approximation,
@@ -12,7 +19,7 @@ from kstfit.pivotal import (
     pivotal_fit,
     pivotal_locations,
 )
-from kstfit.kb import PointSet
+from kstfit.kb import DesignMatrix, PointSet
 
 
 def exhaustive_max_volume(m, r):
@@ -23,6 +30,179 @@ def exhaustive_max_volume(m, r):
         for cols in combinations(range(m.shape[1]), r):
             best = max(best, abs(np.linalg.det(m[np.ix_(rows, cols)])))
     return best
+
+
+def reference_full_pivot_init(m, r, skip=0, magnitudes=None):
+    """The complete-pivot start as first written: |resid|, the outer
+    product, its quotient and the new residual are fresh arrays at every
+    step.  The reference the in-place kernel must agree with; magnitudes,
+    when given, collects |pivot| of every step."""
+    resid = np.array(m, dtype=float)
+    rows, cols = [], []
+    banned = []
+    for step in range(r + skip):
+        a = np.abs(resid)
+        for bi, bj in banned:
+            a[bi, bj] = -1.0
+        i, j = divmod(int(np.argmax(a)), m.shape[1])
+        piv = resid[i, j]
+        if piv == 0.0:
+            break
+        if step < skip:
+            banned.append((i, j))
+            continue
+        rows.append(i)
+        cols.append(j)
+        if magnitudes is not None:
+            magnitudes.append(abs(piv))
+        resid = resid - np.outer(resid[:, j], resid[i, :]) / piv
+    return rows, cols
+
+
+def reference_sweep_rows(m, rows, cols, log):
+    """The row sweep as first written, with an |B| array and an outer
+    product allocated per swap."""
+    changed = False
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            b = sla.solve(m[np.ix_(rows, cols)].T, m[:, cols].T,
+                          check_finite=False).T
+    except sla.LinAlgError:
+        return False
+    for _ in range(4 * len(rows)):
+        flat = int(np.argmax(np.abs(b)))
+        i, j = divmod(flat, len(rows))
+        gain = abs(b[i, j])
+        if gain <= 1.0 + SWAP_MARGIN or i in rows:
+            break
+        update = b[i, :].copy()
+        update[j] -= 1.0
+        b -= np.outer(b[:, j] / b[i, j], update)
+        rows[j] = i
+        log.append(log[-1] * gain)
+        changed = True
+    return changed
+
+
+def search_outcome(m, r):
+    """Starts, final (I, J) and history of the search, or the ValueError
+    text for a rejected matrix."""
+    try:
+        rows, cols, history = maxvol_select(m, r, with_history=True)
+    except ValueError as exc:
+        return str(exc)
+    return pivotal._initial_selections(m, r), rows, cols, history
+
+
+def reference_runs_out(m, r):
+    """Whether a reference start pivots on a rounding-level residual.
+
+    A start with skipped entries can run out of residual before step r.
+    Its last pivots are then rounding noise, which the two kernels round
+    differently (the BLAS update fuses its multiply-add).
+    """
+    magnitudes = []
+    for skip in range(6):
+        reference_full_pivot_init(m, r, skip, magnitudes)
+    return min(magnitudes) < 1e-12 * np.abs(m).max()
+
+
+@st.composite
+def small_search_problems(draw):
+    """(matrix, r, kind): Gaussian matrices; small-integer matrices with
+    exact ties at r = 1, where every comparison is between raw entries or
+    multiples of one column; integer low-rank matrices asked for more than
+    their rank."""
+    shape = (draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+    kind = draw(st.sampled_from(["gaussian", "integer", "low rank"]))
+    small_ints = st.integers(-4, 4).map(float)
+    if kind == "gaussian":
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        m = np.random.default_rng(seed).normal(size=shape)
+        return m, draw(st.integers(1, min(shape))), kind
+    if kind == "integer":
+        return draw(hnp.arrays(np.float64, shape, elements=small_ints)), 1, \
+            kind
+    k = draw(st.integers(1, min(shape) - 1))
+    u = draw(hnp.arrays(np.float64, (shape[0], k), elements=small_ints))
+    v = draw(hnp.arrays(np.float64, (k, shape[1]), elements=small_ints))
+    return u @ v, draw(st.integers(k + 1, min(shape))), kind
+
+
+# History entries are products of at most a few dozen gains, each read
+# after a handful of rank-one updates in float64 whose rounding differs
+# between the kernels.
+HISTORY_RTOL = 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_search_problems())
+# every entry banned by the fifth start: the reference pivots on (0, 0)
+@example((np.array([[1.0, 2.0], [3.0, 4.0]]), 1, "integer"))
+def test_in_place_kernels_match_allocating_reference(case):
+    m, r, kind = case
+    got = search_outcome(m, r)
+    with mock.patch.multiple(pivotal,
+                             _full_pivot_init=reference_full_pivot_init,
+                             _sweep_rows=reference_sweep_rows):
+        want = search_outcome(m, r)
+    if kind == "low rank":
+        assert isinstance(want, str) and "numerical rank" in want
+    if isinstance(want, str):
+        assert got == want
+        return
+    assume(kind == "integer" or not reference_runs_out(m, r))
+    starts, rows, cols, history = got
+    assert starts == want[0]
+    assert np.array_equal(rows, want[1]) and np.array_equal(cols, want[2])
+    assert len(history) == len(want[3])
+    assert np.allclose(history, want[3], rtol=HISTORY_RTOL, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                               max_side=7),
+                  elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0,
+                                            -2.0, 0.5])))
+def test_abs_argmax_matches_argmax_of_abs(a):
+    assert pivotal._abs_argmax(a) == divmod(int(np.argmax(np.abs(a))),
+                                            a.shape[1])
+
+
+def test_rank_one_downdate_in_place_and_refuses_other_layouts():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(7, 5))
+    x, y = rng.normal(size=7), rng.normal(size=5)
+    want = a - np.outer(x, y) * 0.25
+    buf = a.copy()
+    pivotal._rank_one_downdate(buf, x, y, 0.25)
+    assert np.allclose(buf, want, rtol=1e-14, atol=1e-15)
+    # dger would update a copy of these and leave them unchanged
+    for other in (np.asfortranarray(a), a[:, ::2].copy().T, a.astype(int)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            pivotal._rank_one_downdate(other, x, y, 0.25)
+
+
+def test_maxvol_leaves_its_input_unchanged_in_every_layout():
+    rng = np.random.default_rng(9)
+    m = rng.normal(size=(30, 12))
+    want = maxvol_select(m, 5)
+    inputs = {
+        "C": np.ascontiguousarray(m),
+        "F": np.asfortranarray(m),
+        "transposed view": np.ascontiguousarray(m.T).T,
+        "strided view": np.repeat(m, 2, axis=1)[:, ::2],
+        "DesignMatrix": DesignMatrix(values=m.copy(), kept=np.arange(12)),
+    }
+    for name, matrix in inputs.items():
+        values = getattr(matrix, "values", matrix)
+        before = values.copy()
+        rows, cols = maxvol_select(matrix, 5)
+        assert np.array_equal(rows, want[0]), name
+        assert np.array_equal(cols, want[1]), name
+        assert np.array_equal(values, before), name
+        assert np.array_equal(values, m), name
 
 
 def test_estimate_rank_identity_and_outer_product():
@@ -79,6 +259,21 @@ def test_certificate_exact_low_rank():
     residual, bound = cross_certificate(m, rows, cols)
     assert residual <= 1e-10
     assert bound <= 1e-10 * (1 + 3) * np.linalg.norm(m)
+
+
+def test_cross_approximation_takes_one_svd_of_the_matrix():
+    rng = np.random.default_rng(10)
+    m = (rng.normal(size=(40, 5)) @ rng.normal(size=(5, 25))
+         + 1e-6 * rng.normal(size=(40, 25)))
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        approx = build_cross_approximation(m, 5)
+    shapes = [call.args[0].shape for call in svd.call_args_list]
+    assert shapes.count(m.shape) == 1
+    rows, cols = maxvol_select(m, 5)
+    assert np.array_equal(approx.rows, rows)
+    assert np.array_equal(approx.cols, cols)
+    assert (approx.residual_chebyshev, approx.certificate_bound) == \
+        cross_certificate(m, rows, cols)
 
 
 def test_certificate_identity_closed_form():
