@@ -1,0 +1,56 @@
+"""Micro-benchmarks of dls_fit on the pipeline's 2-d n=1000 basis.
+
+The basis is the LKB basis the pipeline builds for 2-d n=1000 on the 41^2
+fit grid (a 1681 x 1458 matrix with a 729 x 1458 rank factor W), without
+its pivot search.  The first fit on a freshly sampled matrix pays the SVD
+of W; every later fit reuses it.  The file name keeps it out of the
+default test collection; run it on its own:
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_fitting.py
+"""
+
+import numpy as np
+import pytest
+
+from kstfit.bench import PRUNE_TOL, ExperimentSpec
+from kstfit.fitting import dls_fit
+from kstfit.inner import build_inner_family
+from kstfit.kb import KBBasis, PointSet, assemble_design_matrix, \
+    prune_near_zero_columns
+from kstfit.smoothing import SmoothingConfig, build_lkb_basis
+
+D, N = 2, 1000
+
+
+@pytest.fixture(scope="module")
+def basis():
+    kw = ExperimentSpec(d=D, n_list=(N,)).build_kwargs()
+    kb = KBBasis(build_inner_family(D, kw["inner_rank"]), n=N,
+                 degree=kw["degree"])
+    grid = PointSet.grid(D, kw["fit_grid"])
+    raw = prune_near_zero_columns(assemble_design_matrix(kb, grid),
+                                  tol=PRUNE_TOL)
+    cfg = SmoothingConfig(penalty=kw["penalty"], degree=kw["degree"],
+                          segments=kw["segments"])
+    lkb = build_lkb_basis(raw, grid, cfg)
+    target = np.sin(2 * np.pi * grid.points.sum(axis=1))
+    return lkb, grid, target
+
+
+def test_first_dls_fit(benchmark, basis):
+    """A fresh matrix each round, so every timed fit factors W."""
+    lkb, grid, target = basis
+
+    def fresh_matrix():
+        return (lkb.sample(grid), target), {}
+
+    fit = benchmark.pedantic(dls_fit, setup=fresh_matrix, rounds=3)
+    assert fit.training_rmse < 1e-3
+
+
+def test_warm_dls_fit(benchmark, basis):
+    lkb, grid, target = basis
+    matrix = lkb.sample(grid)
+    dls_fit(matrix, target)  # factors W
+    fit = benchmark.pedantic(dls_fit, args=(matrix, target), rounds=20)
+    assert fit.training_rmse < 1e-3

@@ -5,7 +5,6 @@ tables, convergence slopes and pivotal counts as CSV."""
 import os
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -90,10 +89,9 @@ class BasisSet:
 
 
 def _basis_set(n, grid, lkb, select):
-    """The LKB columns sampled on the grid, with the ids of the basis and
-    the grid, packaged with the (rows, cols) that select(matrix) picks."""
-    matrix = DesignMatrix(values=lkb.design_matrix(grid), kept=lkb.kept,
-                          basis_id=lkb.kb_id, points_id=grid.ident)
+    """The LKB columns sampled on the grid, with their factorization and
+    ids, packaged with the (rows, cols) that select(matrix) picks."""
+    matrix = lkb.sample(grid)
     rows, cols = select(matrix)
     return BasisSet(d=grid.d, n=n, fit_grid_per_axis=len(grid.grid_axes[0]),
                     grid=grid, lkb=lkb, matrix=matrix, rows=rows, cols=cols)
@@ -112,10 +110,10 @@ def build_basis_set(d, n, fit_grid=41, degree=3, penalty=1.0, segments=None,
                                   tol=PRUNE_TOL)
     cfg = SmoothingConfig(penalty=penalty, degree=degree, segments=segments)
     lkb = build_lkb_basis(raw, grid, cfg)
-    # the rank factor has the singular values of the sampled matrix and
-    # no more rows than it, so r never exceeds either dimension
-    r = estimate_rank(lkb.rank_factor(grid), rank_tol)
-    return _basis_set(n, grid, lkb, partial(maxvol_select, r=r))
+    # the rank factor W has the singular values of M and no more rows than
+    # it, so r comes from the small SVD and never exceeds either dimension
+    return _basis_set(n, grid, lkb, lambda matrix: maxvol_select(
+        matrix, estimate_rank(matrix.rank_factor(), rank_tol)))
 
 
 def get_basis_set(d, n, cache_dir=None, **kwargs):

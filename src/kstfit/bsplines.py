@@ -44,6 +44,16 @@ class UniformBSplineBasis:
         return self.knots[j], self.knots[j + self.degree + 1]
 
 
+def contract_axes(mats, t):
+    """Apply mats[a] along axis a of the tensor t, for every matrix given;
+    axes past len(mats), such as a trailing column axis, pass through.
+    This is (mats[0] x ... x mats[-1]) applied to a tensor-product
+    coefficient or sample block without forming the Kronecker product."""
+    for a, m in enumerate(mats):
+        t = np.moveaxis(np.tensordot(m, t, axes=(1, a)), 0, a)
+    return t
+
+
 @dataclass(frozen=True)
 class LinearSpline:
     """Continuous piecewise-linear function given by values at knots."""

@@ -91,11 +91,19 @@ class FitResult:
 def dls_fit(matrix, f_values):
     """Minimum-norm least-squares fit of the samples by the columns.
 
-    Rank-deficient systems get the unique minimum-norm solution (SVD with
-    relative threshold LSTSQ_RCOND), so repeated runs are bit-identical.
+    Rank-deficient systems get the unique minimum-norm solution that
+    np.linalg.lstsq gives at relative threshold LSTSQ_RCOND, from the
+    matrix's factorization M = (Q_1 x ... x Q_d) W and the truncated SVD
+    W ~ U_k S_k V_k^T that the first fit computes and the matrix keeps:
+    x = V_k (S_k^-1 (U_k^T (Q_1 x ... x Q_d)^T f)).  The factors are
+    applied one at a time; a formed pseudo-inverse V_k S_k^-1 U_k^T would
+    carry rounding of eps / sigma_k into every direction, so fitted values
+    of an ill-conditioned M would be off by ~eps * cond(M).  Repeated runs
+    are bit-identical.
     """
     f = target_vector(f_values, matrix.values.shape[0])
-    coef, _, _, _ = np.linalg.lstsq(matrix.values, f, rcond=LSTSQ_RCOND)
+    u, s, vt = matrix.truncated_svd(LSTSQ_RCOND)
+    coef = vt.T @ ((u.T @ matrix.project(f)) / s)
     resid = rms_seminorm(matrix.values @ coef - f)
     return FitResult(coefficients=coef, training_rmse=resid, method="dls",
                      basis_id=matrix.basis_id, points_id=matrix.points_id)

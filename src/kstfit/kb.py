@@ -7,13 +7,16 @@ reach sum(lambda) < d, a block of trailing columns is identically zero;
 pruning removes those before any fitting."""
 
 import hashlib
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import linalg as sla
 from scipy import sparse
 from scipy.interpolate import BSpline
 
-from .bsplines import UniformBSplineBasis
+from .bsplines import UniformBSplineBasis, contract_axes
 from .inner import eval_z
 
 
@@ -125,25 +128,92 @@ def eval_kb(basis, j, x):
     return float(acc[0]) if single else acc
 
 
+def _read_only(a):
+    """A read-only float view of a; the caller's array stays writable."""
+    view = np.asarray(a, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """Dense samples of basis columns at a point set, with bookkeeping of
-    which original columns survived pruning."""
+    which original columns survived pruning.
+
+    On a grid the matrix may carry its factorization M = (Q_1 x ... x Q_d)
+    W with W = (R_1 x ... x R_d) C: qs and rs hold the thin QR factors
+    B_a = Q_a R_a of the per-axis designs and coeffs the coefficient
+    tensor C, shape (coeffs per axis, ...) + (columns,) (LKBBasis.sample
+    fills all three).  A plain matrix has none of them and W = values.
+    The arrays are held as read-only views, so the SVD of W that the
+    matrix keeps cannot go stale through them."""
 
     values: np.ndarray
     kept: np.ndarray
     basis_id: str = ""
     points_id: str = ""
+    qs: tuple = ()
+    rs: tuple = ()
+    coeffs: np.ndarray = None
 
     @property
     def shape(self):
         return self.values.shape
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
+        values = _read_only(self.values)
+        if not np.all(np.isfinite(values)):
             raise ValueError("design matrix entries must be finite")
-        if self.values.shape[1] != len(self.kept):
+        if values.shape[1] != len(self.kept):
             raise ValueError("kept-column map does not match value columns")
+        object.__setattr__(self, "values", values)
+        if not self.qs:
+            return
+        qs = tuple(_read_only(q) for q in self.qs)
+        rs = tuple(_read_only(r) for r in self.rs)
+        coeffs = _read_only(self.coeffs)
+        if (math.prod(q.shape[0] for q in qs) != values.shape[0]
+                or [q.shape[1] for q in qs] != [r.shape[0] for r in rs]
+                or coeffs.shape != tuple(r.shape[1] for r in rs)
+                + values.shape[1:]):
+            raise ValueError("factors do not match the values")
+        object.__setattr__(self, "qs", qs)
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def rank_factor(self):
+        """W as a new array: (R_1 x ... x R_d) C, or a copy of values for a
+        plain matrix.  W^T W = M^T M, so W has the singular values of M,
+        with at most as many rows: prod_a min(|axis_a|, coeffs per axis)
+        for a factored matrix, whatever the grid size."""
+        if not self.qs:
+            return self.values.copy()
+        w = contract_axes(self.rs, self.coeffs)
+        return w.reshape(-1, self.values.shape[1])
+
+    def project(self, f):
+        """(Q_1 x ... x Q_d)^T f: samples f (N,) in the row coordinates of
+        W; f itself for a plain matrix."""
+        shape = [q.shape[0] for q in self.qs] or [len(f)]
+        t = np.reshape(f, shape, order="F")  # grid rows: first axis fastest
+        return contract_axes([q.T for q in self.qs], t).reshape(-1)
+
+    @cached_property
+    def _factor_svd(self):
+        # W is C-ordered, so W^T is Fortran-ordered and LAPACK factors the
+        # new array in place: no copy, and gesdd's smaller workspace
+        v, s, ut = sla.svd(self.rank_factor().T, full_matrices=False,
+                           overwrite_a=True, check_finite=False)
+        return ut.T, s, v.T
+
+    def truncated_svd(self, rcond):
+        """(U_k, s_k, V_k^T): the thin SVD of W without its singular values
+        at or below rcond * sigma_1, the cut np.linalg.lstsq makes.  The
+        SVD runs on the first call and the matrix keeps it; W itself is
+        not kept."""
+        u, s, vt = self._factor_svd
+        k = int(np.sum(s > rcond * s[0])) if s.size else 0
+        return u[:, :k], s[:k], vt[:k]
 
 
 def assemble_design_matrix(basis, pts, max_bytes=2 ** 32):

@@ -239,15 +239,19 @@ def build_cross_approximation(matrix, r):
 
 def pivotal_fit(matrix, rows, cols, f_at_rows):
     """Least-squares solve of the pivotal block M[I, J] x ~= f_I, embedded
-    as a full-length coefficient vector (zeros off J)."""
+    as a full-length coefficient vector (zeros off J).  One SVD of the
+    block gives both its condition number and the solve."""
     m = _values(matrix)
     f = target_vector(f_at_rows, len(rows))
     core = m[np.ix_(rows, cols)]
-    cond = np.linalg.cond(core)
+    u, s, vt = np.linalg.svd(core, full_matrices=False)
+    cond = s[0] / s[-1] if s[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > PIVOTAL_CONDITION_LIMIT:
         raise ValueError(
             f"pivotal block is too ill-conditioned (cond={cond:.2e})")
-    x, _, _, _ = np.linalg.lstsq(core, f, rcond=None)
+    # cond <= 1e12 keeps every sigma above the eps * max(shape) cut that
+    # lstsq would make, for any block narrower than ~4500
+    x = vt.T @ ((u.T @ f) / s)
     coef = np.zeros(m.shape[1])
     coef[np.asarray(cols)] = x
     resid = rms_seminorm(core @ x - f)

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve
 
-from .bsplines import UniformBSplineBasis
+from .bsplines import UniformBSplineBasis, contract_axes
+from .kb import DesignMatrix
 
 
 @dataclass(frozen=True)
@@ -76,14 +77,6 @@ class SmoothSurface:
 def _axis_design(degree, segments, t):
     return UniformBSplineBasis(count=segments + degree, degree=degree,
                                upper=1.0).design_matrix(t)
-
-
-def _contract_axes(mats, t):
-    """Apply mats[a] along axis a of the tensor t, for every matrix given;
-    axes past len(mats), such as a trailing column axis, pass through."""
-    for a, m in enumerate(mats):
-        t = np.moveaxis(np.tensordot(m, t, axes=(1, a)), 0, a)
-    return t
 
 
 @lru_cache(maxsize=32)
@@ -144,7 +137,7 @@ def thin_plate_energy(surface, quad_points=4):
     c = surface.coeffs
     total = 0.0
     for alpha, weight in _second_order_multi_indices(c.ndim):
-        t = _contract_axes([grams[k] for k in alpha], c)
+        t = contract_axes([grams[k] for k in alpha], c)
         total += weight * float(np.sum(c * t))
     return max(total, 0.0)
 
@@ -185,8 +178,7 @@ class GridSmoother:
         """A^T z for a stack of sample columns, shape (N, m)."""
         m = values.shape[1]
         t = values.reshape(self.shape + (m,), order="F")
-        return _contract_axes([b.T for b in self.designs],
-                              t).reshape(-1, m)
+        return contract_axes([b.T for b in self.designs], t).reshape(-1, m)
 
     def coefficients(self, values):
         """Coefficient tensors of the smoothed columns of values (N, m),
@@ -243,7 +235,7 @@ def eval_surface_on_grid(surface, grid):
         return eval_surface(surface, grid.points)
     designs = [_axis_design(surface.degree, surface.segments, axis)
                for axis in grid.grid_axes]
-    return _contract_axes(designs, surface.coeffs).reshape(-1, order="F")
+    return contract_axes(designs, surface.coeffs).reshape(-1, order="F")
 
 
 @dataclass(frozen=True)
@@ -300,18 +292,19 @@ class LKBBasis:
         # grid rows run first axis fastest: in C order that is the point
         # axes reversed, then the column axis (one copy at most)
         order = list(range(grid.d))[::-1] + [grid.d]
-        t = _contract_axes(self._designs(grid), self.coeffs).transpose(order)
+        t = contract_axes(self._designs(grid), self.coeffs).transpose(order)
         return np.ascontiguousarray(t).reshape(len(grid), -1)
 
-    def rank_factor(self, grid):
-        """W = (R_1 x ... x R_d) C with R_a the triangular factor of the
-        axis design B_a = Q_a R_a.
-
-        W^T W = M^T M for M = design_matrix(grid), so W has the singular
-        values of M, but only prod_a min(|axis_a|, coeffs per axis) rows:
-        its SVD costs the same for any grid size."""
-        rs = [np.linalg.qr(b, mode="r") for b in self._designs(grid)]
-        return _contract_axes(rs, self.coeffs).reshape(-1, self.n_columns)
+    def sample(self, grid):
+        """The DesignMatrix M = design_matrix(grid) with its ids and its
+        factorization M = (Q_1 x ... x Q_d) (R_1 x ... x R_d) C, where
+        B_a = Q_a R_a is the thin QR of the axis design.  The matrix builds
+        its small rank factor W = (R_1 x ... x R_d) C only when asked."""
+        qrs = [np.linalg.qr(b) for b in self._designs(grid)]
+        return DesignMatrix(values=self.design_matrix(grid), kept=self.kept,
+                            basis_id=self.kb_id, points_id=grid.ident,
+                            qs=tuple(q for q, _ in qrs),
+                            rs=tuple(r for _, r in qrs), coeffs=self.coeffs)
 
 
 def build_lkb_basis(raw_matrix, grid, cfg):

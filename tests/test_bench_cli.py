@@ -108,15 +108,18 @@ def test_cache_roundtrip_bit_identical(cache_dir):
 
 
 def test_cache_cold_and_warm_fit_json_identical(tmp_path):
-    cache = str(tmp_path / "cache")
-    texts = []
-    for run in ("cold", "warm"):
-        out = tmp_path / f"{run}.json"
-        assert cli.main(["fit", "--d", "2", "--n", "20", "--function", "f5",
-                         "--method", "pivotal", "--eval-grid", "21",
-                         "--cache-dir", cache, "--out", str(out)]) == 0
-        texts.append(out.read_bytes())
-    assert texts[0] == texts[1]
+    # dls runs through the SVD of the rank factor, which the warm path
+    # rebuilds from the loaded coefficients
+    for method in ("pivotal", "dls"):
+        cache = str(tmp_path / f"cache-{method}")
+        texts = []
+        for run in ("cold", "warm"):
+            out = tmp_path / f"{method}-{run}.json"
+            assert cli.main(["fit", "--d", "2", "--n", "20", "--function",
+                             "f5", "--method", method, "--eval-grid", "21",
+                             "--cache-dir", cache, "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1], method
 
 
 def test_failed_cache_write_leaves_no_file(tmp_path):

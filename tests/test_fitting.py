@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import linalg as sla
 
-from kstfit.fitting import FitResult, dls_fit, evaluate_fit, omp_fit, \
-    rms_seminorm
+from kstfit.fitting import LSTSQ_RCOND, FitResult, dls_fit, evaluate_fit, \
+    omp_fit, rms_seminorm
 from kstfit.inner import build_inner_family
 from kstfit.kb import DesignMatrix, KBBasis, PointSet, \
     assemble_design_matrix, prune_near_zero_columns
 from kstfit.pivotal import pivotal_fit
-from kstfit.smoothing import SmoothingConfig, build_lkb_basis
+from kstfit.smoothing import LKBBasis, SmoothingConfig, build_lkb_basis
 
 
 @pytest.fixture(scope="module")
@@ -19,9 +21,7 @@ def pipeline():
     grid = PointSet.grid(2, 41)
     raw = prune_near_zero_columns(assemble_design_matrix(kb, grid))
     lkb = build_lkb_basis(raw, grid, SmoothingConfig(penalty=1.0, segments=8))
-    matrix = DesignMatrix(values=lkb.design_matrix(grid), kept=lkb.kept,
-                          basis_id=lkb.kb_id, points_id=lkb.grid_id)
-    return lkb, matrix, grid
+    return lkb, lkb.sample(grid), grid
 
 
 def test_rms_examples():
@@ -64,6 +64,139 @@ def test_dls_scaling_linearity(pipeline):
                        atol=1e-9 * max(1.0, np.abs(fit1.coefficients).max()))
     assert fit5.training_rmse == pytest.approx(5.0 * fit1.training_rmse,
                                                rel=1e-6, abs=1e-12)
+
+
+@st.composite
+def rank_deficient_plain(draw):
+    """A plain matrix A @ B of rank at most r (zero included) and a target
+    outside its column space."""
+    n_rows, n_cols = draw(st.integers(1, 20)), draw(st.integers(1, 12))
+    r = draw(st.integers(0, min(n_rows, n_cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=(n_rows, r)) @ rng.normal(size=(r, n_cols))
+    return (DesignMatrix(values=values, kept=np.arange(n_cols)),
+            rng.normal(size=n_rows))
+
+
+@st.composite
+def rank_deficient_lkb(draw):
+    """A sampled LKB basis (d = 1, 2, 3) whose m columns span at most r
+    coefficient directions, on a grid whose per-axis sizes may fall below
+    the coefficients per axis, and a target on that grid."""
+    d = draw(st.integers(1, 3))
+    cfg = SmoothingConfig(degree=draw(st.sampled_from([2, 3])),
+                          segments=draw(st.integers(4, 7)))
+    top = {1: 30, 2: 16, 3: 10}[d]
+    grid = PointSet.grid(d, tuple(draw(st.lists(
+        st.integers(2, top), min_size=d, max_size=d))))
+    m = draw(st.integers(1, 12))
+    r = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ncf = cfg.coeffs_per_axis
+    block = rng.normal(size=(m, r)) @ rng.normal(size=(r, ncf ** d))
+    lkb = LKBBasis(coeffs=np.moveaxis(block.reshape((m,) + (ncf,) * d),
+                                      0, -1),
+                   kept=np.arange(m), config=cfg)
+    return lkb.sample(grid), rng.normal(size=len(grid))
+
+
+def assert_matches_lstsq(matrix, f):
+    """Same fitted values and rank as np.linalg.lstsq at LSTSQ_RCOND."""
+    fit = dls_fit(matrix, f)
+    m = matrix.values
+    want, _, rank, _ = np.linalg.lstsq(m, f, rcond=LSTSQ_RCOND)
+    assert np.linalg.norm(m @ (fit.coefficients - want)) \
+        <= 1e-10 * np.linalg.norm(f)
+    assert matrix.truncated_svd(LSTSQ_RCOND)[1].size == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_deficient_plain())
+def test_dls_matches_lstsq_on_rank_deficient_matrices(case):
+    assert_matches_lstsq(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_deficient_lkb())
+def test_dls_matches_lstsq_on_factored_lkb_bases(case):
+    matrix, f = case
+    assert matrix.qs  # the factored path
+    assert_matches_lstsq(matrix, f)
+
+
+def test_factored_and_plain_paths_agree(pipeline):
+    _, matrix, grid = pipeline
+    plain = DesignMatrix(values=matrix.values, kept=matrix.kept)
+    assert matrix.rank_factor().shape[0] < plain.rank_factor().shape[0]
+    k = matrix.truncated_svd(LSTSQ_RCOND)[1].size
+    assert plain.truncated_svd(LSTSQ_RCOND)[1].size == k
+    for f in (np.sin(3 * grid.points[:, 0]) * grid.points[:, 1],
+              np.exp(grid.points.sum(axis=1)), np.ones(len(grid))):
+        a, b = dls_fit(matrix, f), dls_fit(plain, f)
+        assert np.linalg.norm(matrix.values @ (a.coefficients
+                                               - b.coefficients)) \
+            <= 1e-10 * np.linalg.norm(f)
+        assert a.training_rmse == pytest.approx(b.training_rmse, rel=1e-6,
+                                                abs=1e-14)
+
+
+def test_dls_factors_each_matrix_once(pipeline, monkeypatch):
+    lkb, _, grid = pipeline
+    calls = []
+
+    def counting(svd):
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+        return counted
+
+    for module in (np.linalg, sla):
+        monkeypatch.setattr(module, "svd", counting(module.svd))
+    matrices = [lkb.sample(grid), lkb.sample(grid)]
+    assert calls == []  # sampling does not factor: the first fit does
+    for matrix in matrices:
+        for c in range(5):
+            dls_fit(matrix, np.cos(c * grid.points[:, 0]))
+    # one SVD of W (as W^T) per matrix
+    assert calls == [matrices[0].rank_factor().T.shape] * 2
+
+
+def test_dls_fitted_values_hold_on_an_ill_conditioned_matrix():
+    """cond(M) ~ 6e9: applying V, S^-1 and U^T in turn keeps the fitted
+    values to rounding, while a formed pseudo-inverse V S^-1 U^T is off
+    by ~eps * cond(M) ~ 1e-6 relative."""
+    rng = np.random.default_rng(10)
+    u, _ = np.linalg.qr(rng.normal(size=(80, 30)))
+    v, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    values = (u * np.logspace(0, -9.8, 30)) @ v.T
+    matrix = DesignMatrix(values=values, kept=np.arange(30))
+    f = values @ rng.normal(size=30)
+    fit = dls_fit(matrix, f)
+    assert matrix.truncated_svd(LSTSQ_RCOND)[1].size == 30
+    assert np.linalg.norm(values @ fit.coefficients - f) \
+        <= 1e-10 * np.linalg.norm(f)
+
+
+def test_design_matrix_values_are_read_only(pipeline):
+    _, matrix, _ = pipeline
+    values = np.eye(3)
+    plain = DesignMatrix(values=values, kept=np.arange(3))
+    for array in (plain.values, matrix.values, matrix.coeffs, *matrix.qs,
+                  *matrix.rs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 2.0
+    values[0, 0] = 2.0  # the caller's own array stays writable
+
+
+def test_design_matrix_rejects_mismatched_factor(pipeline):
+    _, matrix, _ = pipeline
+    with pytest.raises(ValueError, match="factors"):
+        DesignMatrix(values=matrix.values, kept=matrix.kept,
+                     qs=matrix.qs[:1], rs=matrix.rs[:1],
+                     coeffs=matrix.coeffs)
+    with pytest.raises(ValueError, match="factors"):
+        DesignMatrix(values=matrix.values, kept=matrix.kept, qs=matrix.qs,
+                     rs=matrix.rs, coeffs=matrix.coeffs[..., 1:])
 
 
 def test_dls_dimension_mismatch(pipeline):

@@ -312,6 +312,26 @@ def test_pivotal_fit_rejects_ill_conditioned():
         pivotal_fit(m, [0, 1], [0, 1], np.array([1.0, 2.0]))
 
 
+def test_pivotal_fit_takes_one_svd_of_the_block():
+    rng = np.random.default_rng(12)
+    m = rng.normal(size=(30, 12))
+    rows, cols = maxvol_select(m, 6)
+    f = rng.normal(size=6)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+            mock.patch.object(np.linalg, "lstsq") as lstsq:
+        fit = pivotal_fit(m, rows, cols, f)
+    assert [call.args[0].shape for call in svd.call_args_list] == [(6, 6)]
+    assert not lstsq.called
+    want = np.linalg.solve(m[np.ix_(rows, cols)], f)
+    assert np.allclose(fit.coefficients[cols], want, rtol=1e-12, atol=1e-12)
+    # the limit is on the block's own condition number, from that SVD
+    core = np.diag([1.0, 1e-13])
+    with pytest.raises(ValueError, match="cond=1.00e\\+13"):
+        pivotal_fit(core, [0, 1], [0, 1], np.ones(2))
+    assert pivotal_fit(np.diag([1.0, 1e-11]), [0, 1], [0, 1],
+                       np.ones(2)).coefficients[1] == pytest.approx(1e11)
+
+
 def test_pivotal_fit_validates_length():
     m = np.eye(4)
     with pytest.raises(ValueError):

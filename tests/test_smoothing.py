@@ -203,7 +203,7 @@ def test_lkb_design_matrix_needs_a_grid(grid):
     with pytest.raises(ValueError, match="grid"):
         lkb.design_matrix(scattered)
     with pytest.raises(ValueError, match="grid"):
-        lkb.rank_factor(scattered)
+        lkb.sample(scattered)
 
 
 @st.composite
@@ -242,7 +242,7 @@ def test_grid_design_matrix_matches_per_column_eval(case):
 def test_rank_factor_has_the_singular_values_of_the_matrix(case):
     lkb, grid = case
     want = np.linalg.svd(lkb.design_matrix(grid), compute_uv=False)
-    got = np.linalg.svd(lkb.rank_factor(grid), compute_uv=False)
+    got = np.linalg.svd(lkb.sample(grid).rank_factor(), compute_uv=False)
     k = min(len(want), len(got))
     tol = 1e-10 * want[0]
     assert np.all(np.abs(got[:k] - want[:k]) <= tol)
