@@ -1,10 +1,13 @@
-"""Micro-benchmarks of dls_fit on the pipeline's 2-d n=1000 basis.
+"""Micro-benchmarks of dls_fit and omp_fit on the pipeline's 2-d n=1000
+basis.
 
 The basis is the LKB basis the pipeline builds for 2-d n=1000 on the 41^2
 fit grid (a 1681 x 1458 matrix with a 729 x 1458 rank factor W), without
-its pivot search.  The first fit on a freshly sampled matrix pays the SVD
-of W; every later fit reuses it.  The file name keeps it out of the
-default test collection; run it on its own:
+its pivot search.  The first DLS fit on a freshly sampled matrix pays the
+SVD of W; every later fit reuses it.  OMP runs at sparsity 71, the
+pipeline's pivotal rank for this basis, once on the factored matrix and
+once on the same values as a plain matrix (W = M).  The file name keeps
+it out of the default test collection; run it on its own:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_fitting.py
 """
@@ -13,13 +16,14 @@ import numpy as np
 import pytest
 
 from kstfit.bench import PRUNE_TOL, ExperimentSpec
-from kstfit.fitting import dls_fit
+from kstfit.fitting import dls_fit, omp_fit
 from kstfit.inner import build_inner_family
-from kstfit.kb import KBBasis, PointSet, assemble_design_matrix, \
-    prune_near_zero_columns
+from kstfit.kb import DesignMatrix, KBBasis, PointSet, \
+    assemble_design_matrix, prune_near_zero_columns
 from kstfit.smoothing import SmoothingConfig, build_lkb_basis
 
 D, N = 2, 1000
+OMP_SPARSITY = 71  # the pivotal rank of this basis
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +58,14 @@ def test_warm_dls_fit(benchmark, basis):
     dls_fit(matrix, target)  # factors W
     fit = benchmark.pedantic(dls_fit, args=(matrix, target), rounds=20)
     assert fit.training_rmse < 1e-3
+
+
+@pytest.mark.parametrize("kind", ["factored", "plain"])
+def test_omp_fit(benchmark, basis, kind):
+    lkb, grid, target = basis
+    matrix = lkb.sample(grid)
+    if kind == "plain":
+        matrix = DesignMatrix(values=matrix.values, kept=matrix.kept)
+    fit = benchmark.pedantic(omp_fit, args=(matrix, target),
+                             kwargs={"sparsity": OMP_SPARSITY}, rounds=5)
+    assert len(fit.support) == OMP_SPARSITY

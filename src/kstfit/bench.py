@@ -10,7 +10,8 @@ import numpy as np
 
 from . import cache as cache_io
 from .fitting import dls_fit, evaluate_fit, omp_fit
-from .inner import build_inner_family, default_rank
+from .inner import PROFILES, build_inner_family, default_rank, \
+    make_kl_function
 from .kb import (DesignMatrix, KBBasis, PointSet, assemble_design_matrix,
                  prune_near_zero_columns)
 from .knet import rate_experiment
@@ -243,23 +244,15 @@ def pivotal_count_experiment(spec):
     return "\n".join(lines) + "\n", counts, slope
 
 
-_PROFILES = {
-    "sin": np.sin,
-    "sqrt": np.sqrt,
-    "linear": lambda t: t,
-    "exp": lambda t: np.exp(-t),
-    "chirp": lambda t: np.sin(t * t / 2.0),
-}
-
-
 def run_knet_rate(d, profile, n_list, inner_rank=None, grid_per_axis=None):
-    """Network sup-error against the family superposition, as CSV."""
-    if profile not in _PROFILES:
+    """Network sup-error against the family superposition of one of
+    inner.PROFILES at unit scale, as CSV."""
+    if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
-                         f"choose from {sorted(_PROFILES)}")
+                         f"choose from {sorted(PROFILES)}")
     family = build_inner_family(d, inner_rank or default_rank(d))
-    res = rate_experiment(family, _PROFILES[profile], list(n_list),
-                          grid_per_axis=grid_per_axis)
+    res = rate_experiment(family, make_kl_function(family, profile).profile,
+                          list(n_list), grid_per_axis=grid_per_axis)
     lines = ["n,sup_error"]
     lines += [f"{n},{e:.4e}" for n, e in zip(res["n"], res["sup_error"])]
     slope = res["slope"]

@@ -118,6 +118,7 @@ def read_basis_cache(path, build_config):
                           quad_points=quad_points)
     shape = (n_columns,) + (cfg.coeffs_per_axis,) * d
     block = np.frombuffer(take(8 * int(np.prod(shape))), "<f8").copy()
+    block.flags.writeable = False  # fresh: sample() hands it on uncopied
     # the same strides as a built basis, so combine() rounds the same
     lkb = LKBBasis(coeffs=np.moveaxis(block.reshape(shape), 0, -1),
                    kept=kept, config=cfg, kb_id=kb_id, grid_id=grid_id)

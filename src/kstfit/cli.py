@@ -13,6 +13,7 @@ import sys
 from .bench import (ExperimentSpec, fit_by_method, get_basis_set,
                     pivotal_count_experiment, run_knet_rate,
                     run_slope_experiment, run_table_experiment)
+from .inner import PROFILES
 from .testfuncs import get as get_function
 
 FULL_SWEEP_2D = (100, 200, 400, 1000, 10000)
@@ -78,7 +79,7 @@ def _make_parser():
     p = sub.add_parser("knet-rate", help="network approximation-rate sweep")
     common(p)
     p.add_argument("--g", default="sin",
-                   choices=("sin", "sqrt", "linear", "exp", "chirp"))
+                   choices=tuple(PROFILES))
     p.add_argument("--n-list", type=_int_list,
                    default=(8, 16, 32, 64, 128, 256, 512))
     return top

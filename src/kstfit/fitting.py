@@ -5,6 +5,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg as sla
 
 from .smoothing import eval_surface, eval_surface_on_grid
 
@@ -12,6 +13,9 @@ from .smoothing import eval_surface, eval_surface_on_grid
 LSTSQ_RCOND = 1e-10
 # Correlations below this mean the residual is numerically orthogonal.
 OMP_STAGNATION = 1e-14
+# Correlations within this relative distance of the largest tie; the
+# lowest index among them wins.
+OMP_TIE = 1e-12
 
 
 def rms_seminorm(values):
@@ -129,44 +133,73 @@ def omp_fit(matrix, f_values, sparsity=None, residual_tol=None):
     """Greedy sparse fit: repeatedly add the column most correlated with
     the residual, re-solving least squares on the active set.
 
-    Columns are compared after normalization to unit Euclidean norm; ties
-    break toward the lowest index; reported coefficients live on the
-    original (unnormalized) columns.  Stops at the requested sparsity or
-    residual tolerance, or flags stagnation when every remaining column is
-    numerically orthogonal to the residual.
+    Columns are compared after normalization to unit Euclidean norm, and
+    among correlations within a relative OMP_TIE of the largest the lowest
+    index wins, so rounding cannot flip a tie.  Reported coefficients live
+    on the original (unnormalized) columns.  Stops at the requested
+    sparsity or residual tolerance, or flags stagnation when every
+    remaining column is numerically orthogonal to the residual or the
+    chosen one lies in the span of the active set.
+
+    The loop runs in the row coordinates of the rank factor: M = Q W with
+    Q = Q_1 x ... x Q_d orthonormal gives M^T r = W^T Q^T r, equal column
+    norms, and ||M_A x - f||^2 = ||W_A x - g||^2 + ||f - Q g||^2 for
+    g = Q^T f.  The active columns of W keep a QR factorization W_A = U R
+    that grows by one Gram-Schmidt column per step (orthogonalized twice,
+    which keeps U orthonormal to rounding), so a step costs O(s k) for W
+    with s rows, and the coefficients come from one triangular solve.
     """
     if sparsity is None and residual_tol is None:
         raise ValueError("need a sparsity or a residual tolerance to stop")
-    m = matrix.values
-    f = target_vector(f_values, m.shape[0])
-    norms = np.linalg.norm(m, axis=0)
+    n_rows, n_cols = matrix.shape
+    f = target_vector(f_values, n_rows)
+    w = matrix.rank_factor()
+    g = matrix.project(f)
+    # the part of f outside the range of Q, which no column reaches
+    outside = float(np.sum((f - matrix.lift(g)) ** 2))
+    norms = np.linalg.norm(w, axis=0)
     usable = norms > 0
     phi = np.where(usable, norms, 1.0)
-    normalized = m / phi
 
-    budget = min(m.shape) if sparsity is None else min(sparsity, *m.shape)
+    budget = min(n_rows, n_cols) if sparsity is None \
+        else min(sparsity, n_rows, n_cols)
+    # W_A = U R: orthonormal U (s x k) and upper-triangular R (k x k)
+    u = np.zeros((w.shape[0], min(budget, w.shape[0])))
+    r = np.zeros((u.shape[1], u.shape[1]))
     active = []
-    coef_active = np.zeros(0)
-    residual = f.copy()
+    residual = g.copy()
     stagnated = False
     while len(active) < budget:
-        if residual_tol is not None and rms_seminorm(residual) <= residual_tol:
+        k = len(active)
+        if residual_tol is not None and np.sqrt(
+                (residual @ residual + outside) / n_rows) <= residual_tol:
             break
-        corr = np.abs(normalized.T @ residual)
+        corr = np.abs(w.T @ residual) / phi
         corr[~usable] = 0.0
-        if active:
-            corr[active] = 0.0
-        best = int(np.argmax(corr))  # argmax takes the lowest index on ties
-        if corr[best] < OMP_STAGNATION:
+        corr[active] = 0.0
+        top = corr.max()
+        best = int(np.argmax(corr >= top * (1.0 - OMP_TIE)))
+        # at k = s, U spans every row coordinate of W: no column is new
+        if top < OMP_STAGNATION or k == u.shape[1]:
             stagnated = True
             break
+        col = w[:, best].copy()
+        for _ in range(2):
+            proj = u[:, :k].T @ col
+            col -= u[:, :k] @ proj
+            r[:k, k] += proj
+        r[k, k] = np.linalg.norm(col)
+        if r[k, k] <= LSTSQ_RCOND * norms[best]:
+            stagnated = True
+            break
+        u[:, k] = col / r[k, k]
+        residual -= u[:, k] * (u[:, k] @ residual)
         active.append(best)
-        coef_active, _, _, _ = np.linalg.lstsq(m[:, active], f,
-                                               rcond=LSTSQ_RCOND)
-        residual = f - m[:, active] @ coef_active
-    coef = np.zeros(m.shape[1])
-    coef[active] = coef_active
-    return FitResult(coefficients=coef, training_rmse=rms_seminorm(residual),
+    k = len(active)
+    coef = np.zeros(n_cols)
+    coef[active] = sla.solve_triangular(r[:k, :k], u[:, :k].T @ g)
+    return FitResult(coefficients=coef,
+                     training_rmse=rms_seminorm(matrix.values @ coef - f),
                      method="omp", basis_id=matrix.basis_id,
                      points_id=matrix.points_id,
                      support=np.array(sorted(active), dtype=int),

@@ -371,24 +371,30 @@ def forward_superpose(family, g, x):
     return float(acc) if single else acc
 
 
+# Univariate profiles g(t) = profile(scale, t) for make_kl_function.
+PROFILES = {
+    "linear": lambda c, t: c * t,
+    "sin": lambda c, t: np.sin(c * t),
+    "sqrt": lambda c, t: np.sqrt(c * t),
+    "exp": lambda c, t: np.exp(-c * t),
+    "chirp": lambda c, t: np.sin(c * t * t / 2.0),
+}
+
+
 def make_kl_function(family, kind, scale=1.0, basis=None, index=None):
     """A d-variate evaluator built by superposing a univariate profile.
 
-    kind is one of 'linear' (C*t), 'sin' (sin(C*t)), 'exp' (exp(-C*t)),
-    'chirp' (sin(C*t^2/2)) or 'bspline' (basis function ``index`` of a
-    univariate basis on [0, d], passed via ``basis``).
+    kind names one of PROFILES, 'linear' (C*t), 'sin' (sin(C*t)), 'sqrt'
+    (sqrt(C*t)), 'exp' (exp(-C*t)) and 'chirp' (sin(C*t^2/2)), or is
+    'bspline' (basis function ``index`` of a univariate basis on [0, d],
+    passed via ``basis``).
     """
     if not np.isfinite(scale):
         raise ValueError("scale must be finite")
     c = float(scale)
-    if kind == "linear":
-        g = lambda t: c * t
-    elif kind == "sin":
-        g = lambda t: np.sin(c * t)
-    elif kind == "exp":
-        g = lambda t: np.exp(-c * t)
-    elif kind == "chirp":
-        g = lambda t: np.sin(c * t * t / 2.0)
+    if kind in PROFILES:
+        profile = PROFILES[kind]
+        g = lambda t: profile(c, t)
     elif kind == "bspline":
         if basis is None or index is None:
             raise ValueError("kind='bspline' needs basis= and index=")

@@ -129,10 +129,14 @@ def eval_kb(basis, j, x):
 
 
 def _read_only(a):
-    """A read-only float view of a; the caller's array stays writable."""
-    view = np.asarray(a, dtype=float).view()
-    view.flags.writeable = False
-    return view
+    """a as a read-only float array.  An array already marked read-only is
+    taken as handed over and kept; any other is copied (same layout), so
+    no later write through the caller's array reaches it."""
+    a = np.asarray(a, dtype=float)
+    if a.flags.writeable:
+        a = a.copy(order="K")
+        a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,9 @@ class DesignMatrix:
     B_a = Q_a R_a of the per-axis designs and coeffs the coefficient
     tensor C, shape (coeffs per axis, ...) + (columns,) (LKBBasis.sample
     fills all three).  A plain matrix has none of them and W = values.
-    The arrays are held as read-only views, so the SVD of W that the
-    matrix keeps cannot go stale through them."""
+    The arrays are held read-only, and a writable one is copied first, so
+    the SVD of W that the matrix keeps cannot go stale; builders that own
+    a fresh array mark it read-only to hand it over without a copy."""
 
     values: np.ndarray
     kept: np.ndarray
@@ -188,8 +193,15 @@ class DesignMatrix:
         for a factored matrix, whatever the grid size."""
         if not self.qs:
             return self.values.copy()
-        w = contract_axes(self.rs, self.coeffs)
-        return w.reshape(-1, self.values.shape[1])
+        # one batched product per axis on the column blocks of C makes one
+        # new array per step (tensordot would also copy its input), so at
+        # most two arrays of W's size are alive at once
+        n_cols = lead = self.values.shape[1]
+        t = np.moveaxis(self.coeffs, -1, 0)
+        for r in self.rs:
+            t = np.matmul(r, np.reshape(t, (lead, r.shape[1], -1)))
+            lead *= r.shape[0]
+        return np.ascontiguousarray(np.reshape(t, (n_cols, -1)).T)
 
     def project(self, f):
         """(Q_1 x ... x Q_d)^T f: samples f (N,) in the row coordinates of
@@ -197,6 +209,14 @@ class DesignMatrix:
         shape = [q.shape[0] for q in self.qs] or [len(f)]
         t = np.reshape(f, shape, order="F")  # grid rows: first axis fastest
         return contract_axes([q.T for q in self.qs], t).reshape(-1)
+
+    def lift(self, g):
+        """(Q_1 x ... x Q_d) g: row coordinates of W back to samples in
+        grid row order, the inverse of project on its range; g itself for
+        a plain matrix."""
+        shape = [q.shape[1] for q in self.qs] or [len(g)]
+        t = contract_axes(self.qs, np.reshape(g, shape))
+        return t.reshape(-1, order="F")
 
     @cached_property
     def _factor_svd(self):
@@ -237,6 +257,7 @@ def assemble_design_matrix(basis, pts, max_bytes=2 ** 32):
             extrapolate=False))
         acc = dm if acc is None else acc + dm
     values = np.asarray(acc.todense())
+    values.flags.writeable = False  # handed over: no one else holds it
     return DesignMatrix(values=values, kept=np.arange(n_cols),
                         basis_id=basis.ident, points_id=pts.ident)
 
@@ -251,8 +272,9 @@ def prune_near_zero_columns(matrix, tol=1e-10):
     keep = norms > cutoff
     if not keep.any():
         raise ValueError("every column pruned; basis is degenerate here")
-    return DesignMatrix(values=matrix.values[:, keep],
-                        kept=matrix.kept[keep],
+    values = matrix.values[:, keep]
+    values.flags.writeable = False  # a fresh copy: hand it over
+    return DesignMatrix(values=values, kept=matrix.kept[keep],
                         basis_id=matrix.basis_id,
                         points_id=matrix.points_id)
 

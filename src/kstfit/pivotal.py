@@ -158,10 +158,19 @@ def _sweep_rows(m, rows, cols, log):
     return changed
 
 
-def _singular_values(m):
-    """All singular values of m, largest first: the one SVD that the rank
-    guard and the certificate of a cross approximation share."""
-    return np.linalg.svd(m, compute_uv=False)
+def _singular_values(matrix):
+    """All min(M.shape) singular values of the matrix, largest first: the
+    one SVD that the rank guard and the certificate of a cross
+    approximation share.  A factored DesignMatrix M = (Q_1 x ... x Q_d) W
+    gives them from its small rank factor W, since sigma(M) = sigma(W),
+    padded with the zeros that W's fewer rows leave out."""
+    m = _values(matrix)
+    if not getattr(matrix, "qs", ()):
+        return np.linalg.svd(m, compute_uv=False)
+    svals = np.zeros(min(m.shape))
+    w = np.linalg.svd(matrix.rank_factor(), compute_uv=False)
+    svals[:w.size] = w
+    return svals
 
 
 def maxvol_select(matrix, r, with_history=False):
@@ -172,8 +181,7 @@ def maxvol_select(matrix, r, with_history=False):
     Returns (I, J) as sorted index arrays; with_history=True appends the
     relative-volume trace (strictly increasing across accepted swaps).
     """
-    m = _values(matrix)
-    rows, cols, log = _maxvol(m, r, _singular_values(m))
+    rows, cols, log = _maxvol(_values(matrix), r, _singular_values(matrix))
     if with_history:
         return rows, cols, log
     return rows, cols
@@ -207,8 +215,8 @@ def _maxvol(m, r, svals):
 
 def cross_certificate(matrix, rows, cols):
     """(Chebyshev residual, (1+r) sigma_{r+1}) of the skeleton on (I, J)."""
-    m = _values(matrix)
-    return _certificate(m, rows, cols, _singular_values(m))
+    return _certificate(_values(matrix), rows, cols,
+                        _singular_values(matrix))
 
 
 def _certificate(m, rows, cols, svals):
@@ -227,7 +235,7 @@ def _certificate(m, rows, cols, svals):
 def build_cross_approximation(matrix, r):
     """maxvol_select plus the certificate, packaged; one SVD serves both."""
     m = _values(matrix)
-    svals = _singular_values(m)
+    svals = _singular_values(matrix)
     rows, cols, _ = _maxvol(m, r, svals)
     residual, bound = _certificate(m, rows, cols, svals)
     cond = float(np.linalg.cond(m[np.ix_(rows, cols)]))

@@ -299,9 +299,14 @@ class LKBBasis:
         """The DesignMatrix M = design_matrix(grid) with its ids and its
         factorization M = (Q_1 x ... x Q_d) (R_1 x ... x R_d) C, where
         B_a = Q_a R_a is the thin QR of the axis design.  The matrix builds
-        its small rank factor W = (R_1 x ... x R_d) C only when asked."""
+        its small rank factor W = (R_1 x ... x R_d) C only when asked.
+        The fresh M, Q_a and R_a are handed over read-only, uncopied; C is
+        copied only if this basis holds it writable."""
         qrs = [np.linalg.qr(b) for b in self._designs(grid)]
-        return DesignMatrix(values=self.design_matrix(grid), kept=self.kept,
+        values = self.design_matrix(grid)
+        for a in (values, *(x for qr in qrs for x in qr)):
+            a.flags.writeable = False
+        return DesignMatrix(values=values, kept=self.kept,
                             basis_id=self.kb_id, points_id=grid.ident,
                             qs=tuple(q for q, _ in qrs),
                             rs=tuple(r for _, r in qrs), coeffs=self.coeffs)
@@ -315,6 +320,7 @@ def build_lkb_basis(raw_matrix, grid, cfg):
     except ValueError as exc:
         raise ValueError(f"denoising failed on columns "
                          f"{list(raw_matrix.kept)}: {exc}")
+    coeffs.flags.writeable = False  # fresh: sample() hands it on uncopied
     return LKBBasis(coeffs=coeffs, kept=raw_matrix.kept.copy(), config=cfg,
                     kb_id=raw_matrix.basis_id, grid_id=raw_matrix.points_id)
 

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
 
-from kstfit.fitting import LSTSQ_RCOND, FitResult, dls_fit, evaluate_fit, \
-    omp_fit, rms_seminorm
+from kstfit.fitting import LSTSQ_RCOND, OMP_STAGNATION, FitResult, \
+    dls_fit, evaluate_fit, omp_fit, rms_seminorm
 from kstfit.inner import build_inner_family
 from kstfit.kb import DesignMatrix, KBBasis, PointSet, \
     assemble_design_matrix, prune_near_zero_columns
@@ -188,6 +189,34 @@ def test_design_matrix_values_are_read_only(pipeline):
     values[0, 0] = 2.0  # the caller's own array stays writable
 
 
+def test_design_matrix_ignores_later_writes_to_the_callers_array():
+    """A write through the caller's array after the first fit must not
+    reach the matrix, whose kept SVD would otherwise go stale (the fit
+    then read training RMSE 0.842 instead of 0.641)."""
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(20, 5))
+    f = rng.normal(size=20)
+    matrix = DesignMatrix(values=values, kept=np.arange(5))
+    first = dls_fit(matrix, f)
+    values[:, 0] *= 2.0
+    again = dls_fit(matrix, f)
+    assert np.array_equal(again.coefficients, first.coefficients)
+    assert again.training_rmse == first.training_rmse
+    assert round(again.training_rmse, 3) == 0.641
+
+
+def test_pipeline_hands_its_arrays_over_without_copies(pipeline):
+    lkb, matrix, _ = pipeline
+    assert np.shares_memory(matrix.coeffs, lkb.coeffs)
+    for array in (matrix.values, *matrix.qs, *matrix.rs):
+        assert not array.flags.writeable
+    pruned = prune_near_zero_columns(DesignMatrix(values=np.eye(3),
+                                                  kept=np.arange(3)))
+    assert np.shares_memory(
+        DesignMatrix(values=pruned.values, kept=pruned.kept).values,
+        pruned.values)
+
+
 def test_design_matrix_rejects_mismatched_factor(pipeline):
     _, matrix, _ = pipeline
     with pytest.raises(ValueError, match="factors"):
@@ -332,3 +361,118 @@ def test_fit_result_json_roundtrip(tmp_path, pipeline):
     assert np.allclose(back.coefficients, fit.coefficients)
     assert list(back.support) == list(fit.support)
     assert back.training_rmse == pytest.approx(fit.training_rmse)
+
+
+def omp_lstsq_oracle(values, f, sparsity):
+    """Reference OMP on the whole matrix: each step adds the column most
+    correlated with the residual (after normalization, first index on
+    exact ties) and re-solves least squares on the active set by lstsq.
+    Returns the sorted support and the coefficients."""
+    norms = np.linalg.norm(values, axis=0)
+    normalized = values / np.where(norms > 0, norms, 1.0)
+    active, coef_active, residual = [], np.zeros(0), f.copy()
+    while len(active) < min(sparsity, *values.shape):
+        corr = np.abs(normalized.T @ residual)
+        corr[active] = 0.0
+        best = int(np.argmax(corr))
+        if corr[best] < OMP_STAGNATION:
+            break
+        active.append(best)
+        coef_active = np.linalg.lstsq(values[:, active], f,
+                                      rcond=LSTSQ_RCOND)[0]
+        residual = f - values[:, active] @ coef_active
+    coef = np.zeros(values.shape[1])
+    coef[active] = coef_active
+    return sorted(active), coef
+
+
+def test_omp_matches_lstsq_oracle_on_separated_gaussian_matrices():
+    rng = np.random.default_rng(12)
+    for trial in range(20):
+        n_rows = int(rng.integers(20, 60))
+        n_cols = int(rng.integers(5, 30))
+        values = rng.normal(size=(n_rows, n_cols)) \
+            * rng.uniform(0.5, 2.0, size=n_cols)
+        f = rng.normal(size=n_rows)
+        sparsity = int(rng.integers(1, min(n_rows, n_cols) + 1))
+        fit = omp_fit(DesignMatrix(values=values, kept=np.arange(n_cols)),
+                      f, sparsity=sparsity)
+        support, coef = omp_lstsq_oracle(values, f, sparsity)
+        assert list(fit.support) == support, trial
+        assert np.allclose(fit.coefficients, coef, rtol=0.0,
+                           atol=1e-10 * np.abs(coef).max()), trial
+
+
+def test_omp_breaks_rounding_ties_toward_the_lowest_index():
+    """Column 4 is a multiple of column 1 moved by one ulp per entry, so
+    their normalized correlations tie at rounding level, and a bare argmax
+    picks column 4 whenever it rounds higher (3 of these 40 draws here).
+    The support must stay on column 1."""
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(30, 6))
+    f = base[:, 1] + 0.1 * base[:, 2]
+    for trial in range(40):
+        values = base.copy()
+        values[:, 4] = np.nextafter((trial % 4 + 1) * base[:, 1],
+                                    rng.choice([-np.inf, np.inf], size=30))
+        fit = omp_fit(DesignMatrix(values=values, kept=np.arange(6)), f,
+                      sparsity=2)
+        assert list(fit.support) == [1, 2], trial
+
+
+@st.composite
+def full_rank_lkb(draw):
+    """A sampled LKB basis (d = 1, 2, 3) whose m columns have independent
+    Gaussian coefficients, on a grid with at least as many points per
+    axis as coefficients, a target on it and a sparsity up to m."""
+    d = draw(st.integers(1, 3))
+    cfg = SmoothingConfig(degree=draw(st.sampled_from([2, 3])),
+                          segments=draw(st.integers(4, 7)))
+    ncf = cfg.coeffs_per_axis
+    grid = PointSet.grid(d, tuple(draw(st.lists(
+        st.integers(ncf, ncf + {1: 20, 2: 6, 3: 2}[d]),
+        min_size=d, max_size=d))))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lkb = LKBBasis(coeffs=rng.normal(size=(ncf,) * d + (m,)),
+                   kept=np.arange(m), config=cfg)
+    return lkb.sample(grid), rng.normal(size=len(grid)), \
+        draw(st.integers(1, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_rank_lkb())
+def test_omp_factored_and_plain_paths_agree(case):
+    matrix, f, sparsity = case
+    plain = DesignMatrix(values=matrix.values, kept=matrix.kept)
+    a = omp_fit(matrix, f, sparsity=sparsity)
+    b = omp_fit(plain, f, sparsity=sparsity)
+    assert list(a.support) == list(b.support)
+    assert np.allclose(a.coefficients, b.coefficients, rtol=0.0,
+                       atol=1e-10 * np.abs(b.coefficients).max())
+    assert a.training_rmse == pytest.approx(b.training_rmse, rel=1e-8,
+                                            abs=1e-14)
+
+
+def test_omp_solves_no_least_squares_problem(pipeline, monkeypatch):
+    _, matrix, grid = pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("omp_fit called lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(sla, "lstsq", refuse)
+    fit = omp_fit(matrix, np.sin(3 * grid.points[:, 0]), sparsity=10)
+    assert len(fit.support) == 10
+
+
+def test_omp_allocates_no_copy_of_the_sampled_matrix(pipeline):
+    _, matrix, grid = pipeline
+    f = np.cos(2 * grid.points[:, 0]) * grid.points[:, 1]
+    tracemalloc.start()
+    try:
+        omp_fit(matrix, f, sparsity=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.values.nbytes / 2

@@ -20,6 +20,7 @@ from kstfit.pivotal import (
     pivotal_locations,
 )
 from kstfit.kb import DesignMatrix, PointSet
+from kstfit.smoothing import LKBBasis, SmoothingConfig
 
 
 def exhaustive_max_volume(m, r):
@@ -274,6 +275,35 @@ def test_cross_approximation_takes_one_svd_of_the_matrix():
     assert np.array_equal(approx.cols, cols)
     assert (approx.residual_chebyshev, approx.certificate_bound) == \
         cross_certificate(m, rows, cols)
+
+
+def test_rank_guard_of_a_factored_matrix_takes_no_svd_of_m():
+    """sigma(M) = sigma(W): the guard reads the singular values of the
+    small rank factor, padded with zeros where W has fewer rows than
+    min(M.shape), and picks and refuses exactly as on the plain M."""
+    cfg = SmoothingConfig(segments=4)  # 7 coefficients per axis: W is 49 x m
+    grid = PointSet.grid(2, 15)
+    rng = np.random.default_rng(4)
+    for m, r in ((20, 5), (60, 49), (60, 50)):
+        lkb = LKBBasis(coeffs=rng.normal(size=(7, 7, m)),
+                       kept=np.arange(m), config=cfg)
+        matrix = lkb.sample(grid)
+        plain = DesignMatrix(values=matrix.values, kept=matrix.kept)
+        with mock.patch.object(np.linalg, "svd",
+                               wraps=np.linalg.svd) as svd:
+            try:
+                got = maxvol_select(matrix, r)
+            except ValueError as exc:
+                got = str(exc)
+        assert [c.args[0].shape for c in svd.call_args_list] == [(49, m)]
+        try:
+            want = maxvol_select(plain, r)
+        except ValueError as exc:
+            assert got == str(exc) == \
+                "matrix has numerical rank 49 < requested 50"
+        else:
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 def test_certificate_identity_closed_form():
