@@ -44,7 +44,6 @@ from .smoothing import (
     SmoothSurface,
     build_lkb_basis,
     denoise_samples,
-    eval_lkb,
     eval_surface,
     thin_plate_energy,
 )

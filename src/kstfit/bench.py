@@ -111,10 +111,8 @@ def build_basis_set(d, n, fit_grid=41, degree=3, penalty=1.0, segments=None,
                                   tol=PRUNE_TOL)
     cfg = SmoothingConfig(penalty=penalty, degree=degree, segments=segments)
     lkb = build_lkb_basis(raw, grid, cfg)
-    # the rank factor W has the singular values of M and no more rows than
-    # it, so r comes from the small SVD and never exceeds either dimension
     return _basis_set(n, grid, lkb, lambda matrix: maxvol_select(
-        matrix, estimate_rank(matrix.rank_factor(), rank_tol)))
+        matrix, estimate_rank(matrix, rank_tol)))
 
 
 def get_basis_set(d, n, cache_dir=None, **kwargs):

@@ -24,15 +24,22 @@ def _int_list(text):
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
-def _make_parser():
+def _make_parser(defaults=None):
+    """The kstfit parser; defaults (read from --config) replace the
+    built-in defaults of the top parser and of every subcommand, so
+    explicit flags still win."""
+    defaults = defaults or {}
     top = argparse.ArgumentParser(
         prog="kstfit",
         description="superposition spline bases, least-squares fits and "
                     "pivotal point sets")
     top.add_argument("--config", help="JSON file with argument defaults")
+    top.set_defaults(**defaults)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
+        """The arguments every subcommand shares, then the defaults over
+        all of p's arguments: call it after the subcommand's own."""
         p.add_argument("--d", type=int, default=2)
         p.add_argument("--grid", type=int, default=41,
                        help="fit-grid points per axis")
@@ -46,42 +53,43 @@ def _make_parser():
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--out", default=None,
                        help="write output here instead of stdout")
+        p.set_defaults(**defaults)
 
     p = sub.add_parser("build-basis", help="build (and cache) one basis set")
-    common(p)
     p.add_argument("--n", type=int, required=True)
+    common(p)
 
     p = sub.add_parser("fit", help="fit one benchmark function")
-    common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--method", choices=("dls", "pivotal", "omp"),
                    default="dls")
     p.add_argument("--sparsity", type=int, default=0)
+    common(p)
 
     p = sub.add_parser("table", help="RMSE table over all functions")
-    common(p)
     p.add_argument("--n-list", type=_int_list, default=None)
     p.add_argument("--full", action="store_true",
                    help="extend the 2-d sweep to n=10000")
+    common(p)
 
     p = sub.add_parser("slopes", help="convergence slope of one function")
-    common(p)
     p.add_argument("--function", required=True)
     p.add_argument("--n-list", type=_int_list, default=None)
     p.add_argument("--method", choices=("dls", "pivotal"), default="dls")
     p.add_argument("--full", action="store_true")
+    common(p)
 
     p = sub.add_parser("pivotal-count", help="pivotal set size against n")
-    common(p)
     p.add_argument("--n-list", type=_int_list, default=None)
+    common(p)
 
     p = sub.add_parser("knet-rate", help="network approximation-rate sweep")
-    common(p)
     p.add_argument("--g", default="sin",
                    choices=tuple(PROFILES))
     p.add_argument("--n-list", type=_int_list,
                    default=(8, 16, 32, 64, 128, 256, 512))
+    common(p)
     return top
 
 
@@ -114,18 +122,13 @@ def main(argv=None):
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     pre_args, _ = pre.parse_known_args(argv)
-    parser = _make_parser()
+    defaults = {}
     if pre_args.config:
-        # config supplies defaults; explicit command-line flags still win
         with open(pre_args.config) as fh:
             defaults = json.load(fh)
         if "n_list" in defaults:
             defaults["n_list"] = tuple(defaults["n_list"])
-        parser.set_defaults(**defaults)
-        for action in parser._subparsers._group_actions:
-            for sub_parser in action.choices.values():
-                sub_parser.set_defaults(**defaults)
-    args = parser.parse_args(argv)
+    args = _make_parser(defaults).parse_args(argv)
 
     if args.command == "build-basis":
         spec = _spec(args, [args.n])

@@ -150,8 +150,9 @@ class DesignMatrix:
     tensor C, shape (coeffs per axis, ...) + (columns,) (LKBBasis.sample
     fills all three).  A plain matrix has none of them and W = values.
     The arrays are held read-only, and a writable one is copied first, so
-    the SVD of W that the matrix keeps cannot go stale; builders that own
-    a fresh array mark it read-only to hand it over without a copy."""
+    what the matrix keeps of W (singular values, SVD) cannot go stale;
+    builders that own a fresh array mark it read-only to hand it over
+    without a copy."""
 
     values: np.ndarray
     kept: np.ndarray
@@ -217,6 +218,17 @@ class DesignMatrix:
         shape = [q.shape[1] for q in self.qs] or [len(g)]
         t = contract_axes(self.qs, np.reshape(g, shape))
         return t.reshape(-1, order="F")
+
+    @cached_property
+    def singular_values(self):
+        """sigma(M), largest first, read-only; taken on the first read and
+        kept.  A factored matrix takes them from its rank factor W, so
+        there are min(W.shape) of them: any missing up to min(M.shape) are
+        zero."""
+        w = self.rank_factor() if self.qs else self.values
+        svals = np.linalg.svd(w, compute_uv=False)
+        svals.flags.writeable = False
+        return svals
 
     @cached_property
     def _factor_svd(self):
@@ -292,7 +304,7 @@ def independence_check(basis, pts, rel_tol=None):
     if n_rows < n_cols:
         raise ValueError(
             f"need at least {n_cols} points to check {n_cols} columns")
-    svals = np.linalg.svd(nonzero.values, compute_uv=False)
+    svals = nonzero.singular_values
     if rel_tol is None:
         rel_tol = max(n_rows, n_cols) * np.finfo(float).eps
     rank = int(np.sum(svals > rel_tol * svals[0]))

@@ -15,6 +15,7 @@ from scipy import linalg as sla
 from scipy.linalg.blas import dger as _dger
 
 from .fitting import FitResult, rms_seminorm, target_vector
+from .kb import DesignMatrix
 
 # Minimal volume improvement a swap must bring to be accepted.
 SWAP_MARGIN = 1e-2
@@ -22,9 +23,13 @@ SWAP_MARGIN = 1e-2
 PIVOTAL_CONDITION_LIMIT = 1e12
 
 
-def _values(matrix):
-    return matrix.values if hasattr(matrix, "values") else \
-        np.asarray(matrix, dtype=float)
+def _as_matrix(matrix):
+    """matrix itself if it is a DesignMatrix, else the array as a plain
+    one, so that every caller reads its singular_values."""
+    if isinstance(matrix, DesignMatrix):
+        return matrix
+    values = np.asarray(matrix, dtype=float)
+    return DesignMatrix(values=values, kept=np.arange(values.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,7 @@ def estimate_rank(matrix, tol=1e-8):
     """Count of singular values above tol * sigma_1 (0 for a zero matrix)."""
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie strictly between 0 and 1")
-    m = _values(matrix)
-    svals = np.linalg.svd(m, compute_uv=False)
+    svals = _as_matrix(matrix).singular_values
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.sum(svals >= tol * svals[0]))
@@ -158,21 +162,6 @@ def _sweep_rows(m, rows, cols, log):
     return changed
 
 
-def _singular_values(matrix):
-    """All min(M.shape) singular values of the matrix, largest first: the
-    one SVD that the rank guard and the certificate of a cross
-    approximation share.  A factored DesignMatrix M = (Q_1 x ... x Q_d) W
-    gives them from its small rank factor W, since sigma(M) = sigma(W),
-    padded with the zeros that W's fewer rows leave out."""
-    m = _values(matrix)
-    if not getattr(matrix, "qs", ()):
-        return np.linalg.svd(m, compute_uv=False)
-    svals = np.zeros(min(m.shape))
-    w = np.linalg.svd(matrix.rank_factor(), compute_uv=False)
-    svals[:w.size] = w
-    return svals
-
-
 def maxvol_select(matrix, r, with_history=False):
     """Greedy dominant r x r submatrix: complete-pivot starts, then
     alternating row and column sweeps, each swap growing the volume by a
@@ -181,20 +170,15 @@ def maxvol_select(matrix, r, with_history=False):
     Returns (I, J) as sorted index arrays; with_history=True appends the
     relative-volume trace (strictly increasing across accepted swaps).
     """
-    rows, cols, log = _maxvol(_values(matrix), r, _singular_values(matrix))
-    if with_history:
-        return rows, cols, log
-    return rows, cols
-
-
-def _maxvol(m, r, svals):
-    """maxvol_select on an ndarray whose singular values are svals."""
+    matrix = _as_matrix(matrix)
+    m, svals = matrix.values, matrix.singular_values
     n_rows, n_cols = m.shape
     if not 1 <= r <= min(n_rows, n_cols):
         raise ValueError(f"rank {r} out of range for a {m.shape} matrix")
-    if svals[r - 1] <= max(m.shape) * np.finfo(float).eps * svals[0]:
-        achieved = int(np.sum(svals > max(m.shape) * np.finfo(float).eps
-                              * svals[0]))
+    cut = max(m.shape) * np.finfo(float).eps * svals[0]
+    # a sigma_r that a factored matrix leaves out is zero
+    if r > svals.size or svals[r - 1] <= cut:
+        achieved = int(np.sum(svals > cut))
         raise ValueError(
             f"matrix has numerical rank {achieved} < requested {r}")
 
@@ -210,17 +194,16 @@ def _maxvol(m, r, svals):
         if best is None or logvol > best[0]:
             best = (logvol, rows, cols, log)
     _, rows, cols, log = best
-    return np.array(sorted(rows)), np.array(sorted(cols)), log
+    rows, cols = np.array(sorted(rows)), np.array(sorted(cols))
+    if with_history:
+        return rows, cols, log
+    return rows, cols
 
 
 def cross_certificate(matrix, rows, cols):
     """(Chebyshev residual, (1+r) sigma_{r+1}) of the skeleton on (I, J)."""
-    return _certificate(_values(matrix), rows, cols,
-                        _singular_values(matrix))
-
-
-def _certificate(m, rows, cols, svals):
-    """cross_certificate on an ndarray whose singular values are svals."""
+    matrix = _as_matrix(matrix)
+    m, svals = matrix.values, matrix.singular_values
     core = m[np.ix_(rows, cols)]
     r = len(rows)
     try:
@@ -233,12 +216,12 @@ def _certificate(m, rows, cols, svals):
 
 
 def build_cross_approximation(matrix, r):
-    """maxvol_select plus the certificate, packaged; one SVD serves both."""
-    m = _values(matrix)
-    svals = _singular_values(matrix)
-    rows, cols, _ = _maxvol(m, r, svals)
-    residual, bound = _certificate(m, rows, cols, svals)
-    cond = float(np.linalg.cond(m[np.ix_(rows, cols)]))
+    """maxvol_select plus the certificate, packaged; both read the one
+    set of singular values that the matrix keeps."""
+    matrix = _as_matrix(matrix)
+    rows, cols = maxvol_select(matrix, r)
+    residual, bound = cross_certificate(matrix, rows, cols)
+    cond = float(np.linalg.cond(matrix.values[np.ix_(rows, cols)]))
     return CrossApproximation(rows=rows, cols=cols, rank=r,
                               residual_chebyshev=residual,
                               certificate_bound=bound,
@@ -249,7 +232,8 @@ def pivotal_fit(matrix, rows, cols, f_at_rows):
     """Least-squares solve of the pivotal block M[I, J] x ~= f_I, embedded
     as a full-length coefficient vector (zeros off J).  One SVD of the
     block gives both its condition number and the solve."""
-    m = _values(matrix)
+    matrix = _as_matrix(matrix)
+    m = matrix.values
     f = target_vector(f_at_rows, len(rows))
     core = m[np.ix_(rows, cols)]
     u, s, vt = np.linalg.svd(core, full_matrices=False)
@@ -263,11 +247,9 @@ def pivotal_fit(matrix, rows, cols, f_at_rows):
     coef = np.zeros(m.shape[1])
     coef[np.asarray(cols)] = x
     resid = rms_seminorm(core @ x - f)
-    basis_id = getattr(matrix, "basis_id", "")
-    points_id = getattr(matrix, "points_id", "")
     return FitResult(coefficients=coef, training_rmse=resid,
-                     method="pivotal", basis_id=basis_id,
-                     points_id=points_id,
+                     method="pivotal", basis_id=matrix.basis_id,
+                     points_id=matrix.points_id,
                      support=np.asarray(cols, dtype=int))
 
 

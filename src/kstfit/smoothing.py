@@ -323,8 +323,3 @@ def build_lkb_basis(raw_matrix, grid, cfg):
     coeffs.flags.writeable = False  # fresh: sample() hands it on uncopied
     return LKBBasis(coeffs=coeffs, kept=raw_matrix.kept.copy(), config=cfg,
                     kb_id=raw_matrix.basis_id, grid_id=raw_matrix.points_id)
-
-
-def eval_lkb(basis, j, x):
-    """Denoised column j at a point or point stack."""
-    return eval_surface(basis.column(j), x)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from kstfit import cli
 from kstfit.bench import (
@@ -81,6 +82,23 @@ def test_slope_examples():
 
     with pytest.raises(ValueError):
         estimate_convergence_slope([1e-2, 5e-3], [100, 200])
+
+
+def test_build_takes_one_svd_of_the_rank_factor(monkeypatch):
+    """The rank and the maxvol guard read the singular values that the
+    sampled matrix keeps, so a cold build factors W once."""
+    calls = []
+
+    def counting(svd):
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+        return counted
+
+    for module in (np.linalg, sla):
+        monkeypatch.setattr(module, "svd", counting(module.svd))
+    basis = build_basis_set(2, 100)
+    assert calls == [basis.matrix.rank_factor().shape]
 
 
 @pytest.fixture(scope="module")
@@ -323,3 +341,19 @@ def test_cli_config_file_defaults(tmp_path, cache_dir, capsys):
                      "--n-list", "20,30,40", "--method", "dls"]) == 0
     out = capsys.readouterr().out
     assert "classification" in out
+
+
+def test_cli_explicit_flags_beat_config_defaults(tmp_path, cache_dir,
+                                                 capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"d": 3, "n_list": [20, 30],
+                                "cache_dir": cache_dir}))
+    assert cli.main(["--config", str(conf), "build-basis", "--d", "2",
+                     "--n", "20"]) == 0
+    assert capsys.readouterr().out.startswith("# d=2 n=20 ")
+    # a subcommand's own argument takes its config default too
+    assert cli.main(["--config", str(conf), "pivotal-count",
+                     "--d", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("n,pivotal_count")
+    assert [row.split(",")[0] for row in rows[1:3]] == ["20", "30"]

@@ -12,7 +12,6 @@ from kstfit.smoothing import (
     SmoothingConfig,
     build_lkb_basis,
     denoise_samples,
-    eval_lkb,
     eval_surface,
     eval_surface_on_grid,
     thin_plate_energy,
@@ -139,7 +138,7 @@ def test_lkb_constant_column_and_leakage(grid):
     supp = grid.points[np.abs(vals) > 1e-12]
     dist2 = ((grid.points[:, None, :] - supp[None, :, :]) ** 2).sum(-1).min(1)
     far = dist2 > 0.4 ** 2
-    leak = eval_lkb(lkb, col, grid.points[far])
+    leak = eval_surface(lkb.column(col), grid.points[far])
     assert np.max(np.abs(leak)) <= 1e-2
 
 
@@ -153,7 +152,8 @@ def test_lkb_leakage_decays_with_distance(grid):
     vals = raw.values[:, col]
     supp = grid.points[np.abs(vals) > 1e-12]
     dist2 = ((grid.points[:, None, :] - supp[None, :, :]) ** 2).sum(-1).min(1)
-    leaks = [np.max(np.abs(eval_lkb(lkb, col, grid.points[dist2 > r * r])))
+    leaks = [np.max(np.abs(eval_surface(lkb.column(col),
+                                        grid.points[dist2 > r * r])))
              for r in (0.1, 0.25, 0.4)]
     assert leaks[0] > leaks[2]
 
@@ -165,11 +165,11 @@ def test_lkb_matches_fitted_surface_at_nodes(grid):
     raw = prune_near_zero_columns(assemble_design_matrix(kb, grid))
     lkb = build_lkb_basis(raw, grid, cfg)
     j = lkb.n_columns // 2
-    node_vals = eval_lkb(lkb, j, grid.points)
+    node_vals = eval_surface(lkb.column(j), grid.points)
     fitted = eval_surface_on_grid(lkb.column(j), grid)
     assert np.allclose(node_vals, fitted, atol=1e-12)
     with pytest.raises(IndexError):
-        eval_lkb(lkb, lkb.n_columns, grid.points[0])
+        eval_surface(lkb.column(lkb.n_columns), grid.points[0])
 
 
 def test_surface_point_eval_matches_grid_eval(grid):
@@ -242,11 +242,15 @@ def test_grid_design_matrix_matches_per_column_eval(case):
 def test_rank_factor_has_the_singular_values_of_the_matrix(case):
     lkb, grid = case
     want = np.linalg.svd(lkb.design_matrix(grid), compute_uv=False)
-    got = np.linalg.svd(lkb.sample(grid).rank_factor(), compute_uv=False)
-    k = min(len(want), len(got))
+    matrix = lkb.sample(grid)
     tol = 1e-10 * want[0]
-    assert np.all(np.abs(got[:k] - want[:k]) <= tol)
-    assert np.all(want[k:] <= tol) and np.all(got[k:] <= tol)
+    for got in (np.linalg.svd(matrix.rank_factor(), compute_uv=False),
+                matrix.singular_values):
+        k = min(len(want), len(got))
+        assert np.all(np.abs(got[:k] - want[:k]) <= tol)
+        assert np.all(want[k:] <= tol) and np.all(got[k:] <= tol)
+    assert not matrix.singular_values.flags.writeable
+    assert matrix.singular_values is matrix.singular_values
 
 
 @settings(max_examples=40, deadline=None)
