@@ -107,10 +107,11 @@ def build_basis_set(d, n, fit_grid=41, degree=3, penalty=1.0, segments=None,
     family = build_inner_family(d, inner_rank)
     kb = KBBasis(family, n=n, degree=degree)
     grid = PointSet.grid(d, fit_grid)
-    raw = prune_near_zero_columns(assemble_design_matrix(kb, grid),
-                                  tol=PRUNE_TOL)
     cfg = SmoothingConfig(penalty=penalty, degree=degree, segments=segments)
-    lkb = build_lkb_basis(raw, grid, cfg)
+    # no name holds the raw matrix: it is freed before the pivot search,
+    # which runs next to the kept SVD of W
+    lkb = build_lkb_basis(prune_near_zero_columns(
+        assemble_design_matrix(kb, grid), tol=PRUNE_TOL), grid, cfg)
     return _basis_set(n, grid, lkb, lambda matrix: maxvol_select(
         matrix, estimate_rank(matrix, rank_tol)))
 

@@ -37,20 +37,23 @@ def _make_parser(defaults=None):
     top.set_defaults(**defaults)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        """The arguments every subcommand shares, then the defaults over
-        all of p's arguments: call it after the subcommand's own."""
+    def common(p, basis=True):
+        """The arguments the subcommands share (basis=False leaves out the
+        basis-build ones), then the defaults over all of p's arguments:
+        call it after the subcommand's own."""
         p.add_argument("--d", type=int, default=2)
-        p.add_argument("--grid", type=int, default=41,
-                       help="fit-grid points per axis")
-        p.add_argument("--eval-grid", type=int, default=0,
-                       help="evaluation-grid points per axis (0 = default)")
-        p.add_argument("--degree", type=int, default=3)
-        p.add_argument("--lambda-pen", type=float, default=1.0,
-                       dest="lambda_pen")
-        p.add_argument("--segments", type=int, default=0,
-                       help="smoothing segments per axis (0 = default)")
-        p.add_argument("--cache-dir", default=None)
+        if basis:
+            p.add_argument("--grid", type=int, default=41,
+                           help="fit-grid points per axis")
+            p.add_argument("--eval-grid", type=int, default=0,
+                           help="evaluation-grid points per axis "
+                                "(0 = default)")
+            p.add_argument("--degree", type=int, default=3)
+            p.add_argument("--lambda-pen", type=float, default=1.0,
+                           dest="lambda_pen")
+            p.add_argument("--segments", type=int, default=0,
+                           help="smoothing segments per axis (0 = default)")
+            p.add_argument("--cache-dir", default=None)
         p.add_argument("--out", default=None,
                        help="write output here instead of stdout")
         p.set_defaults(**defaults)
@@ -89,7 +92,7 @@ def _make_parser(defaults=None):
                    choices=tuple(PROFILES))
     p.add_argument("--n-list", type=_int_list,
                    default=(8, 16, 32, 64, 128, 256, 512))
-    common(p)
+    common(p, basis=False)
     return top
 
 

@@ -2,7 +2,7 @@
 sparse fitting by orthogonal matching pursuit."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -97,17 +97,18 @@ def dls_fit(matrix, f_values):
 
     Rank-deficient systems get the unique minimum-norm solution that
     np.linalg.lstsq gives at relative threshold LSTSQ_RCOND, from the
-    matrix's factorization M = (Q_1 x ... x Q_d) W and the truncated SVD
-    W ~ U_k S_k V_k^T that the first fit computes and the matrix keeps:
-    x = V_k (S_k^-1 (U_k^T (Q_1 x ... x Q_d)^T f)).  The factors are
+    matrix's factorization M = (Q_1 x ... x Q_d) W and the SVD of W that
+    the matrix keeps, cut to its k = matrix.rank(LSTSQ_RCOND) leading
+    triplets: x = V_k (S_k^-1 (U_k^T (Q_1 x ... x Q_d)^T f)).  The factors are
     applied one at a time; a formed pseudo-inverse V_k S_k^-1 U_k^T would
     carry rounding of eps / sigma_k into every direction, so fitted values
     of an ill-conditioned M would be off by ~eps * cond(M).  Repeated runs
     are bit-identical.
     """
     f = target_vector(f_values, matrix.values.shape[0])
-    u, s, vt = matrix.truncated_svd(LSTSQ_RCOND)
-    coef = vt.T @ ((u.T @ matrix.project(f)) / s)
+    u, s, vt = matrix.svd
+    k = matrix.rank(LSTSQ_RCOND)
+    coef = vt[:k].T @ ((u[:, :k].T @ matrix.project(f)) / s[:k])
     resid = rms_seminorm(matrix.values @ coef - f)
     return FitResult(coefficients=coef, training_rmse=resid, method="dls",
                      basis_id=matrix.basis_id, points_id=matrix.points_id)

@@ -270,17 +270,20 @@ def _build_phi(d, rank, q, lambdas, attempt):
         if tighten(report):
             return None, None
     # Verify exhaustively at the larger cap (this is what decides for
-    # ranks the tuning loop could only extrapolate).
-    for _ in range(4):
-        vals, report = solve(_FINAL_CHECK_CAP)
-        bad = [k for k, (sep, maxw, measured) in enumerate(report)
-               if measured and maxw * lam_sum * _SEP_MARGIN > sep]
-        if not bad:
-            break
-        if tighten(report):
+    # ranks the tuning loop could only extrapolate).  A last tuning pass
+    # that measured every rank and found none crowded has decided already:
+    # the larger cap would recompute the same anchors and gaps.
+    if bad or not all(measured for _, _, measured in report):
+        for _ in range(4):
+            vals, report = solve(_FINAL_CHECK_CAP)
+            bad = [k for k, (sep, maxw, measured) in enumerate(report)
+                   if measured and maxw * lam_sum * _SEP_MARGIN > sep]
+            if not bad:
+                break
+            if tighten(report):
+                return None, None
+        else:
             return None, None
-    else:
-        return None, None
 
     if not (np.all(np.diff(vals) > 0.0) and np.all(np.diff(edges) > 0.0)):
         return None, None

@@ -150,7 +150,7 @@ class DesignMatrix:
     tensor C, shape (coeffs per axis, ...) + (columns,) (LKBBasis.sample
     fills all three).  A plain matrix has none of them and W = values.
     The arrays are held read-only, and a writable one is copied first, so
-    what the matrix keeps of W (singular values, SVD) cannot go stale;
+    the SVD of W that the matrix keeps cannot go stale;
     builders that own a fresh array mark it read-only to hand it over
     without a copy."""
 
@@ -220,32 +220,30 @@ class DesignMatrix:
         return t.reshape(-1, order="F")
 
     @cached_property
-    def singular_values(self):
-        """sigma(M), largest first, read-only; taken on the first read and
-        kept.  A factored matrix takes them from its rank factor W, so
-        there are min(W.shape) of them: any missing up to min(M.shape) are
-        zero."""
-        w = self.rank_factor() if self.qs else self.values
-        svals = np.linalg.svd(w, compute_uv=False)
-        svals.flags.writeable = False
-        return svals
-
-    @cached_property
-    def _factor_svd(self):
+    def svd(self):
+        """The thin SVD (U, s, V^T) of the rank factor W, read-only; taken
+        on the first read and kept, W itself is not.  s is sigma(M),
+        largest first: a factored matrix has min(W.shape) of them, and any
+        missing up to min(M.shape) are zero."""
         # W is C-ordered, so W^T is Fortran-ordered and LAPACK factors the
         # new array in place: no copy, and gesdd's smaller workspace
         v, s, ut = sla.svd(self.rank_factor().T, full_matrices=False,
                            overwrite_a=True, check_finite=False)
-        return ut.T, s, v.T
+        factors = (ut.T, s, v.T)
+        for a in factors:
+            a.flags.writeable = False
+        return factors
 
-    def truncated_svd(self, rcond):
-        """(U_k, s_k, V_k^T): the thin SVD of W without its singular values
-        at or below rcond * sigma_1, the cut np.linalg.lstsq makes.  The
-        SVD runs on the first call and the matrix keeps it; W itself is
-        not kept."""
-        u, s, vt = self._factor_svd
-        k = int(np.sum(s > rcond * s[0])) if s.size else 0
-        return u[:, :k], s[:k], vt[:k]
+    @property
+    def singular_values(self):
+        """sigma(M), largest first: the s of svd."""
+        return self.svd[1]
+
+    def rank(self, tol):
+        """Count of singular values above tol * sigma_1 (0 for a zero
+        matrix): the one rank rule of the package."""
+        s = self.singular_values
+        return int(np.sum(s > tol * s[0])) if s.size else 0
 
 
 def assemble_design_matrix(basis, pts, max_bytes=2 ** 32):
@@ -304,13 +302,13 @@ def independence_check(basis, pts, rel_tol=None):
     if n_rows < n_cols:
         raise ValueError(
             f"need at least {n_cols} points to check {n_cols} columns")
-    svals = nonzero.singular_values
     if rel_tol is None:
         rel_tol = max(n_rows, n_cols) * np.finfo(float).eps
-    rank = int(np.sum(svals > rel_tol * svals[0]))
+    rank = nonzero.rank(rel_tol)
     return {
         "n_nonzero_columns": n_cols,
         "rank": rank,
         "independent": rank == n_cols,
-        "smallest_singular_value": float(svals[n_cols - 1]),
+        "smallest_singular_value": float(
+            nonzero.singular_values[n_cols - 1]),
     }

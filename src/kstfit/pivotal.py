@@ -25,7 +25,7 @@ PIVOTAL_CONDITION_LIMIT = 1e12
 
 def _as_matrix(matrix):
     """matrix itself if it is a DesignMatrix, else the array as a plain
-    one, so that every caller reads its singular_values."""
+    one, so that every caller reads its one kept SVD."""
     if isinstance(matrix, DesignMatrix):
         return matrix
     values = np.asarray(matrix, dtype=float)
@@ -55,10 +55,7 @@ def estimate_rank(matrix, tol=1e-8):
     """Count of singular values above tol * sigma_1 (0 for a zero matrix)."""
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie strictly between 0 and 1")
-    svals = _as_matrix(matrix).singular_values
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals >= tol * svals[0]))
+    return _as_matrix(matrix).rank(tol)
 
 
 def _rank_one_downdate(a, x, y, scale):
@@ -171,14 +168,12 @@ def maxvol_select(matrix, r, with_history=False):
     relative-volume trace (strictly increasing across accepted swaps).
     """
     matrix = _as_matrix(matrix)
-    m, svals = matrix.values, matrix.singular_values
+    m = matrix.values
     n_rows, n_cols = m.shape
     if not 1 <= r <= min(n_rows, n_cols):
         raise ValueError(f"rank {r} out of range for a {m.shape} matrix")
-    cut = max(m.shape) * np.finfo(float).eps * svals[0]
-    # a sigma_r that a factored matrix leaves out is zero
-    if r > svals.size or svals[r - 1] <= cut:
-        achieved = int(np.sum(svals > cut))
+    achieved = matrix.rank(max(m.shape) * np.finfo(float).eps)
+    if achieved < r:
         raise ValueError(
             f"matrix has numerical rank {achieved} < requested {r}")
 
@@ -217,7 +212,7 @@ def cross_certificate(matrix, rows, cols):
 
 def build_cross_approximation(matrix, r):
     """maxvol_select plus the certificate, packaged; both read the one
-    set of singular values that the matrix keeps."""
+    SVD that the matrix keeps."""
     matrix = _as_matrix(matrix)
     rows, cols = maxvol_select(matrix, r)
     residual, bound = cross_certificate(matrix, rows, cols)

@@ -50,10 +50,6 @@ class SmoothingConfig:
     def coeffs_per_axis(self):
         return self.segments + self.degree
 
-    def axis_basis(self):
-        return UniformBSplineBasis(count=self.coeffs_per_axis,
-                                   degree=self.degree, upper=1.0)
-
     @property
     def ident(self):
         return (f"pen{self.penalty:g}-deg{self.degree}"

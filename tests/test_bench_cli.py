@@ -1,12 +1,14 @@
+import gc
 import json
 import shutil
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from kstfit import cli
+from kstfit import bench, cli
 from kstfit.bench import (
     ExperimentSpec,
     build_basis_set,
@@ -18,6 +20,7 @@ from kstfit.bench import (
     run_table_experiment,
 )
 from kstfit.cache import CacheMismatch, cache_path, read_basis_cache
+from kstfit.fitting import dls_fit
 from kstfit.testfuncs import get as get_function, registry
 
 
@@ -85,8 +88,9 @@ def test_slope_examples():
 
 
 def test_build_takes_one_svd_of_the_rank_factor(monkeypatch):
-    """The rank and the maxvol guard read the singular values that the
-    sampled matrix keeps, so a cold build factors W once."""
+    """The rank, the maxvol guard and every DLS fit read the one SVD that
+    the sampled matrix keeps, so a cold build and its fits factor W once
+    (as W^T)."""
     calls = []
 
     def counting(svd):
@@ -98,7 +102,30 @@ def test_build_takes_one_svd_of_the_rank_factor(monkeypatch):
     for module in (np.linalg, sla):
         monkeypatch.setattr(module, "svd", counting(module.svd))
     basis = build_basis_set(2, 100)
-    assert calls == [basis.matrix.rank_factor().shape]
+    for c in range(5):
+        dls_fit(basis.matrix, np.cos(c * basis.grid.points[:, 0]))
+    assert calls == [basis.matrix.rank_factor().T.shape]
+
+
+def test_build_frees_the_raw_matrix_before_the_pivot_search(monkeypatch):
+    """The pivot search runs next to the kept SVD of W, so no reference to
+    the pruned raw KB matrix may outlive the denoising."""
+    raw = []
+
+    def pruned(*args, **kwargs):
+        matrix = prune(*args, **kwargs)
+        raw.append(weakref.ref(matrix))
+        return matrix
+
+    def select(*args, **kwargs):
+        gc.collect()
+        assert raw and raw[0]() is None
+        return maxvol(*args, **kwargs)
+
+    prune, maxvol = bench.prune_near_zero_columns, bench.maxvol_select
+    monkeypatch.setattr(bench, "prune_near_zero_columns", pruned)
+    monkeypatch.setattr(bench, "maxvol_select", select)
+    assert build_basis_set(2, 40).rank > 0
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +318,33 @@ def test_cli_knet_rate(capsys):
     out = capsys.readouterr().out
     assert out.startswith("n,sup_error")
     assert "slope," in out
+
+
+def test_cli_knet_rate_refuses_the_basis_flags(capsys):
+    """knet-rate builds no basis, so a basis flag is a usage error rather
+    than silently ignored."""
+    for flag in (["--grid", "5"], ["--eval-grid", "41"], ["--degree", "2"],
+                 ["--lambda-pen", "0.5"], ["--segments", "8"],
+                 ["--cache-dir", "/nonexistent/x"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["knet-rate", "--d", "1", "--n-list", "8,16,32"]
+                     + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_knet_rate_takes_config_defaults(tmp_path, capsys):
+    argv = ["knet-rate", "--d", "1", "--g", "exp", "--n-list", "4,8,16"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    conf = tmp_path / "conf.json"
+    # keys of other subcommands' flags in a shared config stay harmless
+    conf.write_text(json.dumps({"d": 1, "g": "exp", "n_list": [4, 8, 16],
+                                "grid": 5, "cache_dir": "/nonexistent/x"}))
+    out_file = tmp_path / "rate.csv"
+    assert cli.main(["--config", str(conf), "knet-rate",
+                     "--out", str(out_file)]) == 0
+    assert out_file.read_text() == want
 
 
 def test_cli_table_and_fit(tmp_path, cache_dir, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from conftest import (
     families_missing_at,
     in_town_cube_count,
 )
+from kstfit import inner
 from kstfit.inner import (
     build_inner_family,
     eval_phi,
@@ -164,6 +167,32 @@ def test_deterministic_rebuild():
     assert len(fam1.phis) == len(fam2.phis)
     for a, b in zip(fam1.phis, fam2.phis):
         assert np.array_equal(a, b)
+
+
+# sha256 of the concatenated phi tables of the depth-4 families
+_PHI_SHA256 = {
+    1: "e3495741f30282fbb8362061eecb7d8ac05729794493388f7cc92ce24421f681",
+    2: "ad6f65fbaf0d43be67ee23c8238734a0e71f89c67f83d8fb9aaf0434874570a9",
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_build_checks_each_anchor_array_once(d, monkeypatch):
+    """Where the tuning loop measured every rank exhaustively and found
+    none crowded, the verification pass is skipped: it would check the
+    same anchors again.  The tables keep their bytes."""
+    checked = []
+
+    def spy(anchors, lambdas, cap=inner._BUILD_CHECK_CAP):
+        checked.append(hashlib.sha256(anchors.tobytes()).hexdigest())
+        return min_cube_gap(anchors, lambdas, cap=cap)
+
+    min_cube_gap = inner._min_cube_gap
+    monkeypatch.setattr(inner, "_min_cube_gap", spy)
+    family = _build_cached.__wrapped__(d, 4)
+    assert checked and len(set(checked)) == len(checked)
+    tables = b"".join(table.tobytes() for table in family.phis)
+    assert hashlib.sha256(tables).hexdigest() == _PHI_SHA256[d]
 
 
 def test_serialization_roundtrip(tmp_path):
