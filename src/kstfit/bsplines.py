@@ -91,20 +91,37 @@ def linear_interpolant(f, knots):
 
 @dataclass(frozen=True)
 class ReluCombination:
-    """t -> offset + sum_i c_i * max(t - y_i, 0), biases ascending."""
+    """t -> offset + sum_i c_i * max(t - y_i, 0), biases ascending.
+
+    This is the continuous piecewise-linear function with breakpoints at
+    the biases; slopes[j] is its slope right of biases[j] and
+    knot_values[j] its value there.
+    """
 
     coeffs: np.ndarray
     biases: np.ndarray
     offset: float = 0.0
+    slopes: np.ndarray = field(init=False, repr=False)
+    knot_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
         y = np.asarray(self.biases, dtype=float)
         if c.shape != y.shape or c.ndim != 1:
             raise ValueError("coeffs and biases must be 1-d and equally long")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(y))
+                and np.isfinite(self.offset)):
+            raise ValueError("coeffs, biases and offset must be finite")
         order = np.argsort(y, kind="stable")
-        object.__setattr__(self, "coeffs", c[order])
-        object.__setattr__(self, "biases", y[order])
+        c, y = c[order], y[order]
+        slopes = np.cumsum(c)
+        rises = slopes[:-1] * np.diff(y)  # value change from bias to bias
+        knot_values = self.offset + np.concatenate(
+            [[0.0], np.cumsum(rises)])[:len(y)]
+        for name, arr in (("coeffs", c), ("biases", y), ("slopes", slopes),
+                          ("knot_values", knot_values)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self):
         return len(self.coeffs)
@@ -113,18 +130,21 @@ class ReluCombination:
         return eval_relu_combination(self, t)
 
 
-def eval_relu_combination(comb, t, chunk=8192):
-    """Hinge sum in ascending-bias order; scalar in, scalar out."""
+def eval_relu_combination(comb, t):
+    """Evaluate comb at t by locating each t among the sorted biases:
+    O(log K) time per point and no K x N temporary.  Scalar in, scalar
+    out; left of the first bias the value is comb.offset."""
     ta = np.asarray(t, dtype=float)
-    scalar = ta.ndim == 0
     flat = np.atleast_1d(ta).ravel()
-    out = np.full(flat.shape, comb.offset)
     if len(comb):
-        for lo in range(0, len(flat), chunk):
-            part = flat[lo:lo + chunk]
-            hinges = np.maximum(part[None, :] - comb.biases[:, None], 0.0)
-            out[lo:lo + chunk] += comb.coeffs @ hinges
-    if scalar:
+        j = np.searchsorted(comb.biases, flat, side="right") - 1
+        left = j < 0
+        j[left] = 0
+        out = comb.knot_values[j] + comb.slopes[j] * (flat - comb.biases[j])
+        out[left] = comb.offset
+    else:
+        out = np.full(flat.shape, comb.offset)
+    if ta.ndim == 0:
         return float(out[0])
     return out.reshape(ta.shape)
 

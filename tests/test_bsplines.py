@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kstfit.bsplines import (
     LinearSpline,
@@ -145,3 +148,87 @@ def test_relu_eval_basics():
     one = ReluCombination(np.array([2.0]), np.array([0.5]))
     assert eval_relu_combination(one, 1.0) == pytest.approx(1.0)
     assert one(0.25) == 0.0
+
+
+def relu_hinge_oracle(coeffs, biases, offset, t):
+    """Reference evaluation as a dense hinge sum, in the order given: the
+    (K, N) matrix of max(t - y_i, 0) contracted with the coefficients."""
+    ta = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(ta).ravel()
+    hinges = np.maximum(flat[None, :] - np.asarray(biases)[:, None], 0.0)
+    out = offset + np.asarray(coeffs) @ hinges
+    return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)
+
+
+@st.composite
+def relu_cases(draw):
+    """Coefficients, unsorted and often repeated biases (drawn from a
+    coarse grid) and an offset, with points left of every bias, exactly
+    at biases, past the last one and in between, as a scalar, a 1-d or a
+    2-d array."""
+    k = draw(st.integers(0, 16))
+    coarse = st.integers(-16, 16).map(lambda i: i / 8)
+    biases = draw(st.lists(coarse | st.floats(-2, 2), min_size=k,
+                           max_size=k))
+    coeffs = draw(st.lists(st.floats(-4, 4), min_size=k, max_size=k))
+    offset = draw(st.floats(-4, 4))
+    pts = list(biases) + [-3.0, 3.0]
+    pts += draw(st.lists(st.floats(-3, 3), max_size=12))
+    shape = draw(st.sampled_from(["scalar", "1-d", "2-d"]))
+    if shape == "scalar":
+        return coeffs, biases, offset, draw(st.sampled_from(pts))
+    t = np.array(pts)
+    if shape == "2-d":
+        t = np.concatenate([t, t[:len(t) % 2]]).reshape(2, -1)
+    return coeffs, biases, offset, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(relu_cases())
+@example(([], [], 1.5, np.array([[-1.0, 0.0], [2.0, 3.0]])))
+@example(([1.0, -2.0, 3.0, 0.5], [0.5, -1.0, 0.5, 0.5], -1.0,
+          np.array([-2.0, -1.0, 0.0, 0.5, 0.75, 4.0])))
+def test_relu_eval_matches_hinge_oracle(case):
+    coeffs, biases, offset, t = case
+    comb = ReluCombination(np.array(coeffs), np.array(biases), offset=offset)
+    got = eval_relu_combination(comb, t)
+    want = relu_hinge_oracle(coeffs, biases, offset, t)
+    assert np.shape(got) == np.shape(want)
+    assert isinstance(got, float) == isinstance(want, float)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert np.max(np.abs(np.asarray(got) - want), initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("field", ["coeffs", "biases", "offset"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_relu_rejects_non_finite_fields(field, bad):
+    fields = {"coeffs": np.array([1.0, -2.0]), "biases": np.array([0.0, 0.5]),
+              "offset": 0.25}
+    if field == "offset":
+        fields[field] = bad
+    else:
+        fields[field][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ReluCombination(**fields)
+
+
+def test_relu_tables_are_read_only():
+    comb = ReluCombination(np.array([1.0, -2.0]), np.array([0.5, 0.0]))
+    for arr in (comb.coeffs, comb.biases, comb.slopes, comb.knot_values):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+
+
+def test_relu_eval_allocates_nothing_per_hinge():
+    """1024 hinges at 201^2 points: a (K, N) hinge matrix would take
+    1024 times the input's bytes."""
+    rng = np.random.default_rng(3)
+    comb = ReluCombination(rng.normal(size=1024), rng.random(1024))
+    t = np.linspace(0.0, 1.0, 201 ** 2)
+    tracemalloc.start()
+    try:
+        eval_relu_combination(comb, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * t.nbytes
