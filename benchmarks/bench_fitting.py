@@ -15,7 +15,7 @@ it out of the default test collection; run it on its own:
 import numpy as np
 import pytest
 
-from kstfit.bench import PRUNE_TOL, ExperimentSpec
+from kstfit.bench import ExperimentSpec
 from kstfit.fitting import dls_fit, omp_fit
 from kstfit.inner import build_inner_family
 from kstfit.kb import DesignMatrix, KBBasis, PointSet, \
@@ -28,15 +28,15 @@ OMP_SPARSITY = 71  # the pivotal rank of this basis
 
 @pytest.fixture(scope="module")
 def basis():
-    kw = ExperimentSpec(d=D, n_list=(N,)).build_kwargs()
-    kb = KBBasis(build_inner_family(D, kw["inner_rank"]), n=N,
-                 degree=kw["degree"])
-    grid = PointSet.grid(D, kw["fit_grid"])
+    cfg = ExperimentSpec(d=D, n_list=(N,)).build_config(N)
+    kb = KBBasis(build_inner_family(D, cfg["inner_rank"]), n=N,
+                 degree=cfg["degree"])
+    grid = PointSet.grid(D, cfg["fit_grid"])
     raw = prune_near_zero_columns(assemble_design_matrix(kb, grid),
-                                  tol=PRUNE_TOL)
-    cfg = SmoothingConfig(penalty=kw["penalty"], degree=kw["degree"],
-                          segments=kw["segments"])
-    lkb = build_lkb_basis(raw, grid, cfg)
+                                  tol=cfg["prune_tol"])
+    smoothing = SmoothingConfig(penalty=cfg["penalty"], degree=cfg["degree"],
+                                segments=cfg["segments"])
+    lkb = build_lkb_basis(raw, grid, smoothing)
     target = np.sin(2 * np.pi * grid.points.sum(axis=1))
     return lkb, grid, target
 

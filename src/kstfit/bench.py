@@ -4,7 +4,7 @@ tables, convergence slopes and pivotal counts as CSV."""
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,25 +18,23 @@ from .knet import rate_experiment
 from .pivotal import estimate_rank, maxvol_select, pivotal_fit, \
     pivotal_locations
 from .smoothing import SmoothingConfig, build_lkb_basis
-from .testfuncs import registry
+from .testfuncs import get as get_function, registry
 
 # Relative singular-value threshold fixing the pivotal rank; with the
 # mean-normalized unit penalty this lands near the reference pivot counts.
 PIPELINE_RANK_TOL = 1e-6
 PRUNE_TOL = 1e-10
+# The two columns per n of the RMSE table: full grid, then pivotal set.
+TABLE_METHODS = ("dls", "pivotal")
 
 _DEFAULT_SEGMENTS = {1: 24, 2: 24, 3: 12}
 _DEFAULT_EVAL_GRID = {1: 1001, 2: 101, 3: 101}
 
 
-def default_segments(d):
-    return _DEFAULT_SEGMENTS.get(d, 8)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything a table/slope/count experiment needs; all fields with
-    value 0/None fall back to per-dimension defaults."""
+    """Everything a table/slope/count experiment needs; the one place
+    where segments and eval_grid of 0 take their per-dimension defaults."""
 
     d: int
     n_list: tuple
@@ -45,25 +43,30 @@ class ExperimentSpec:
     degree: int = 3
     penalty: float = 1.0
     segments: int = 0
-    inner_rank: int = 0
-    rank_tol: float = PIPELINE_RANK_TOL
-    methods: tuple = ("dls", "pivotal")
     cache_dir: str = None
 
-    def build_kwargs(self):
-        """Keyword arguments of build_basis_set, defaults resolved."""
-        return {
-            "fit_grid": self.fit_grid, "degree": self.degree,
-            "penalty": self.penalty,
-            "segments": self.segments or default_segments(self.d),
-            "inner_rank": self.inner_rank or default_rank(self.d),
-            "rank_tol": self.rank_tol,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "segments", self.segments
+                           or _DEFAULT_SEGMENTS.get(self.d, 8))
+        object.__setattr__(self, "eval_grid", self.eval_grid
+                           or _DEFAULT_EVAL_GRID.get(self.d, 41))
+
+    def build_config(self, n):
+        """Every input of the size-n build, the dict the cache hashes and
+        names the file by; build_basis_set reads its settings from it."""
+        return {"d": self.d, "n": n, "fit_grid": self.fit_grid,
+                "degree": self.degree, "penalty": self.penalty,
+                "segments": self.segments, "inner_rank": default_rank(self.d),
+                "rank_tol": PIPELINE_RANK_TOL, "prune_tol": PRUNE_TOL}
+
+    def basis(self, n):
+        """The size-n basis set, loaded or built by get_basis_set."""
+        settings = asdict(self)
+        del settings["n_list"]
+        return get_basis_set(n=n, **settings)
 
     def eval_points(self):
-        """The evaluation grid, per-dimension default when eval_grid is 0."""
-        return PointSet.grid(
-            self.d, self.eval_grid or _DEFAULT_EVAL_GRID.get(self.d, 41))
+        return PointSet.grid(self.d, self.eval_grid)
 
 
 @dataclass
@@ -98,33 +101,33 @@ def _basis_set(n, grid, lkb, select):
                     grid=grid, lkb=lkb, matrix=matrix, rows=rows, cols=cols)
 
 
-def build_basis_set(d, n, fit_grid=41, degree=3, penalty=1.0, segments=None,
-                    inner_rank=None, rank_tol=PIPELINE_RANK_TOL):
+def build_basis_set(d, n, **settings):
     """Full pipeline: inner family -> raw columns on the grid -> prune ->
-    denoise -> numerical rank -> dominant row/column sets."""
-    segments = segments or default_segments(d)
-    inner_rank = inner_rank or default_rank(d)
-    family = build_inner_family(d, inner_rank)
-    kb = KBBasis(family, n=n, degree=degree)
-    grid = PointSet.grid(d, fit_grid)
-    cfg = SmoothingConfig(penalty=penalty, degree=degree, segments=segments)
+    denoise -> numerical rank -> dominant row/column sets.  settings are
+    ExperimentSpec fields; every input is read from its build_config."""
+    cfg = ExperimentSpec(d=d, n_list=(n,), **settings).build_config(n)
+    family = build_inner_family(d, cfg["inner_rank"])
+    kb = KBBasis(family, n=n, degree=cfg["degree"])
+    grid = PointSet.grid(d, cfg["fit_grid"])
+    smoothing = SmoothingConfig(penalty=cfg["penalty"], degree=cfg["degree"],
+                                segments=cfg["segments"])
     # no name holds the raw matrix: it is freed before the pivot search,
     # which runs next to the kept SVD of W
     lkb = build_lkb_basis(prune_near_zero_columns(
-        assemble_design_matrix(kb, grid), tol=PRUNE_TOL), grid, cfg)
+        assemble_design_matrix(kb, grid), tol=cfg["prune_tol"]), grid,
+        smoothing)
     return _basis_set(n, grid, lkb, lambda matrix: maxvol_select(
-        matrix, estimate_rank(matrix, rank_tol)))
+        matrix, estimate_rank(matrix, cfg["rank_tol"])))
 
 
-def get_basis_set(d, n, cache_dir=None, **kwargs):
-    """build_basis_set behind a binary cache, one file per configuration
+def get_basis_set(d, n, cache_dir=None, **settings):
+    """build_basis_set behind a binary cache, one file per build_config
     hash: load when that file exists, rebuild (with a warning) when it is
     stale or corrupt.  The cache keeps the coefficients and the pivots; a
     load samples the matrix again exactly as a build does."""
-    kwargs = ExperimentSpec(d=d, n_list=(n,), **kwargs).build_kwargs()
     if cache_dir is None:
-        return build_basis_set(d, n, **kwargs)
-    config = {"d": d, "n": n, "prune_tol": PRUNE_TOL, **kwargs}
+        return build_basis_set(d, n, **settings)
+    config = ExperimentSpec(d=d, n_list=(n,), **settings).build_config(n)
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_io.cache_path(cache_dir, config)
     if os.path.exists(path):
@@ -135,7 +138,7 @@ def get_basis_set(d, n, cache_dir=None, **kwargs):
                               lambda _: (blob["rows"], blob["cols"]))
         except cache_io.CacheMismatch as exc:
             warnings.warn(f"rebuilding stale basis cache: {exc}")
-    basis = build_basis_set(d, n, **kwargs)
+    basis = build_basis_set(d, n, **settings)
     cache_io.write_basis_cache(path, basis, config)
     return basis
 
@@ -163,22 +166,18 @@ def run_table_experiment(spec):
     """RMSE table over the registry: one row per function, and per n one
     full-grid column next to one pivotal column whose header carries the
     pivotal sample count.  Returns the CSV text."""
-    n_list = list(spec.n_list)
-    bases = [get_basis_set(spec.d, n, cache_dir=spec.cache_dir,
-                           **spec.build_kwargs())
-             for n in n_list]
+    bases = [spec.basis(n) for n in spec.n_list]
     eval_pts = spec.eval_points()
     header = ["function"]
-    for basis, n in zip(bases, n_list):
-        for method in spec.methods:
-            count = (len(basis.grid) if method != "pivotal"
-                     else basis.rank)
+    for basis, n in zip(bases, spec.n_list):
+        for method in TABLE_METHODS:
+            count = basis.rank if method == "pivotal" else len(basis.grid)
             header.append(f"{method} n={n} ({count} samples)")
     lines = [",".join(header)]
     for func in registry(spec.d):
         cells = [func.fid]
         for basis in bases:
-            for method in spec.methods:
+            for method in TABLE_METHODS:
                 fit = fit_by_method(basis, func, method, eval_pts)
                 cells.append(f"{fit.eval_rmse:.2e}")
         lines.append(",".join(cells))
@@ -208,13 +207,11 @@ def estimate_convergence_slope(errors, n_list):
 
 def run_slope_experiment(spec, fid, method="pivotal"):
     """Per-n eval RMSE of one function plus the fitted slope; CSV text."""
+    func = get_function(spec.d, fid)
     eval_pts = spec.eval_points()
-    func = next(f for f in registry(spec.d) if f.fid == fid)
     errors = []
     for n in spec.n_list:
-        basis = get_basis_set(spec.d, n, cache_dir=spec.cache_dir,
-                              **spec.build_kwargs())
-        fit = fit_by_method(basis, func, method, eval_pts)
+        fit = fit_by_method(spec.basis(n), func, method, eval_pts)
         errors.append(fit.eval_rmse)
     slope, label = estimate_convergence_slope(errors, list(spec.n_list))
     lines = ["n,eval_rmse"]
@@ -228,9 +225,7 @@ def pivotal_count_experiment(spec):
     """(n, pivotal count) pairs and the log-log growth slope; CSV text."""
     counts = []
     for n in spec.n_list:
-        basis = get_basis_set(spec.d, n, cache_dir=spec.cache_dir,
-                              **spec.build_kwargs())
-        counts.append(basis.rank)
+        counts.append(spec.basis(n).rank)
     if np.any(np.diff(counts) < 0):
         warnings.warn(f"pivotal counts not monotone over n: {counts}")
     slope = None
@@ -243,15 +238,15 @@ def pivotal_count_experiment(spec):
     return "\n".join(lines) + "\n", counts, slope
 
 
-def run_knet_rate(d, profile, n_list, inner_rank=None, grid_per_axis=None):
+def run_knet_rate(d, profile, n_list):
     """Network sup-error against the family superposition of one of
     inner.PROFILES at unit scale, as CSV."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
                          f"choose from {sorted(PROFILES)}")
-    family = build_inner_family(d, inner_rank or default_rank(d))
+    family = build_inner_family(d)
     res = rate_experiment(family, make_kl_function(family, profile).profile,
-                          list(n_list), grid_per_axis=grid_per_axis)
+                          list(n_list))
     lines = ["n,sup_error"]
     lines += [f"{n},{e:.4e}" for n, e in zip(res["n"], res["sup_error"])]
     slope = res["slope"]

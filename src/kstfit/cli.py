@@ -1,8 +1,10 @@
-"""Command-line interface; every subcommand emits CSV to stdout or --out.
+"""Command-line interface; every subcommand emits CSV to stdout or --out,
+but fit always prints its CSV line, and its --out receives the fit as JSON.
 
 The cache directory resolves from --cache-dir, then the KST_CACHE_DIR
 environment variable; with neither, nothing is cached.  A JSON file of
-argument defaults can be supplied via --config.
+argument defaults can be supplied via --config; a key that names no option
+of any subcommand is a usage error.
 """
 
 import argparse
@@ -10,7 +12,7 @@ import json
 import os
 import sys
 
-from .bench import (ExperimentSpec, fit_by_method, get_basis_set,
+from .bench import (ExperimentSpec, fit_by_method,
                     pivotal_count_experiment, run_knet_rate,
                     run_slope_experiment, run_table_experiment)
 from .inner import PROFILES
@@ -21,7 +23,12 @@ SHORT_SWEEP = (100, 200, 400, 1000)
 
 
 def _int_list(text):
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    """Comma-separated sizes, at least one, each >= 1."""
+    sizes = tuple(int(tok) for tok in text.split(",") if tok)
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(
+            f"need one or more sizes >= 1, got {text!r}")
+    return sizes
 
 
 def _make_parser(defaults=None):
@@ -93,6 +100,11 @@ def _make_parser(defaults=None):
     p.add_argument("--n-list", type=_int_list,
                    default=(8, 16, 32, 64, 128, 256, 512))
     common(p, basis=False)
+    known = {action.dest for parser in (top, *sub.choices.values())
+             for action in parser._actions}
+    unknown = sorted(set(defaults) - known)
+    if unknown:
+        top.error(f"--config key(s) naming no option: {', '.join(unknown)}")
     return top
 
 
@@ -104,20 +116,22 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _spec(args, n_list):
+def _spec(args):
+    """The experiment of a basis subcommand: its one --n, else its
+    --n-list, else the default sweep."""
+    if "n" in args:
+        n_list = (args.n,)
+    elif args.n_list:
+        n_list = args.n_list
+    elif args.d == 2 and getattr(args, "full", False):
+        n_list = FULL_SWEEP_2D
+    else:
+        n_list = SHORT_SWEEP
     cache_dir = args.cache_dir or os.environ.get("KST_CACHE_DIR")
-    return ExperimentSpec(d=args.d, n_list=tuple(n_list),
+    return ExperimentSpec(d=args.d, n_list=n_list,
                           fit_grid=args.grid, eval_grid=args.eval_grid,
                           degree=args.degree, penalty=args.lambda_pen,
                           segments=args.segments, cache_dir=cache_dir)
-
-
-def _default_sweep(args):
-    if args.n_list:
-        return args.n_list
-    if args.d == 2 and getattr(args, "full", False):
-        return FULL_SWEEP_2D
-    return SHORT_SWEEP
 
 
 def main(argv=None):
@@ -129,14 +143,12 @@ def main(argv=None):
     if pre_args.config:
         with open(pre_args.config) as fh:
             defaults = json.load(fh)
-        if "n_list" in defaults:
-            defaults["n_list"] = tuple(defaults["n_list"])
+        if "n_list" in defaults:  # a string default is parsed like a flag
+            defaults["n_list"] = ",".join(map(str, defaults["n_list"]))
     args = _make_parser(defaults).parse_args(argv)
 
     if args.command == "build-basis":
-        spec = _spec(args, [args.n])
-        basis = get_basis_set(args.d, args.n, cache_dir=spec.cache_dir,
-                              **spec.build_kwargs())
+        basis = _spec(args).basis(args.n)
         locs = basis.pivotal_points
         lines = [f"# d={args.d} n={args.n} rank={basis.rank} "
                  f"columns={basis.matrix.shape[1]}"]
@@ -145,12 +157,10 @@ def main(argv=None):
         return 0
 
     if args.command == "fit":
-        spec = _spec(args, [args.n])
-        basis = get_basis_set(args.d, args.n, cache_dir=spec.cache_dir,
-                              **spec.build_kwargs())
-        fit = fit_by_method(basis, get_function(args.d, args.function),
-                            args.method, spec.eval_points(),
-                            sparsity=args.sparsity)
+        func = get_function(args.d, args.function)
+        spec = _spec(args)
+        fit = fit_by_method(spec.basis(args.n), func, args.method,
+                            spec.eval_points(), sparsity=args.sparsity)
         if args.out:
             fit.save_json(args.out)
         sys.stdout.write(
@@ -160,20 +170,17 @@ def main(argv=None):
         return 0
 
     if args.command == "table":
-        spec = _spec(args, _default_sweep(args))
-        _emit(run_table_experiment(spec), args.out)
+        _emit(run_table_experiment(_spec(args)), args.out)
         return 0
 
     if args.command == "slopes":
-        spec = _spec(args, _default_sweep(args))
-        csv, slope, label, _ = run_slope_experiment(spec, args.function,
-                                                    method=args.method)
+        csv, *_ = run_slope_experiment(_spec(args), args.function,
+                                       method=args.method)
         _emit(csv, args.out)
         return 0
 
     if args.command == "pivotal-count":
-        spec = _spec(args, _default_sweep(args))
-        csv, _, _ = pivotal_count_experiment(spec)
+        csv, _, _ = pivotal_count_experiment(_spec(args))
         _emit(csv, args.out)
         return 0
 

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsplines import LinearSpline, linear_spline_to_relu
+from .bsplines import LinearSpline, linear_interpolant, \
+    linear_spline_to_relu
 from .inner import forward_superpose
 from .kb import PointSet
 
@@ -47,13 +48,7 @@ def build_knetwork(family, g, m, n):
         vals = np.interp(knots, tab[:, 0], tab[:, 1])
         inner.append(linear_spline_to_relu(LinearSpline(knots, vals)))
     outer_knots = np.linspace(0.0, float(d), max(d * n, 2))
-    try:
-        gv = np.asarray(g(outer_knots), dtype=float)
-        if gv.shape != outer_knots.shape:
-            raise TypeError
-    except TypeError:
-        gv = np.array([float(g(t)) for t in outer_knots])
-    outer = linear_spline_to_relu(LinearSpline(outer_knots, gv))
+    outer = linear_spline_to_relu(linear_interpolant(g, outer_knots))
     return KNetwork(d=d, lambdas=family.lambdas.copy(), inner=inner,
                     outer=outer, m=m, n=n)
 

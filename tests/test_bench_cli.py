@@ -13,6 +13,7 @@ from kstfit.bench import (
     ExperimentSpec,
     build_basis_set,
     estimate_convergence_slope,
+    fit_by_method,
     get_basis_set,
     pivotal_count_experiment,
     run_knet_rate,
@@ -191,10 +192,16 @@ def test_failed_cache_write_leaves_no_file(tmp_path):
 
 def basis_config(d, n, **kwargs):
     """The build configuration get_basis_set hashes and names files by."""
-    from kstfit.bench import PRUNE_TOL
+    return ExperimentSpec(d=d, n_list=(n,), **kwargs).build_config(n)
 
-    return {"d": d, "n": n, "prune_tol": PRUNE_TOL,
-            **ExperimentSpec(d=d, n_list=(n,), **kwargs).build_kwargs()}
+
+def test_default_cache_file_name_is_pinned(tmp_path):
+    """A refactor that changes the hashed configuration re-keys every
+    cache; the default 2-d n=20 file keeps its name."""
+    name = "basis-d2-n20-3aa206af1695d0e6.lkbc"
+    assert cache_path("", basis_config(2, 20)) == name
+    get_basis_set(2, 20, cache_dir=str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_cache_mismatch_forces_rebuild(tmp_path):
@@ -305,11 +312,64 @@ def test_slope_experiment_runs(cache_dir):
     assert "classification" in csv
 
 
-def test_build_basis_set_rejects_unknown_method(cache_dir):
-    spec = ExperimentSpec(d=2, n_list=(20,), cache_dir=cache_dir,
-                          methods=("dls", "magic"))
+def test_fit_by_method_rejects_unknown_method(cache_dir):
+    spec = ExperimentSpec(d=2, n_list=(20,), cache_dir=cache_dir)
     with pytest.raises(ValueError, match="magic"):
-        run_table_experiment(spec)
+        fit_by_method(spec.basis(20), get_function(2, "f3"), "magic",
+                      spec.eval_points())
+
+
+def _refuse_builds(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("basis built for an unknown function")
+
+    monkeypatch.setattr(bench, "build_basis_set", no_build)
+
+
+def test_unknown_function_fails_before_any_build(monkeypatch):
+    _refuse_builds(monkeypatch)
+    spec = ExperimentSpec(d=2, n_list=(20, 30, 40))
+    with pytest.raises(KeyError, match="f99"):
+        run_slope_experiment(spec, "f99")
+    for argv in (["slopes", "--function", "f99", "--n-list", "20,30,40"],
+                 ["fit", "--n", "20", "--function", "f99"]):
+        with pytest.raises(KeyError, match="f99"):
+            cli.main(argv)
+
+
+@pytest.mark.parametrize("sizes", ["", ",", "0", "20,-5"])
+def test_cli_refuses_an_empty_or_nonpositive_n_list(sizes, monkeypatch,
+                                                    capsys):
+    _refuse_builds(monkeypatch)
+    for command in ("table", "pivotal-count", "knet-rate"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--d", "1", "--n-list", sizes])
+        assert exc.value.code == 2
+        assert "--n-list" in capsys.readouterr().err
+
+
+def test_cli_config_n_list_is_checked_like_the_flag(tmp_path, monkeypatch,
+                                                     capsys):
+    _refuse_builds(monkeypatch)
+    conf = tmp_path / "conf.json"
+    for sizes in ([], [0, 20]):
+        conf.write_text(json.dumps({"n_list": sizes}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(conf), "pivotal-count", "--d", "1"])
+        assert exc.value.code == 2
+        assert "--n-list" in capsys.readouterr().err
+
+
+def test_cli_config_key_naming_no_option_is_a_usage_error(tmp_path,
+                                                         capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grd": 5, "d": 1}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(conf), "knet-rate",
+                  "--n-list", "4,8,16"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "grd" in err and "--config" in err
 
 
 def test_cli_knet_rate(capsys):
