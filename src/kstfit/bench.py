@@ -4,7 +4,7 @@ tables, convergence slopes and pivotal counts as CSV."""
 
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ PIPELINE_RANK_TOL = 1e-6
 PRUNE_TOL = 1e-10
 # The two columns per n of the RMSE table: full grid, then pivotal set.
 TABLE_METHODS = ("dls", "pivotal")
+# The ExperimentSpec fields that are inputs of a basis build.
+BUILD_SETTINGS = ("fit_grid", "degree", "penalty", "segments")
 
 _DEFAULT_SEGMENTS = {1: 24, 2: 24, 3: 12}
 _DEFAULT_EVAL_GRID = {1: 1001, 2: 101, 3: 101}
@@ -53,7 +55,7 @@ class ExperimentSpec:
 
     def build_config(self, n):
         """Every input of the size-n build, the dict the cache hashes and
-        names the file by; build_basis_set reads its settings from it."""
+        names the file by; the build reads its settings from it."""
         return {"d": self.d, "n": n, "fit_grid": self.fit_grid,
                 "degree": self.degree, "penalty": self.penalty,
                 "segments": self.segments, "inner_rank": default_rank(self.d),
@@ -61,9 +63,8 @@ class ExperimentSpec:
 
     def basis(self, n):
         """The size-n basis set, loaded or built by get_basis_set."""
-        settings = asdict(self)
-        del settings["n_list"]
-        return get_basis_set(n=n, **settings)
+        return get_basis_set(self.d, n, cache_dir=self.cache_dir,
+                             **{k: getattr(self, k) for k in BUILD_SETTINGS})
 
     def eval_points(self):
         return PointSet.grid(self.d, self.eval_grid)
@@ -101,11 +102,11 @@ def _basis_set(n, grid, lkb, select):
                     grid=grid, lkb=lkb, matrix=matrix, rows=rows, cols=cols)
 
 
-def build_basis_set(d, n, **settings):
-    """Full pipeline: inner family -> raw columns on the grid -> prune ->
-    denoise -> numerical rank -> dominant row/column sets.  settings are
-    ExperimentSpec fields; every input is read from its build_config."""
-    cfg = ExperimentSpec(d=d, n_list=(n,), **settings).build_config(n)
+def _build(cfg):
+    """Full pipeline from one build_config: inner family -> raw columns on
+    the grid -> prune -> denoise -> numerical rank -> dominant row/column
+    sets."""
+    d, n = cfg["d"], cfg["n"]
     family = build_inner_family(d, cfg["inner_rank"])
     kb = KBBasis(family, n=n, degree=cfg["degree"])
     grid = PointSet.grid(d, cfg["fit_grid"])
@@ -120,14 +121,23 @@ def build_basis_set(d, n, **settings):
         matrix, estimate_rank(matrix, cfg["rank_tol"])))
 
 
+def build_basis_set(d, n, **settings):
+    """get_basis_set without a cache: the size-n basis set, built."""
+    return get_basis_set(d, n, None, **settings)
+
+
 def get_basis_set(d, n, cache_dir=None, **settings):
-    """build_basis_set behind a binary cache, one file per build_config
-    hash: load when that file exists, rebuild (with a warning) when it is
+    """The size-n basis set behind a binary cache, one file per
+    build_config hash: load when that file exists, rebuild (with a warning) when it is
     stale or corrupt.  The cache keeps the coefficients and the pivots; a
-    load samples the matrix again exactly as a build does."""
-    if cache_dir is None:
-        return build_basis_set(d, n, **settings)
+    load samples the matrix again exactly as a build does.  settings are
+    any of BUILD_SETTINGS; a setting that is no build input is refused."""
+    stray = settings.keys() - set(BUILD_SETTINGS)
+    if stray:
+        raise TypeError(f"not basis build settings: {sorted(stray)}")
     config = ExperimentSpec(d=d, n_list=(n,), **settings).build_config(n)
+    if cache_dir is None:
+        return _build(config)
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_io.cache_path(cache_dir, config)
     if os.path.exists(path):
@@ -138,7 +148,7 @@ def get_basis_set(d, n, cache_dir=None, **settings):
                               lambda _: (blob["rows"], blob["cols"]))
         except cache_io.CacheMismatch as exc:
             warnings.warn(f"rebuilding stale basis cache: {exc}")
-    basis = build_basis_set(d, n, **settings)
+    basis = _build(config)
     cache_io.write_basis_cache(path, basis, config)
     return basis
 
@@ -209,10 +219,8 @@ def run_slope_experiment(spec, fid, method="pivotal"):
     """Per-n eval RMSE of one function plus the fitted slope; CSV text."""
     func = get_function(spec.d, fid)
     eval_pts = spec.eval_points()
-    errors = []
-    for n in spec.n_list:
-        fit = fit_by_method(spec.basis(n), func, method, eval_pts)
-        errors.append(fit.eval_rmse)
+    errors = [fit_by_method(spec.basis(n), func, method, eval_pts).eval_rmse
+              for n in spec.n_list]
     slope, label = estimate_convergence_slope(errors, list(spec.n_list))
     lines = ["n,eval_rmse"]
     lines += [f"{n},{e:.3e}" for n, e in zip(spec.n_list, errors)]
@@ -223,9 +231,7 @@ def run_slope_experiment(spec, fid, method="pivotal"):
 
 def pivotal_count_experiment(spec):
     """(n, pivotal count) pairs and the log-log growth slope; CSV text."""
-    counts = []
-    for n in spec.n_list:
-        counts.append(spec.basis(n).rank)
+    counts = [spec.basis(n).rank for n in spec.n_list]
     if np.any(np.diff(counts) < 0):
         warnings.warn(f"pivotal counts not monotone over n: {counts}")
     slope = None

@@ -117,9 +117,10 @@ def _emit(text, out):
 
 
 def _spec(args):
-    """The experiment of a basis subcommand: its one --n, else its
-    --n-list, else the default sweep."""
-    if "n" in args:
+    """The experiment of a basis subcommand: the one --n of build-basis
+    and fit, else --n-list, else the default sweep.  A config may give
+    every subcommand an n, so the command, not the attribute, decides."""
+    if args.command in ("build-basis", "fit"):
         n_list = (args.n,)
     elif args.n_list:
         n_list = args.n_list
@@ -170,26 +171,16 @@ def main(argv=None):
         return 0
 
     if args.command == "table":
-        _emit(run_table_experiment(_spec(args)), args.out)
-        return 0
-
-    if args.command == "slopes":
-        csv, *_ = run_slope_experiment(_spec(args), args.function,
-                                       method=args.method)
-        _emit(csv, args.out)
-        return 0
-
-    if args.command == "pivotal-count":
-        csv, _, _ = pivotal_count_experiment(_spec(args))
-        _emit(csv, args.out)
-        return 0
-
-    if args.command == "knet-rate":
-        csv, _ = run_knet_rate(args.d, args.g, args.n_list)
-        _emit(csv, args.out)
-        return 0
-
-    raise AssertionError("unreachable")
+        csv = run_table_experiment(_spec(args))
+    elif args.command == "slopes":
+        csv = run_slope_experiment(_spec(args), args.function,
+                                   method=args.method)[0]
+    elif args.command == "pivotal-count":
+        csv = pivotal_count_experiment(_spec(args))[0]
+    else:
+        csv = run_knet_rate(args.d, args.g, args.n_list)[0]
+    _emit(csv, args.out)
+    return 0
 
 
 if __name__ == "__main__":

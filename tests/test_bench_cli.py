@@ -204,6 +204,22 @@ def test_default_cache_file_name_is_pinned(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
+@pytest.mark.parametrize("stray", [{"cache_dir": "kc"}, {"eval_grid": 21},
+                                   {"inner_rank": 3}])
+def test_basis_calls_refuse_settings_that_are_no_build_input(stray,
+                                                             monkeypatch):
+    def no_build(cfg):
+        raise AssertionError("basis built despite a stray setting")
+
+    monkeypatch.setattr(bench, "_build", no_build)
+    name = next(iter(stray))
+    with pytest.raises(TypeError, match=name):
+        build_basis_set(2, 20, **stray)
+    if name != "cache_dir":
+        with pytest.raises(TypeError, match=name):
+            get_basis_set(2, 20, **stray)
+
+
 def test_cache_mismatch_forces_rebuild(tmp_path):
     cache = str(tmp_path)
     get_basis_set(2, 40, cache_dir=cache)
@@ -230,10 +246,10 @@ def test_configs_sharing_d_and_n_keep_their_own_files(tmp_path,
              for p in (0.5, 1.0)}
     assert len(list(tmp_path.iterdir())) == 2
 
-    def no_build(*args, **kwargs):
+    def no_build(cfg):
         raise AssertionError("cache miss: basis rebuilt")
 
-    monkeypatch.setattr(kstfit.bench, "build_basis_set", no_build)
+    monkeypatch.setattr(kstfit.bench, "_build", no_build)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in (0.5, 1.0, 0.5, 1.0):
@@ -259,14 +275,15 @@ def test_algorithm_version_bump_invalidates_cached_pivots(tmp_path,
     assert new_path != old_path
 
     builds = []
+    build = kstfit.bench._build
 
-    def counted_build(*args, **kwargs):
-        builds.append(args)
-        return build_basis_set(*args, **kwargs)
+    def counted_build(cfg):
+        builds.append(cfg)
+        return build(cfg)
 
-    monkeypatch.setattr(kstfit.bench, "build_basis_set", counted_build)
+    monkeypatch.setattr(kstfit.bench, "_build", counted_build)
     get_basis_set(2, 20, cache_dir=cache)
-    assert builds == [(2, 20)]
+    assert builds == [cfg]
     read_basis_cache(new_path, cfg)
 
 
@@ -320,10 +337,10 @@ def test_fit_by_method_rejects_unknown_method(cache_dir):
 
 
 def _refuse_builds(monkeypatch):
-    def no_build(*args, **kwargs):
+    def no_build(cfg):
         raise AssertionError("basis built for an unknown function")
 
-    monkeypatch.setattr(bench, "build_basis_set", no_build)
+    monkeypatch.setattr(bench, "_build", no_build)
 
 
 def test_unknown_function_fails_before_any_build(monkeypatch):
@@ -471,3 +488,13 @@ def test_cli_explicit_flags_beat_config_defaults(tmp_path, cache_dir,
     rows = capsys.readouterr().out.splitlines()
     assert rows[0].startswith("n,pivotal_count")
     assert [row.split(",")[0] for row in rows[1:3]] == ["20", "30"]
+    # an n shared with build-basis and fit leaves the sweeps their n_list
+    conf.write_text(json.dumps({"d": 2, "n": 40, "n_list": [20, 30],
+                                "cache_dir": cache_dir}))
+    assert cli.main(["--config", str(conf), "pivotal-count"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows[1:3]] == ["20", "30"]
+    assert cli.main(["--config", str(conf), "table", "--n-list", "20",
+                     "--eval-grid", "21"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert "dls n=20 " in header and "n=40" not in header
