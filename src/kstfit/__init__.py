@@ -45,7 +45,6 @@ from .smoothing import (
     build_lkb_basis,
     denoise_samples,
     eval_surface,
-    thin_plate_energy,
 )
 
 __version__ = "0.1.0"

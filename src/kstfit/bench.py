@@ -77,7 +77,6 @@ class BasisSet:
 
     d: int
     n: int
-    fit_grid_per_axis: int
     grid: PointSet
     lkb: object
     matrix: DesignMatrix
@@ -93,25 +92,31 @@ class BasisSet:
         return pivotal_locations(self.grid, self.rows)
 
 
+def _grid_and_smoothing(cfg):
+    """The fit grid and the smoothing settings of one build_config, for a
+    build and a cache load alike."""
+    return (PointSet.grid(cfg["d"], cfg["fit_grid"]),
+            SmoothingConfig(penalty=cfg["penalty"], degree=cfg["degree"],
+                            segments=cfg["segments"]))
+
+
 def _basis_set(n, grid, lkb, select):
-    """The LKB columns sampled on the grid, with their factorization and
-    ids, packaged with the (rows, cols) that select(matrix) picks."""
+    """The LKB columns sampled on the grid, with their factorization,
+    packaged with the (rows, cols) that select(matrix) picks."""
     matrix = lkb.sample(grid)
     rows, cols = select(matrix)
-    return BasisSet(d=grid.d, n=n, fit_grid_per_axis=len(grid.grid_axes[0]),
-                    grid=grid, lkb=lkb, matrix=matrix, rows=rows, cols=cols)
+    return BasisSet(d=grid.d, n=n, grid=grid, lkb=lkb, matrix=matrix,
+                    rows=rows, cols=cols)
 
 
 def _build(cfg):
     """Full pipeline from one build_config: inner family -> raw columns on
     the grid -> prune -> denoise -> numerical rank -> dominant row/column
     sets."""
-    d, n = cfg["d"], cfg["n"]
-    family = build_inner_family(d, cfg["inner_rank"])
+    n = cfg["n"]
+    grid, smoothing = _grid_and_smoothing(cfg)
+    family = build_inner_family(grid.d, cfg["inner_rank"])
     kb = KBBasis(family, n=n, degree=cfg["degree"])
-    grid = PointSet.grid(d, cfg["fit_grid"])
-    smoothing = SmoothingConfig(penalty=cfg["penalty"], degree=cfg["degree"],
-                                segments=cfg["segments"])
     # no name holds the raw matrix: it is freed before the pivot search,
     # which runs next to the kept SVD of W
     lkb = build_lkb_basis(prune_near_zero_columns(
@@ -141,10 +146,10 @@ def get_basis_set(d, n, cache_dir=None, **settings):
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_io.cache_path(cache_dir, config)
     if os.path.exists(path):
+        grid, smoothing = _grid_and_smoothing(config)
         try:
-            blob = cache_io.read_basis_cache(path, config)
-            return _basis_set(n, PointSet.grid(d, blob["grid_per_axis"]),
-                              blob["lkb"],
+            blob = cache_io.read_basis_cache(path, config, smoothing)
+            return _basis_set(n, grid, blob["lkb"],
                               lambda _: (blob["rows"], blob["cols"]))
         except cache_io.CacheMismatch as exc:
             warnings.warn(f"rebuilding stale basis cache: {exc}")
@@ -176,6 +181,7 @@ def run_table_experiment(spec):
     """RMSE table over the registry: one row per function, and per n one
     full-grid column next to one pivotal column whose header carries the
     pivotal sample count.  Returns the CSV text."""
+    funcs = registry(spec.d)  # an unregistered d fails before any build
     bases = [spec.basis(n) for n in spec.n_list]
     eval_pts = spec.eval_points()
     header = ["function"]
@@ -184,7 +190,7 @@ def run_table_experiment(spec):
             count = basis.rank if method == "pivotal" else len(basis.grid)
             header.append(f"{method} n={n} ({count} samples)")
     lines = [",".join(header)]
-    for func in registry(spec.d):
+    for func in funcs:
         cells = [func.fid]
         for basis in bases:
             for method in TABLE_METHODS:

@@ -1,12 +1,16 @@
 """Binary cache of built basis sets, one file per build configuration.
 
-Layout: magic "LKBC", format version, the basic shape parameters, a
-sha256 of the full build configuration, the kept-column map, the pivotal
-row and column sets, the basis and grid ids, and finally the coefficient
-tensors of the denoised columns as one block, column after column.  The
-sampled matrix is not stored: it is one contraction of those
-coefficients, recomputed on load.  A hash or header mismatch invalidates
-the file; truncated files are detected by length checks while parsing.
+Layout: magic "LKBC", format version (uint32), a sha256 of the full build
+configuration, the kept-column map and the pivotal row and column sets
+(each a uint64 length and int64 entries), and finally the coefficient
+tensors of the denoised columns as one float64 block, column after
+column.  All numbers are little-endian.  The file stores no setting: the
+build configuration that its hash covers gives the block's shape and the
+smoothing settings, so the reader takes them from its caller.  The
+sampled matrix is not stored either: it is one contraction of the
+coefficients, recomputed on load.  A bad magic, version or hash
+invalidates the file; truncated files are detected by length checks while
+parsing.
 """
 
 import hashlib
@@ -16,10 +20,10 @@ import uuid
 
 import numpy as np
 
-from .smoothing import LKBBasis, SmoothingConfig
+from .smoothing import LKBBasis
 
 MAGIC = b"LKBC"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # Version of the rules that turn a configuration into a basis and its
 # pivots (numerical rank, maxvol search).  Part of the configuration hash:
 # bump it when those rules change, so that old files are not served.
@@ -54,19 +58,12 @@ def write_basis_cache(path, basis_set, build_config):
     try:
         with fh:
             fh.write(MAGIC)
-            fh.write(struct.pack("<IIIII", FORMAT_VERSION, bs.d, bs.n,
-                                 bs.lkb.config.degree, bs.fit_grid_per_axis))
+            fh.write(struct.pack("<I", FORMAT_VERSION))
             fh.write(config_hash(build_config))
-            blobs = [np.asarray(idx).astype("<i8").tobytes()
-                     for idx in (bs.lkb.kept, bs.rows, bs.cols)]
-            blobs += [bs.lkb.kb_id.encode(), bs.lkb.grid_id.encode()]
-            for blob in blobs:
+            for idx in (bs.lkb.kept, bs.rows, bs.cols):
+                blob = np.asarray(idx).astype("<i8").tobytes()
                 fh.write(struct.pack("<Q", len(blob)))
                 fh.write(blob)
-            fh.write(struct.pack("<QII", bs.lkb.n_columns,
-                                 bs.lkb.config.segments,
-                                 bs.lkb.config.quad_points))
-            fh.write(struct.pack("<d", bs.lkb.config.penalty))
             # column after column: no copy for a built or loaded basis
             fh.write(np.ascontiguousarray(np.moveaxis(bs.lkb.coeffs, -1, 0),
                                           "<f8"))
@@ -78,8 +75,10 @@ def write_basis_cache(path, basis_set, build_config):
         raise
 
 
-def read_basis_cache(path, build_config):
-    """Parse a cache file, validating header and configuration hash."""
+def read_basis_cache(path, build_config, smoothing):
+    """Parse a cache file, validating magic, version and configuration
+    hash.  The block holds one (ncf,)*d tensor of smoothing's coefficients
+    per kept column, d = build_config["d"]."""
     with open(path, "rb") as fh:
         data = fh.read()
     off = 0
@@ -92,35 +91,23 @@ def read_basis_cache(path, build_config):
         off += count
         return data[off - count:off]
 
-    def unpack(fmt):
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
     def sized():
-        (count,) = unpack("<Q")
+        (count,) = struct.unpack("<Q", take(8))
         return take(count)
 
     if take(4) != MAGIC:
         raise CacheMismatch(f"{path}: bad magic")
-    version, d, n, degree, grid_per_axis = unpack("<IIIII")
+    (version,) = struct.unpack("<I", take(4))
     if version != FORMAT_VERSION:
         raise CacheMismatch(f"{path}: format version {version}")
     if take(32) != config_hash(build_config):
         raise CacheMismatch(f"{path}: configuration hash mismatch")
     kept, rows, cols = [np.frombuffer(sized(), "<i8").copy()
                         for _ in range(3)]
-    try:
-        kb_id, grid_id = [sized().decode() for _ in range(2)]
-    except UnicodeDecodeError:
-        raise CacheMismatch(f"{path}: ids are not text")
-    n_columns, segments, quad_points = unpack("<QII")
-    (penalty,) = unpack("<d")
-    cfg = SmoothingConfig(penalty=penalty, degree=degree, segments=segments,
-                          quad_points=quad_points)
-    shape = (n_columns,) + (cfg.coeffs_per_axis,) * d
+    shape = (len(kept),) + (smoothing.coeffs_per_axis,) * build_config["d"]
     block = np.frombuffer(take(8 * int(np.prod(shape))), "<f8").copy()
     block.flags.writeable = False  # fresh: sample() hands it on uncopied
     # the same strides as a built basis, so combine() rounds the same
     lkb = LKBBasis(coeffs=np.moveaxis(block.reshape(shape), 0, -1),
-                   kept=kept, config=cfg, kb_id=kb_id, grid_id=grid_id)
-    return {"d": d, "n": n, "grid_per_axis": grid_per_axis, "lkb": lkb,
-            "rows": rows, "cols": cols}
+                   kept=kept, config=smoothing)
+    return {"lkb": lkb, "rows": rows, "cols": cols}

@@ -1,5 +1,6 @@
 """Command-line interface; every subcommand emits CSV to stdout or --out,
-but fit always prints its CSV line, and its --out receives the fit as JSON.
+but fit always prints its CSV line, and its --out receives the fit as JSON,
+with the build configuration of its basis under "basis".
 
 The cache directory resolves from --cache-dir, then the KST_CACHE_DIR
 environment variable; with neither, nothing is cached.  A JSON file of
@@ -16,7 +17,7 @@ from .bench import (ExperimentSpec, fit_by_method,
                     pivotal_count_experiment, run_knet_rate,
                     run_slope_experiment, run_table_experiment)
 from .inner import PROFILES
-from .testfuncs import get as get_function
+from .testfuncs import get as get_function, registry
 
 FULL_SWEEP_2D = (100, 200, 400, 1000, 10000)
 SHORT_SWEEP = (100, 200, 400, 1000)
@@ -146,7 +147,16 @@ def main(argv=None):
             defaults = json.load(fh)
         if "n_list" in defaults:  # a string default is parsed like a flag
             defaults["n_list"] = ",".join(map(str, defaults["n_list"]))
-    args = _make_parser(defaults).parse_args(argv)
+    parser = _make_parser(defaults)
+    args = parser.parse_args(argv)
+    # the valid function ids depend on --d: checked here, before any build
+    try:
+        if args.command in ("fit", "slopes"):
+            func = get_function(args.d, args.function)
+        elif args.command == "table":
+            registry(args.d)
+    except (KeyError, ValueError) as exc:
+        parser.error(exc.args[0])
 
     if args.command == "build-basis":
         basis = _spec(args).basis(args.n)
@@ -158,12 +168,12 @@ def main(argv=None):
         return 0
 
     if args.command == "fit":
-        func = get_function(args.d, args.function)
         spec = _spec(args)
         fit = fit_by_method(spec.basis(args.n), func, args.method,
                             spec.eval_points(), sparsity=args.sparsity)
         if args.out:
-            fit.save_json(args.out)
+            _emit(json.dumps({"basis": spec.build_config(args.n),
+                              **fit.to_dict()}, indent=1), args.out)
         sys.stdout.write(
             f"function,method,training_rmse,eval_rmse\n"
             f"{args.function},{args.method},{fit.training_rmse:.3e},"

@@ -1,13 +1,12 @@
 """Discrete least-squares fitting over sampled basis columns, plus greedy
 sparse fitting by orthogonal matching pursuit."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
 
-from .smoothing import eval_surface, eval_surface_on_grid
+from .smoothing import eval_surface_on_grid
 
 # Relative singular-value threshold of the rank-revealing solve.
 LSTSQ_RCOND = 1e-10
@@ -49,8 +48,6 @@ class FitResult:
     coefficients: np.ndarray
     training_rmse: float
     method: str
-    basis_id: str = ""
-    points_id: str = ""
     eval_rmse: float = None
     support: np.ndarray = None
     stagnated: bool = False
@@ -58,8 +55,6 @@ class FitResult:
     def to_dict(self):
         return {
             "method": self.method,
-            "basis_id": self.basis_id,
-            "points_id": self.points_id,
             "training_rmse": self.training_rmse,
             "eval_rmse": self.eval_rmse,
             "stagnated": self.stagnated,
@@ -67,29 +62,6 @@ class FitResult:
             else [int(i) for i in self.support],
             "coefficients": [float(c) for c in self.coefficients],
         }
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            coefficients=np.asarray(data["coefficients"], dtype=float),
-            training_rmse=data["training_rmse"],
-            method=data["method"],
-            basis_id=data.get("basis_id", ""),
-            points_id=data.get("points_id", ""),
-            eval_rmse=data.get("eval_rmse"),
-            support=None if data.get("support") is None
-            else np.asarray(data["support"], dtype=int),
-            stagnated=data.get("stagnated", False),
-        )
-
-    @classmethod
-    def load_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def dls_fit(matrix, f_values):
@@ -110,8 +82,7 @@ def dls_fit(matrix, f_values):
     k = matrix.rank(LSTSQ_RCOND)
     coef = vt[:k].T @ ((u[:, :k].T @ matrix.project(f)) / s[:k])
     resid = rms_seminorm(matrix.values @ coef - f)
-    return FitResult(coefficients=coef, training_rmse=resid, method="dls",
-                     basis_id=matrix.basis_id, points_id=matrix.points_id)
+    return FitResult(coefficients=coef, training_rmse=resid, method="dls")
 
 
 def evaluate_fit(fit, lkb_basis, pts, f):
@@ -122,8 +93,7 @@ def evaluate_fit(fit, lkb_basis, pts, f):
     design matrix over the evaluation grid.
     """
     surface = lkb_basis.combine(fit.coefficients)
-    approx = (eval_surface_on_grid(surface, pts) if pts.is_grid
-              else eval_surface(surface, pts.points))
+    approx = eval_surface_on_grid(surface, pts)
     target = np.asarray(f(pts.points), dtype=float)
     err = rms_seminorm(approx - target)
     fit.eval_rmse = err
@@ -201,7 +171,5 @@ def omp_fit(matrix, f_values, sparsity=None, residual_tol=None):
     coef[active] = sla.solve_triangular(r[:k, :k], u[:, :k].T @ g)
     return FitResult(coefficients=coef,
                      training_rmse=rms_seminorm(matrix.values @ coef - f),
-                     method="omp", basis_id=matrix.basis_id,
-                     points_id=matrix.points_id,
-                     support=np.array(sorted(active), dtype=int),
+                     method="omp", support=np.array(sorted(active), dtype=int),
                      stagnated=stagnated)

@@ -6,7 +6,6 @@ on [0, d] and z_q the weighted superposition maps.  Because the maps only
 reach sum(lambda) < d, a block of trailing columns is identically zero;
 pruning removes those before any fitting."""
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,14 +65,6 @@ class PointSet:
     def __len__(self):
         return len(self.points)
 
-    @property
-    def ident(self):
-        if self.is_grid:
-            return ("grid-" + "x".join(str(len(a)) for a in self.grid_axes))
-        digest = hashlib.sha256(
-            np.ascontiguousarray(self.points).tobytes()).hexdigest()[:12]
-        return f"points-{len(self.points)}-{digest}"
-
 
 @dataclass(frozen=True)
 class KBBasis:
@@ -100,11 +91,6 @@ class KBBasis:
     @property
     def n_columns(self):
         return self.family.d * self.n
-
-    @property
-    def ident(self):
-        return (f"kb-d{self.d}-n{self.n}-deg{self.degree}"
-                f"-rank{self.family.rank}")
 
     def z_values(self, pts):
         """(2d+1, N) array of superposition values at the points."""
@@ -156,8 +142,6 @@ class DesignMatrix:
 
     values: np.ndarray
     kept: np.ndarray
-    basis_id: str = ""
-    points_id: str = ""
     qs: tuple = ()
     rs: tuple = ()
     coeffs: np.ndarray = None
@@ -268,8 +252,7 @@ def assemble_design_matrix(basis, pts, max_bytes=2 ** 32):
         acc = dm if acc is None else acc + dm
     values = np.asarray(acc.todense())
     values.flags.writeable = False  # handed over: no one else holds it
-    return DesignMatrix(values=values, kept=np.arange(n_cols),
-                        basis_id=basis.ident, points_id=pts.ident)
+    return DesignMatrix(values=values, kept=np.arange(n_cols))
 
 
 def prune_near_zero_columns(matrix, tol=1e-10):
@@ -284,9 +267,7 @@ def prune_near_zero_columns(matrix, tol=1e-10):
         raise ValueError("every column pruned; basis is degenerate here")
     values = matrix.values[:, keep]
     values.flags.writeable = False  # a fresh copy: hand it over
-    return DesignMatrix(values=values, kept=matrix.kept[keep],
-                        basis_id=matrix.basis_id,
-                        points_id=matrix.points_id)
+    return DesignMatrix(values=values, kept=matrix.kept[keep])
 
 
 def independence_check(basis, pts, rel_tol=None):

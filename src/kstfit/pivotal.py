@@ -243,9 +243,7 @@ def pivotal_fit(matrix, rows, cols, f_at_rows):
     coef[np.asarray(cols)] = x
     resid = rms_seminorm(core @ x - f)
     return FitResult(coefficients=coef, training_rmse=resid,
-                     method="pivotal", basis_id=matrix.basis_id,
-                     points_id=matrix.points_id,
-                     support=np.asarray(cols, dtype=int))
+                     method="pivotal", support=np.asarray(cols, dtype=int))
 
 
 def pivotal_locations(pts, rows):

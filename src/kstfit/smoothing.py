@@ -25,16 +25,20 @@ from scipy.linalg import cho_factor, cho_solve
 from .bsplines import UniformBSplineBasis, contract_axes
 from .kb import DesignMatrix
 
+# Gauss-Legendre points per interval of the energy quadrature, exact for
+# the products of two splines of degree <= 3 that fill the Gram matrices.
+_QUAD_POINTS = 4
+# Points per block of scattered surface evaluation.
+_EVAL_CHUNK = 65536
+
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Penalty weight, spline degree, per-axis segment count and the
-    per-interval Gauss-Legendre resolution of the energy quadrature."""
+    """Penalty weight, spline degree and per-axis segment count."""
 
     penalty: float = 1.0
     degree: int = 3
     segments: int = 12
-    quad_points: int = 4
 
     def __post_init__(self):
         if self.penalty < 0:
@@ -43,17 +47,10 @@ class SmoothingConfig:
             raise ValueError("need at least 4 segments per axis")
         if self.degree not in (2, 3):
             raise ValueError("smoothing degree must be 2 or 3")
-        if self.quad_points < self.degree + 1:
-            raise ValueError("quadrature too coarse for exact energy")
 
     @property
     def coeffs_per_axis(self):
         return self.segments + self.degree
-
-    @property
-    def ident(self):
-        return (f"pen{self.penalty:g}-deg{self.degree}"
-                f"-seg{self.segments}-q{self.quad_points}")
 
 
 @dataclass(frozen=True)
@@ -76,14 +73,14 @@ def _axis_design(degree, segments, t):
 
 
 @lru_cache(maxsize=32)
-def _axis_grams(degree, segments, quad_points):
+def _axis_grams(degree, segments):
     """Gram matrices of derivative orders 0, 1, 2 on [0, 1], by exact
     per-interval Gauss-Legendre quadrature."""
     basis = UniformBSplineBasis(count=segments + degree, degree=degree,
                                 upper=1.0)
     ncf = basis.count
     breaks = np.linspace(0.0, 1.0, segments + 1)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_POINTS)
     grams = []
     for order in range(3):
         g = np.zeros((ncf, ncf))
@@ -115,7 +112,7 @@ def _second_order_multi_indices(d):
 def energy_matrix(d, cfg):
     """Dense quadratic form of the thin-plate-type energy on coefficient
     vectors (C-order flattening of the coefficient tensor)."""
-    grams = _axis_grams(cfg.degree, cfg.segments, cfg.quad_points)
+    grams = _axis_grams(cfg.degree, cfg.segments)
     total = None
     for alpha, weight in _second_order_multi_indices(d):
         term = np.array([[weight]])
@@ -123,19 +120,6 @@ def energy_matrix(d, cfg):
             term = np.kron(term, grams[alpha[a]])
         total = term if total is None else total + term
     return total
-
-
-def thin_plate_energy(surface, quad_points=4):
-    """Energy of a surface: zero exactly on affine functions."""
-    cfg = SmoothingConfig(degree=surface.degree, segments=surface.segments,
-                          quad_points=quad_points)
-    grams = _axis_grams(cfg.degree, cfg.segments, cfg.quad_points)
-    c = surface.coeffs
-    total = 0.0
-    for alpha, weight in _second_order_multi_indices(c.ndim):
-        t = contract_axes([grams[k] for k in alpha], c)
-        total += weight * float(np.sum(c * t))
-    return max(total, 0.0)
 
 
 class GridSmoother:
@@ -204,7 +188,7 @@ def denoise_samples(values, grid, cfg):
     return GridSmoother(grid, cfg).denoise(values)
 
 
-def eval_surface(surface, x, chunk=65536):
+def eval_surface(surface, x):
     """Surface values at one point (d,) or a stack (N, d)."""
     xa = np.asarray(x, dtype=float)
     single = xa.ndim == 1
@@ -212,8 +196,8 @@ def eval_surface(surface, x, chunk=65536):
     if np.any(pts < 0.0) or np.any(pts > 1.0):
         raise ValueError("points outside the unit cube")
     out = np.empty(len(pts))
-    for lo in range(0, len(pts), chunk):
-        sub = pts[lo:lo + chunk]
+    for lo in range(0, len(pts), _EVAL_CHUNK):
+        sub = pts[lo:lo + _EVAL_CHUNK]
         t = surface.coeffs
         # contract one axis at a time against per-point basis rows
         designs = [_axis_design(surface.degree, surface.segments, sub[:, a])
@@ -221,7 +205,7 @@ def eval_surface(surface, x, chunk=65536):
         t = np.tensordot(designs[0], t, axes=(1, 0))  # (p, rest...)
         for a in range(1, surface.d):
             t = np.einsum("pi,pi...->p...", designs[a], t)
-        out[lo:lo + chunk] = t
+        out[lo:lo + _EVAL_CHUNK] = t
     return float(out[0]) if single else out
 
 
@@ -245,8 +229,6 @@ class LKBBasis:
     coeffs: np.ndarray
     kept: np.ndarray
     config: SmoothingConfig
-    kb_id: str = ""
-    grid_id: str = ""
 
     @property
     def n_columns(self):
@@ -292,18 +274,17 @@ class LKBBasis:
         return np.ascontiguousarray(t).reshape(len(grid), -1)
 
     def sample(self, grid):
-        """The DesignMatrix M = design_matrix(grid) with its ids and its
-        factorization M = (Q_1 x ... x Q_d) (R_1 x ... x R_d) C, where
-        B_a = Q_a R_a is the thin QR of the axis design.  The matrix builds
-        its small rank factor W = (R_1 x ... x R_d) C only when asked.
-        The fresh M, Q_a and R_a are handed over read-only, uncopied; C is
-        copied only if this basis holds it writable."""
+        """The DesignMatrix M = design_matrix(grid) with its factorization
+        M = (Q_1 x ... x Q_d) (R_1 x ... x R_d) C, where B_a = Q_a R_a is
+        the thin QR of the axis design.  The matrix builds its small rank
+        factor W = (R_1 x ... x R_d) C only when asked.  The fresh M, Q_a
+        and R_a are handed over read-only, uncopied; C is copied only if
+        this basis holds it writable."""
         qrs = [np.linalg.qr(b) for b in self._designs(grid)]
         values = self.design_matrix(grid)
         for a in (values, *(x for qr in qrs for x in qr)):
             a.flags.writeable = False
         return DesignMatrix(values=values, kept=self.kept,
-                            basis_id=self.kb_id, points_id=grid.ident,
                             qs=tuple(q for q, _ in qrs),
                             rs=tuple(r for _, r in qrs), coeffs=self.coeffs)
 
@@ -317,5 +298,4 @@ def build_lkb_basis(raw_matrix, grid, cfg):
         raise ValueError(f"denoising failed on columns "
                          f"{list(raw_matrix.kept)}: {exc}")
     coeffs.flags.writeable = False  # fresh: sample() hands it on uncopied
-    return LKBBasis(coeffs=coeffs, kept=raw_matrix.kept.copy(), config=cfg,
-                    kb_id=raw_matrix.basis_id, grid_id=raw_matrix.points_id)
+    return LKBBasis(coeffs=coeffs, kept=raw_matrix.kept.copy(), config=cfg)

@@ -1,6 +1,7 @@
 import gc
 import json
 import shutil
+import struct
 import warnings
 import weakref
 
@@ -20,8 +21,10 @@ from kstfit.bench import (
     run_slope_experiment,
     run_table_experiment,
 )
-from kstfit.cache import CacheMismatch, cache_path, read_basis_cache
+from kstfit.cache import CacheMismatch, cache_path, config_hash, \
+    read_basis_cache
 from kstfit.fitting import dls_fit
+from kstfit.smoothing import SmoothingConfig
 from kstfit.testfuncs import get as get_function, registry
 
 
@@ -144,13 +147,8 @@ def test_cache_roundtrip_bit_identical(cache_dir):
     assert np.array_equal(built.lkb.coeffs, loaded.lkb.coeffs)
     # one memory layout for both, so combine() rounds the same way
     assert built.lkb.coeffs.strides == loaded.lkb.coeffs.strides
-
-    def ids(bs):
-        return (bs.matrix.basis_id, bs.matrix.points_id, bs.lkb.kb_id,
-                bs.lkb.grid_id)
-
-    assert ids(loaded) == ids(built)
-    assert built.matrix.basis_id.startswith("kb-d2-n40")
+    # the file stores no setting: the load takes them from the config
+    assert loaded.lkb.config == built.lkb.config
 
 
 def test_cache_cold_and_warm_fit_json_identical(tmp_path):
@@ -166,6 +164,8 @@ def test_cache_cold_and_warm_fit_json_identical(tmp_path):
                              "--cache-dir", cache, "--out", str(out)]) == 0
             texts.append(out.read_bytes())
         assert texts[0] == texts[1], method
+        # the JSON names its basis by the whole build configuration
+        assert json.loads(texts[0])["basis"] == basis_config(2, 20)
 
 
 def test_failed_cache_write_leaves_no_file(tmp_path):
@@ -193,6 +193,11 @@ def test_failed_cache_write_leaves_no_file(tmp_path):
 def basis_config(d, n, **kwargs):
     """The build configuration get_basis_set hashes and names files by."""
     return ExperimentSpec(d=d, n_list=(n,), **kwargs).build_config(n)
+
+
+def read_cache(path, cfg):
+    """read_basis_cache with the smoothing settings a load of cfg uses."""
+    return read_basis_cache(path, cfg, bench._grid_and_smoothing(cfg)[1])
 
 
 def test_default_cache_file_name_is_pinned(tmp_path):
@@ -225,7 +230,7 @@ def test_cache_mismatch_forces_rebuild(tmp_path):
     get_basis_set(2, 40, cache_dir=cache)
     path = cache_path(cache, basis_config(2, 40))
     with pytest.raises(CacheMismatch, match="hash"):
-        read_basis_cache(path, {"d": 2, "n": 41})
+        read_basis_cache(path, {"d": 2, "n": 41}, SmoothingConfig())
     # a file of another configuration under this configuration's name
     # is stale: it is rebuilt with a warning, then served
     other = cache_path(cache, basis_config(2, 40, penalty=0.5))
@@ -234,7 +239,7 @@ def test_cache_mismatch_forces_rebuild(tmp_path):
         warnings.simplefilter("always")
         get_basis_set(2, 40, cache_dir=cache, penalty=0.5)
         assert any("stale" in str(w.message) for w in caught)
-    read_basis_cache(other, basis_config(2, 40, penalty=0.5))
+    read_cache(other, basis_config(2, 40, penalty=0.5))
 
 
 def test_configs_sharing_d_and_n_keep_their_own_files(tmp_path,
@@ -270,7 +275,7 @@ def test_algorithm_version_bump_invalidates_cached_pivots(tmp_path,
                         kstfit.cache.ALGO_VERSION + 1)
     # a file from the old version is refused even under the new name
     with pytest.raises(CacheMismatch, match="hash"):
-        read_basis_cache(old_path, cfg)
+        read_cache(old_path, cfg)
     new_path = cache_path(cache, cfg)
     assert new_path != old_path
 
@@ -284,7 +289,34 @@ def test_algorithm_version_bump_invalidates_cached_pivots(tmp_path,
     monkeypatch.setattr(kstfit.bench, "_build", counted_build)
     get_basis_set(2, 20, cache_dir=cache)
     assert builds == [cfg]
-    read_basis_cache(new_path, cfg)
+    read_cache(new_path, cfg)
+
+
+def test_format_3_file_is_rebuilt_to_the_cold_bytes(tmp_path):
+    """A file of the previous layout (shape settings and ids in the header)
+    at this configuration's path is refused by its version, then
+    replaced by the bytes of a cold build."""
+    cache = str(tmp_path)
+    cfg = basis_config(2, 20)
+    cold = get_basis_set(2, 20, cache_dir=cache)
+    path = cache_path(cache, cfg)
+    want = open(path, "rb").read()
+    blobs = [np.asarray(a).astype("<i8").tobytes()
+             for a in (cold.lkb.kept, cold.rows, cold.cols)]
+    blobs += [b"kb-d2-n20-deg3-rank3", b"grid-41x41"]
+    with open(path, "wb") as fh:
+        fh.write(b"LKBC" + struct.pack("<IIIII", 3, 2, 20, 3, 41))
+        fh.write(config_hash(cfg))
+        for blob in blobs:
+            fh.write(struct.pack("<Q", len(blob)) + blob)
+        fh.write(struct.pack("<QIId", cold.lkb.n_columns, 24, 4, 1.0))
+        fh.write(np.ascontiguousarray(np.moveaxis(cold.lkb.coeffs, -1, 0)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warm = get_basis_set(2, 20, cache_dir=cache)
+    assert any("format version 3" in str(w.message) for w in caught)
+    assert open(path, "rb").read() == want
+    assert np.array_equal(warm.matrix.values, cold.matrix.values)
 
 
 def test_cache_detects_corruption(cache_dir, tmp_path):
@@ -294,11 +326,11 @@ def test_cache_detects_corruption(cache_dir, tmp_path):
     bad_magic = tmp_path / "bad.lkbc"
     bad_magic.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(CacheMismatch, match="magic"):
-        read_basis_cache(str(bad_magic), {})
+        read_basis_cache(str(bad_magic), {}, SmoothingConfig())
     short = tmp_path / "short.lkbc"
     short.write_bytes(raw[: len(raw) - 200])
     with pytest.raises(CacheMismatch, match="truncated"):
-        read_basis_cache(str(short), cfg)
+        read_cache(str(short), cfg)
 
 
 def test_table_experiment_deterministic_bytes(cache_dir):
@@ -343,15 +375,21 @@ def _refuse_builds(monkeypatch):
     monkeypatch.setattr(bench, "_build", no_build)
 
 
-def test_unknown_function_fails_before_any_build(monkeypatch):
+def test_unknown_function_fails_before_any_build(monkeypatch, capsys):
     _refuse_builds(monkeypatch)
     spec = ExperimentSpec(d=2, n_list=(20, 30, 40))
     with pytest.raises(KeyError, match="f99"):
         run_slope_experiment(spec, "f99")
-    for argv in (["slopes", "--function", "f99", "--n-list", "20,30,40"],
-                 ["fit", "--n", "20", "--function", "f99"]):
-        with pytest.raises(KeyError, match="f99"):
+    with pytest.raises(ValueError, match="d=1"):
+        run_table_experiment(ExperimentSpec(d=1, n_list=(20,)))
+    for argv, word in (
+            (["slopes", "--function", "f99", "--n-list", "20,30,40"], "f99"),
+            (["fit", "--n", "20", "--function", "f99"], "f99"),
+            (["table", "--d", "1", "--n-list", "20"], "d=1")):
+        with pytest.raises(SystemExit) as exc:
             cli.main(argv)
+        assert exc.value.code == 2
+        assert word in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sizes", ["", ",", "0", "20,-5"])
