@@ -18,8 +18,7 @@ import pytest
 from kstfit.bench import ExperimentSpec
 from kstfit.fitting import dls_fit, omp_fit
 from kstfit.inner import build_inner_family
-from kstfit.kb import DesignMatrix, KBBasis, PointSet, \
-    assemble_design_matrix, prune_near_zero_columns
+from kstfit.kb import DesignMatrix, KBBasis, PointSet
 from kstfit.smoothing import SmoothingConfig, build_lkb_basis
 
 D, N = 2, 1000
@@ -32,11 +31,9 @@ def basis():
     kb = KBBasis(build_inner_family(D, cfg["inner_rank"]), n=N,
                  degree=cfg["degree"])
     grid = PointSet.grid(D, cfg["fit_grid"])
-    raw = prune_near_zero_columns(assemble_design_matrix(kb, grid),
-                                  tol=cfg["prune_tol"])
     smoothing = SmoothingConfig(penalty=cfg["penalty"], degree=cfg["degree"],
                                 segments=cfg["segments"])
-    lkb = build_lkb_basis(raw, grid, smoothing)
+    lkb = build_lkb_basis(kb, grid, smoothing)
     target = np.sin(2 * np.pi * grid.points.sum(axis=1))
     return lkb, grid, target
 

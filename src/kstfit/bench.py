@@ -8,12 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cache as cache_io
+from . import cache as cache_io, kb
 from .fitting import dls_fit, evaluate_fit, omp_fit
 from .inner import PROFILES, build_inner_family, default_rank, \
     make_kl_function
-from .kb import (DesignMatrix, KBBasis, PointSet, assemble_design_matrix,
-                 prune_near_zero_columns)
+from .kb import DesignMatrix, KBBasis, PointSet
 from .knet import rate_experiment
 from .pivotal import estimate_rank, maxvol_select, pivotal_fit, \
     pivotal_locations
@@ -23,7 +22,6 @@ from .testfuncs import get as get_function, registry
 # Relative singular-value threshold fixing the pivotal rank; with the
 # mean-normalized unit penalty this lands near the reference pivot counts.
 PIPELINE_RANK_TOL = 1e-6
-PRUNE_TOL = 1e-10
 # The two columns per n of the RMSE table: full grid, then pivotal set.
 TABLE_METHODS = ("dls", "pivotal")
 # The ExperimentSpec fields that are inputs of a basis build.
@@ -55,11 +53,12 @@ class ExperimentSpec:
 
     def build_config(self, n):
         """Every input of the size-n build, the dict the cache hashes and
-        names the file by; the build reads its settings from it."""
+        names the file by; the build reads its settings from it, and
+        prune_tol names the fixed cut of build_lkb_basis."""
         return {"d": self.d, "n": n, "fit_grid": self.fit_grid,
                 "degree": self.degree, "penalty": self.penalty,
                 "segments": self.segments, "inner_rank": default_rank(self.d),
-                "rank_tol": PIPELINE_RANK_TOL, "prune_tol": PRUNE_TOL}
+                "rank_tol": PIPELINE_RANK_TOL, "prune_tol": kb.PRUNE_TOL}
 
     def basis(self, n):
         """The size-n basis set, loaded or built by get_basis_set."""
@@ -116,12 +115,10 @@ def _build(cfg):
     n = cfg["n"]
     grid, smoothing = _grid_and_smoothing(cfg)
     family = build_inner_family(grid.d, cfg["inner_rank"])
-    kb = KBBasis(family, n=n, degree=cfg["degree"])
-    # no name holds the raw matrix: it is freed before the pivot search,
-    # which runs next to the kept SVD of W
-    lkb = build_lkb_basis(prune_near_zero_columns(
-        assemble_design_matrix(kb, grid), tol=cfg["prune_tol"]), grid,
-        smoothing)
+    # the raw matrix lives inside build_lkb_basis only: it is freed before
+    # the pivot search, which runs next to the kept SVD of W
+    lkb = build_lkb_basis(KBBasis(family, n=n, degree=cfg["degree"]), grid,
+                          smoothing)
     return _basis_set(n, grid, lkb, lambda matrix: maxvol_select(
         matrix, estimate_rank(matrix, cfg["rank_tol"])))
 

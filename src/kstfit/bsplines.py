@@ -37,7 +37,7 @@ class UniformBSplineBasis:
             raise ValueError(f"argument outside [0, {self.upper}]")
         dm = BSpline.design_matrix(ta, self.knots, self.degree,
                                    extrapolate=False)
-        return np.asarray(dm.todense())
+        return dm.toarray()
 
     def support(self, j):
         """Knot interval outside which basis function j vanishes."""

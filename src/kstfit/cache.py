@@ -9,8 +9,8 @@ build configuration that its hash covers gives the block's shape and the
 smoothing settings, so the reader takes them from its caller.  The
 sampled matrix is not stored either: it is one contraction of the
 coefficients, recomputed on load.  A bad magic, version or hash
-invalidates the file; truncated files are detected by length checks while
-parsing.
+invalidates the file, as do index sets out of order or out of range;
+truncated or overlong files are detected by length checks while parsing.
 """
 
 import hashlib
@@ -27,7 +27,7 @@ FORMAT_VERSION = 4
 # Version of the rules that turn a configuration into a basis and its
 # pivots (numerical rank, maxvol search).  Part of the configuration hash:
 # bump it when those rules change, so that old files are not served.
-ALGO_VERSION = 1
+ALGO_VERSION = 2
 
 
 class CacheMismatch(Exception):
@@ -77,8 +77,10 @@ def write_basis_cache(path, basis_set, build_config):
 
 def read_basis_cache(path, build_config, smoothing):
     """Parse a cache file, validating magic, version and configuration
-    hash.  The block holds one (ncf,)*d tensor of smoothing's coefficients
-    per kept column, d = build_config["d"]."""
+    hash, and that the kept map and the pivots are strictly increasing
+    indices in range, with as many rows as columns, and that nothing
+    follows the block.  The block holds one (ncf,)*d tensor of smoothing's
+    coefficients per kept column, d = build_config["d"]."""
     with open(path, "rb") as fh:
         data = fh.read()
     off = 0
@@ -104,8 +106,22 @@ def read_basis_cache(path, build_config, smoothing):
         raise CacheMismatch(f"{path}: configuration hash mismatch")
     kept, rows, cols = [np.frombuffer(sized(), "<i8").copy()
                         for _ in range(3)]
-    shape = (len(kept),) + (smoothing.coeffs_per_axis,) * build_config["d"]
+    d = build_config["d"]
+    for name, idx, bound in (("kept", kept, d * build_config["n"]),
+                             ("rows", rows, build_config["fit_grid"] ** d),
+                             ("cols", cols, len(kept))):
+        if idx.size and (idx[0] < 0 or idx[-1] >= bound
+                         or np.any(np.diff(idx) <= 0)):
+            raise CacheMismatch(f"{path}: {name} not strictly increasing "
+                                f"within [0, {bound})")
+    if len(rows) != len(cols):
+        raise CacheMismatch(f"{path}: {len(rows)} pivot rows but "
+                            f"{len(cols)} columns")
+    shape = (len(kept),) + (smoothing.coeffs_per_axis,) * d
     block = np.frombuffer(take(8 * int(np.prod(shape))), "<f8").copy()
+    if off != len(data):
+        raise CacheMismatch(f"{path}: {len(data) - off} bytes after the "
+                            f"coefficient block")
     block.flags.writeable = False  # fresh: sample() hands it on uncopied
     # the same strides as a built basis, so combine() rounds the same
     lkb = LKBBasis(coeffs=np.moveaxis(block.reshape(shape), 0, -1),

@@ -100,7 +100,7 @@ def evaluate_fit(fit, lkb_basis, pts, f):
     return err
 
 
-def omp_fit(matrix, f_values, sparsity=None, residual_tol=None):
+def omp_fit(matrix, f_values, sparsity):
     """Greedy sparse fit: repeatedly add the column most correlated with
     the residual, re-solving least squares on the active set.
 
@@ -108,9 +108,9 @@ def omp_fit(matrix, f_values, sparsity=None, residual_tol=None):
     among correlations within a relative OMP_TIE of the largest the lowest
     index wins, so rounding cannot flip a tie.  Reported coefficients live
     on the original (unnormalized) columns.  Stops at the requested
-    sparsity or residual tolerance, or flags stagnation when every
-    remaining column is numerically orthogonal to the residual or the
-    chosen one lies in the span of the active set.
+    sparsity, or flags stagnation when every remaining column is
+    numerically orthogonal to the residual or the chosen one lies in the
+    span of the active set.
 
     The loop runs in the row coordinates of the rank factor: M = Q W with
     Q = Q_1 x ... x Q_d orthonormal gives M^T r = W^T Q^T r, equal column
@@ -120,20 +120,15 @@ def omp_fit(matrix, f_values, sparsity=None, residual_tol=None):
     which keeps U orthonormal to rounding), so a step costs O(s k) for W
     with s rows, and the coefficients come from one triangular solve.
     """
-    if sparsity is None and residual_tol is None:
-        raise ValueError("need a sparsity or a residual tolerance to stop")
     n_rows, n_cols = matrix.shape
     f = target_vector(f_values, n_rows)
     w = matrix.rank_factor()
     g = matrix.project(f)
-    # the part of f outside the range of Q, which no column reaches
-    outside = float(np.sum((f - matrix.lift(g)) ** 2))
     norms = np.linalg.norm(w, axis=0)
     usable = norms > 0
     phi = np.where(usable, norms, 1.0)
 
-    budget = min(n_rows, n_cols) if sparsity is None \
-        else min(sparsity, n_rows, n_cols)
+    budget = min(sparsity, n_rows, n_cols)
     # W_A = U R: orthonormal U (s x k) and upper-triangular R (k x k)
     u = np.zeros((w.shape[0], min(budget, w.shape[0])))
     r = np.zeros((u.shape[1], u.shape[1]))
@@ -142,9 +137,6 @@ def omp_fit(matrix, f_values, sparsity=None, residual_tol=None):
     stagnated = False
     while len(active) < budget:
         k = len(active)
-        if residual_tol is not None and np.sqrt(
-                (residual @ residual + outside) / n_rows) <= residual_tol:
-            break
         corr = np.abs(w.T @ residual) / phi
         corr[~usable] = 0.0
         corr[active] = 0.0

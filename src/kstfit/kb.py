@@ -12,11 +12,13 @@ from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import sparse
 from scipy.interpolate import BSpline
 
 from .bsplines import UniformBSplineBasis, contract_axes
 from .inner import eval_z
+
+# Relative column norm at or below which a raw KB column is pruned.
+PRUNE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -195,14 +197,6 @@ class DesignMatrix:
         t = np.reshape(f, shape, order="F")  # grid rows: first axis fastest
         return contract_axes([q.T for q in self.qs], t).reshape(-1)
 
-    def lift(self, g):
-        """(Q_1 x ... x Q_d) g: row coordinates of W back to samples in
-        grid row order, the inverse of project on its range; g itself for
-        a plain matrix."""
-        shape = [q.shape[1] for q in self.qs] or [len(g)]
-        t = contract_axes(self.qs, np.reshape(g, shape))
-        return t.reshape(-1, order="F")
-
     @cached_property
     def svd(self):
         """The thin SVD (U, s, V^T) of the rank factor W, read-only; taken
@@ -230,44 +224,34 @@ class DesignMatrix:
         return int(np.sum(s > tol * s[0])) if s.size else 0
 
 
-def assemble_design_matrix(basis, pts, max_bytes=2 ** 32):
-    """Dense (|pts|, d*n) matrix with entry (i, j) = column j at point i.
-
-    The memory footprint is checked against max_bytes before anything is
-    allocated.
-    """
-    n_rows, n_cols = len(pts), basis.n_columns
-    need = n_rows * n_cols * 8
-    if need > max_bytes:
-        raise MemoryError(
-            f"design matrix would need {need} bytes (> {max_bytes}); "
-            f"raise max_bytes to override")
+def assemble_design_matrix(basis, pts):
+    """Sparse CSR (|pts|, d*n) matrix with entry (i, j) = column j at
+    point i: the sum of the 2d+1 B-spline designs at z_q(pts), each with at
+    most degree+1 nonzeros per row."""
     z = basis.z_values(pts.points)
     uni = basis.univariate
     acc = None
     for q in range(z.shape[0]):
-        dm = sparse.csr_matrix(BSpline.design_matrix(
-            np.clip(z[q], 0.0, uni.upper), uni.knots, uni.degree,
-            extrapolate=False))
+        dm = BSpline.design_matrix(np.clip(z[q], 0.0, uni.upper), uni.knots,
+                                   uni.degree, extrapolate=False)
         acc = dm if acc is None else acc + dm
-    values = np.asarray(acc.todense())
-    values.flags.writeable = False  # handed over: no one else holds it
-    return DesignMatrix(values=values, kept=np.arange(n_cols))
+    return acc
 
 
-def prune_near_zero_columns(matrix, tol=1e-10):
-    """Drop columns whose norm is at most tol times the largest column
-    norm; exact zeros always go.  Pruning twice changes nothing."""
+def prune_near_zero_columns(raw, tol=PRUNE_TOL):
+    """Indices of the columns of the CSR matrix raw whose norm is above
+    tol times the largest column norm; exact zeros always go.  Pruning the
+    kept columns again keeps them all."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    norms = np.linalg.norm(matrix.values, axis=0)
+    # the squares add up row after row, as a dense column norm sums them
+    norms = np.sqrt(np.bincount(raw.indices, weights=raw.data ** 2,
+                                minlength=raw.shape[1]))
     cutoff = tol * norms.max() if norms.size else 0.0
-    keep = norms > cutoff
-    if not keep.any():
+    keep = np.flatnonzero(norms > cutoff)
+    if not keep.size:
         raise ValueError("every column pruned; basis is degenerate here")
-    values = matrix.values[:, keep]
-    values.flags.writeable = False  # a fresh copy: hand it over
-    return DesignMatrix(values=values, kept=matrix.kept[keep])
+    return keep
 
 
 def independence_check(basis, pts, rel_tol=None):
@@ -278,7 +262,8 @@ def independence_check(basis, pts, rel_tol=None):
     default max(N, m) * eps).
     """
     raw = assemble_design_matrix(basis, pts)
-    nonzero = prune_near_zero_columns(raw, tol=0.0)
+    kept = prune_near_zero_columns(raw, tol=0.0)
+    nonzero = DesignMatrix(values=raw[:, kept].toarray(), kept=kept)
     n_rows, n_cols = nonzero.shape
     if n_rows < n_cols:
         raise ValueError(

@@ -19,11 +19,12 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
+from scipy import sparse
 from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve
 
 from .bsplines import UniformBSplineBasis, contract_axes
-from .kb import DesignMatrix
+from .kb import DesignMatrix, assemble_design_matrix, prune_near_zero_columns
 
 # Gauss-Legendre points per interval of the energy quadrature, exact for
 # the products of two splines of degree <= 3 that fill the Gram matrices.
@@ -136,16 +137,15 @@ class GridSmoother:
         self.grid = grid
         self.cfg = cfg
         self.d = grid.d
-        self.shape = tuple(len(a) for a in grid.grid_axes)
-        self.designs = [_axis_design(cfg.degree, cfg.segments, a)
-                        for a in grid.grid_axes]
+        designs = [_axis_design(cfg.degree, cfg.segments, a)
+                   for a in grid.grid_axes]
         ncf = cfg.coeffs_per_axis
         if len(grid) < ncf ** self.d:
             raise ValueError(
                 f"{len(grid)} grid points cannot determine {ncf ** self.d} "
                 f"coefficients")
         ata = np.array([[1.0]])
-        for b in self.designs:
+        for b in designs:
             ata = np.kron(ata, b.T @ b)
         normal = ata / len(grid) + cfg.penalty * energy_matrix(self.d, cfg)
         try:
@@ -153,23 +153,28 @@ class GridSmoother:
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"singular penalized normal system: {exc}")
         self._ncf = ncf
-
-    def _rhs(self, values):
-        """A^T z for a stack of sample columns, shape (N, m)."""
-        m = values.shape[1]
-        t = values.reshape(self.shape + (m,), order="F")
-        return contract_axes([b.T for b in self.designs], t).reshape(-1, m)
+        # A = B_d x ... x B_1 has its rows in grid order (first axis
+        # fastest) and its columns in Fortran order of the coefficient
+        # tensor; A^T keeps its rows in C order, the order of the solve
+        a = sparse.csr_array(designs[0])
+        for b in designs[1:]:
+            a = sparse.kron(b, a, format="csr")
+        to_c = np.arange(ncf ** self.d).reshape((ncf,) * self.d, order="F")
+        self._at = a.T.tocsr()[to_c.reshape(-1)]
 
     def coefficients(self, values):
         """Coefficient tensors of the smoothed columns of values (N, m),
-        stacked along a trailing column axis: shape (ncf,)*d + (m,).
+        dense or sparse, stacked along a trailing column axis: shape
+        (ncf,)*d + (m,).
 
         LAPACK returns the solve column-major, so the reshape is a view
         whose column blocks are contiguous (the cache's byte layout)."""
-        v = np.asarray(values, dtype=float)
+        v = sparse.csr_array(values, dtype=float)
         if v.ndim != 2 or v.shape[0] != len(self.grid):
             raise ValueError("sample count does not match the grid")
-        x = cho_solve(self._cho, self._rhs(v) / len(self.grid))
+        rhs = (self._at @ v).toarray()
+        rhs /= len(self.grid)
+        x = cho_solve(self._cho, rhs)
         return x.reshape((self._ncf,) * self.d + (v.shape[1],))
 
     def denoise(self, values):
@@ -289,13 +294,13 @@ class LKBBasis:
                             rs=tuple(r for _, r in qrs), coeffs=self.coeffs)
 
 
-def build_lkb_basis(raw_matrix, grid, cfg):
-    """Denoise every column of the pruned raw design matrix on the grid."""
+def build_lkb_basis(kb, grid, cfg):
+    """The LKB basis of the KB basis kb: its raw columns sampled on the
+    grid, those above the prune cut kept, and each kept one denoised.  The
+    raw matrix stays sparse and is freed on return."""
     smoother = GridSmoother(grid, cfg)
-    try:
-        coeffs = smoother.coefficients(raw_matrix.values)
-    except ValueError as exc:
-        raise ValueError(f"denoising failed on columns "
-                         f"{list(raw_matrix.kept)}: {exc}")
+    raw = assemble_design_matrix(kb, grid)
+    kept = prune_near_zero_columns(raw)
+    coeffs = smoother.coefficients(raw[:, kept])
     coeffs.flags.writeable = False  # fresh: sample() hands it on uncopied
-    return LKBBasis(coeffs=coeffs, kept=raw_matrix.kept.copy(), config=cfg)
+    return LKBBasis(coeffs=coeffs, kept=kept, config=cfg)

@@ -29,8 +29,8 @@ from kstfit.bench import (
 from kstfit.bsplines import LinearSpline, linear_spline_to_relu
 from kstfit.fitting import dls_fit, evaluate_fit, omp_fit, rms_seminorm
 from kstfit.inner import build_inner_family
-from kstfit.kb import (DesignMatrix, KBBasis, PointSet,
-                       assemble_design_matrix, prune_near_zero_columns)
+from kstfit.kb import DesignMatrix, KBBasis, PointSet, \
+    assemble_design_matrix
 from kstfit.knet import rate_experiment
 from kstfit.pivotal import (SWAP_MARGIN, build_cross_approximation,
                             maxvol_select, pivotal_fit)
@@ -109,7 +109,7 @@ def test_criterion_02_partition_row_sums():
         fam = build_inner_family(d)
         kb = KBBasis(fam, n=100)
         matrix = assemble_design_matrix(kb, PointSet.grid(d, per_axis))
-        dev = np.max(np.abs(matrix.values.sum(axis=1) - (2 * d + 1)))
+        dev = np.max(np.abs(matrix.sum(axis=1) - (2 * d + 1)))
         worst = max(worst, dev)
         assert dev <= 1e-10, f"d={d}"
     print(f"[criterion 2] PASS - row sums equal 2d+1, worst deviation "
@@ -263,11 +263,10 @@ def test_criterion_11_omp_planted_recovery():
     fam = build_inner_family(2)
     kb = KBBasis(fam, n=100)
     grid = PointSet.grid(2, 41)
-    raw = prune_near_zero_columns(assemble_design_matrix(kb, grid))
     # light smoothing keeps columns distinguishable; the unit-penalty
     # columns are too collinear for exact support identification
-    lkb = build_lkb_basis(raw, grid, SmoothingConfig(penalty=1e-6,
-                                                    segments=24))
+    lkb = build_lkb_basis(kb, grid, SmoothingConfig(penalty=1e-6,
+                                                   segments=24))
     values = lkb.design_matrix(grid)
     unit = values / np.linalg.norm(values, axis=0)
     gram = np.abs(unit.T @ unit)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from kstfit import bench, cli
+from kstfit import bench, cli, smoothing
 from kstfit.bench import (
     ExperimentSpec,
     build_basis_set,
@@ -113,11 +113,11 @@ def test_build_takes_one_svd_of_the_rank_factor(monkeypatch):
 
 def test_build_frees_the_raw_matrix_before_the_pivot_search(monkeypatch):
     """The pivot search runs next to the kept SVD of W, so no reference to
-    the pruned raw KB matrix may outlive the denoising."""
+    the raw KB matrix may outlive the denoising."""
     raw = []
 
-    def pruned(*args, **kwargs):
-        matrix = prune(*args, **kwargs)
+    def assembled(*args, **kwargs):
+        matrix = assemble(*args, **kwargs)
         raw.append(weakref.ref(matrix))
         return matrix
 
@@ -126,8 +126,8 @@ def test_build_frees_the_raw_matrix_before_the_pivot_search(monkeypatch):
         assert raw and raw[0]() is None
         return maxvol(*args, **kwargs)
 
-    prune, maxvol = bench.prune_near_zero_columns, bench.maxvol_select
-    monkeypatch.setattr(bench, "prune_near_zero_columns", pruned)
+    assemble, maxvol = smoothing.assemble_design_matrix, bench.maxvol_select
+    monkeypatch.setattr(smoothing, "assemble_design_matrix", assembled)
     monkeypatch.setattr(bench, "maxvol_select", select)
     assert build_basis_set(2, 40).rank > 0
 
@@ -203,7 +203,7 @@ def read_cache(path, cfg):
 def test_default_cache_file_name_is_pinned(tmp_path):
     """A refactor that changes the hashed configuration re-keys every
     cache; the default 2-d n=20 file keeps its name."""
-    name = "basis-d2-n20-3aa206af1695d0e6.lkbc"
+    name = "basis-d2-n20-ae0263182b6d63b2.lkbc"
     assert cache_path("", basis_config(2, 20)) == name
     get_basis_set(2, 20, cache_dir=str(tmp_path))
     assert [p.name for p in tmp_path.iterdir()] == [name]
@@ -331,6 +331,70 @@ def test_cache_detects_corruption(cache_dir, tmp_path):
     short.write_bytes(raw[: len(raw) - 200])
     with pytest.raises(CacheMismatch, match="truncated"):
         read_cache(str(short), cfg)
+
+
+def with_indices(data, edit):
+    """The cache file bytes data with its kept map, pivot rows and pivot
+    columns replaced by edit(kept, rows, cols) -> (kept, rows, cols,
+    trailing bytes)."""
+    off, sets = 40, []  # magic, version and hash come first
+    for _ in range(3):
+        (count,) = struct.unpack("<Q", data[off:off + 8])
+        sets.append(np.frombuffer(data[off + 8:off + 8 + count], "<i8"))
+        off += 8 + count
+    *sets, tail = edit(*(s.copy() for s in sets))
+    blobs = [np.asarray(s, "<i8").tobytes() for s in sets]
+    return (data[:40] + b"".join(struct.pack("<Q", len(b)) + b for b in blobs)
+            + data[off:] + tail)
+
+
+def swapped(a, i, j):
+    a[[i, j]] = a[[j, i]]
+    return a
+
+
+CORRUPTIONS = {
+    "trailing bytes": lambda k, r, c: (k, r, c, bytes(8)),
+    "kept out of order": lambda k, r, c: (swapped(k, 0, 1), r, c, b""),
+    "kept repeated": lambda k, r, c: (np.r_[k[:1], k[:-1]], r, c, b""),
+    "kept past d*n": lambda k, r, c: (np.r_[k[:-1], 40], r, c, b""),
+    "rows past the grid": lambda k, r, c: (k, np.r_[r[:-1], 10 ** 6], c,
+                                           b""),
+    "rows negative": lambda k, r, c: (k, np.r_[-1, r[1:]], c, b""),
+    "rows out of order": lambda k, r, c: (k, swapped(r, 1, 2), c, b""),
+    "cols past kept": lambda k, r, c: (k, r, np.r_[c[:-1], len(k)], b""),
+    "cols out of order": lambda k, r, c: (k, r, swapped(c, 0, 1), b""),
+    "fewer rows than cols": lambda k, r, c: (k, r[:-1], c, b""),
+}
+REASONS = {"trailing bytes": "after the coefficient block",
+           "fewer rows than cols": "pivot rows but"}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_cache_refuses_bad_indices_and_trailing_bytes(corruption, tmp_path):
+    """A file whose header checks out but whose index sets could not come
+    from a build (or with bytes after the block) is refused, and the
+    warn-and-rebuild path writes the cold build's bytes back."""
+    cache = str(tmp_path)
+    cfg = basis_config(2, 20)
+    cold = get_basis_set(2, 20, cache_dir=cache)
+    path = cache_path(cache, cfg)
+    want = open(path, "rb").read()
+    bad = with_indices(want, CORRUPTIONS[corruption])
+    assert bad != want and with_indices(
+        want, lambda *s: (*s, b"")) == want
+    open(path, "wb").write(bad)
+    reason = REASONS.get(corruption, f"{corruption.split()[0]} not strictly "
+                                     f"increasing")
+    with pytest.raises(CacheMismatch, match=reason):
+        read_cache(path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warm = get_basis_set(2, 20, cache_dir=cache)
+    assert any("stale" in str(w.message) and reason in str(w.message)
+               for w in caught)
+    assert open(path, "rb").read() == want
+    assert np.array_equal(warm.rows, cold.rows)
 
 
 def test_table_experiment_deterministic_bytes(cache_dir):

@@ -1,11 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy import sparse
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import second_derivative_sup, thin_plate_energy_of
+from kstfit.bsplines import UniformBSplineBasis, contract_axes
 from kstfit.inner import build_inner_family
-from kstfit.kb import KBBasis, PointSet, assemble_design_matrix, \
-    prune_near_zero_columns
+from kstfit.kb import KBBasis, PointSet, assemble_design_matrix
 from kstfit.smoothing import (
     GridSmoother,
     LKBBasis,
@@ -21,6 +26,11 @@ from kstfit.smoothing import (
 @pytest.fixture(scope="module")
 def grid():
     return PointSet.grid(2, 41)
+
+
+def raw_column(kb, grid, j):
+    """Raw KB column j sampled on the grid, as a dense vector."""
+    return assemble_design_matrix(kb, grid)[:, [j]].toarray()[:, 0]
 
 
 def energy(surface):
@@ -128,9 +138,8 @@ def test_lkb_constant_column_and_leakage(grid):
     fam = build_inner_family(2, 3)
     kb = KBBasis(fam, n=30)
     cfg = SmoothingConfig(penalty=1.0, segments=8)
-    raw = prune_near_zero_columns(assemble_design_matrix(kb, grid))
-    lkb = build_lkb_basis(raw, grid, cfg)
-    assert lkb.n_columns == len(raw.kept) < kb.n_columns
+    lkb = build_lkb_basis(kb, grid, cfg)
+    assert lkb.n_columns == len(lkb.kept) < kb.n_columns
 
     # denoising is linear and reproduces constants, so the column sum
     # stays within round-off of 2d+1
@@ -140,7 +149,7 @@ def test_lkb_constant_column_and_leakage(grid):
     # the weakest kept column (narrow boundary band) stays small far away
     # from its support; tolerance measured, see the far-field decay test
     col = lkb.n_columns - 1
-    vals = raw.values[:, col]
+    vals = raw_column(kb, grid, lkb.kept[col])
     supp = grid.points[np.abs(vals) > 1e-12]
     dist2 = ((grid.points[:, None, :] - supp[None, :, :]) ** 2).sum(-1).min(1)
     far = dist2 > 0.4 ** 2
@@ -152,10 +161,9 @@ def test_lkb_leakage_decays_with_distance(grid):
     fam = build_inner_family(2, 3)
     kb = KBBasis(fam, n=30)
     cfg = SmoothingConfig(penalty=1.0, segments=8)
-    raw = prune_near_zero_columns(assemble_design_matrix(kb, grid))
-    lkb = build_lkb_basis(raw, grid, cfg)
+    lkb = build_lkb_basis(kb, grid, cfg)
     col = 0
-    vals = raw.values[:, col]
+    vals = raw_column(kb, grid, lkb.kept[col])
     supp = grid.points[np.abs(vals) > 1e-12]
     dist2 = ((grid.points[:, None, :] - supp[None, :, :]) ** 2).sum(-1).min(1)
     leaks = [np.max(np.abs(eval_surface(lkb.column(col),
@@ -168,8 +176,7 @@ def test_lkb_matches_fitted_surface_at_nodes(grid):
     fam = build_inner_family(2, 3)
     kb = KBBasis(fam, n=20)
     cfg = SmoothingConfig(penalty=1.0, segments=8)
-    raw = prune_near_zero_columns(assemble_design_matrix(kb, grid))
-    lkb = build_lkb_basis(raw, grid, cfg)
+    lkb = build_lkb_basis(kb, grid, cfg)
     j = lkb.n_columns // 2
     node_vals = eval_surface(lkb.column(j), grid.points)
     fitted = eval_surface_on_grid(lkb.column(j), grid)
@@ -267,3 +274,70 @@ def test_combine_matches_per_column_sum(case):
     oracle = sum(w * lkb.column(j).coeffs for j, w in enumerate(x))
     # |coeffs| <= 1 and |x| <= 1: only the summation order differs
     assert np.max(np.abs(lkb.combine(x).coeffs - oracle)) <= 1e-13
+
+
+def contracted_rhs(grid, cfg, values):
+    """A^T V for dense samples V (N, m) by one contraction per grid axis:
+    the smoother's former right-hand side, kept here as the reference."""
+    designs = [UniformBSplineBasis(count=cfg.coeffs_per_axis,
+                                   degree=cfg.degree).design_matrix(axis)
+               for axis in grid.grid_axes]
+    shape = tuple(len(axis) for axis in grid.grid_axes)
+    t = values.reshape(shape + (values.shape[1],), order="F")
+    return contract_axes([b.T for b in designs], t).reshape(
+        -1, values.shape[1]), designs
+
+
+@st.composite
+def sparse_samples_on_grid(draw):
+    """A config, a grid with distinct sizes per axis (such as 8 x 9 x 10),
+    and a random CSR block of sample columns on it."""
+    d = draw(st.integers(1, 3))
+    cfg = SmoothingConfig(penalty=draw(st.sampled_from([1.0, 1e-2])),
+                          degree=draw(st.sampled_from([2, 3])),
+                          segments=draw(st.integers(4, 7)))
+    ncf = cfg.coeffs_per_axis
+    per_axis = tuple(draw(st.lists(st.integers(ncf - 2, ncf + 12),
+                                   min_size=d, max_size=d, unique=True)))
+    assume(math.prod(per_axis) >= ncf ** d)
+    grid = PointSet.grid(d, per_axis)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = sparse.random_array(
+        (len(grid), draw(st.integers(1, 12))), format="csr", rng=rng,
+        density=draw(st.floats(0.05, 0.5)))
+    return cfg, grid, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_samples_on_grid())
+def test_sparse_coefficients_match_per_axis_contraction(case):
+    cfg, grid, values = case
+    dense = values.toarray()
+    rhs, designs = contracted_rhs(grid, cfg, dense)
+    ata = np.array([[1.0]])
+    for b in designs:
+        ata = np.kron(ata, b.T @ b)
+    normal = ata / len(grid) + cfg.penalty * energy_matrix(grid.d, cfg)
+    want = cho_solve(cho_factor(normal), rhs / len(grid))
+    smoother = GridSmoother(grid, cfg)
+    for block in (values, dense):
+        got = smoother.coefficients(block)
+        assert got.shape == (cfg.coeffs_per_axis,) * grid.d + (dense.shape[1],)
+        got = got.reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lkb_build_keeps_the_raw_matrix_sparse():
+    """Raw columns to C at 2-d n=10000 on the 41^2 grid.  A dense raw
+    matrix and its pruned copy peaked at >= 538 MB here; the sparse raw
+    columns and their A^T V product peak near 126 MB."""
+    kb = KBBasis(build_inner_family(2), n=10000)
+    grid = PointSet.grid(2, 41)
+    tracemalloc.start()
+    try:
+        lkb = build_lkb_basis(kb, grid, SmoothingConfig(segments=24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lkb.n_columns == 10343
+    assert peak < 200e6
