@@ -62,7 +62,7 @@ def test_omp_fit(benchmark, basis, kind):
     lkb, grid, target = basis
     matrix = lkb.sample(grid)
     if kind == "plain":
-        matrix = DesignMatrix(values=matrix.values, kept=matrix.kept)
+        matrix = DesignMatrix(values=matrix.values)
     fit = benchmark.pedantic(omp_fit, args=(matrix, target),
                              kwargs={"sparsity": OMP_SPARSITY}, rounds=5)
     assert len(fit.support) == OMP_SPARSITY

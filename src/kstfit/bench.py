@@ -34,7 +34,8 @@ _DEFAULT_EVAL_GRID = {1: 1001, 2: 101, 3: 101}
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a table/slope/count experiment needs; the one place
-    where segments and eval_grid of 0 take their per-dimension defaults."""
+    where segments and eval_grid of 0 take their defaults and grids are
+    checked, before anything is built."""
 
     d: int
     n_list: tuple
@@ -50,6 +51,9 @@ class ExperimentSpec:
                            or _DEFAULT_SEGMENTS.get(self.d, 8))
         object.__setattr__(self, "eval_grid", self.eval_grid
                            or _DEFAULT_EVAL_GRID.get(self.d, 41))
+        if min(self.fit_grid, self.eval_grid) < 2:
+            raise ValueError(f"need >= 2 grid points per axis, got fit grid "
+                             f"{self.fit_grid}, eval grid {self.eval_grid}")
 
     def build_config(self, n):
         """Every input of the size-n build, the dict the cache hashes and

@@ -1,6 +1,7 @@
 """Uniform B-spline bases, linear interpolatory splines and their exact
 rewriting as combinations of ReLU hinges."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,13 +46,21 @@ class UniformBSplineBasis:
 
 
 def contract_axes(mats, t):
-    """Apply mats[a] along axis a of the tensor t, for every matrix given;
-    axes past len(mats), such as a trailing column axis, pass through.
-    This is (mats[0] x ... x mats[-1]) applied to a tensor-product
-    coefficient or sample block without forming the Kronecker product."""
-    for a, m in enumerate(mats):
-        t = np.moveaxis(np.tensordot(m, t, axes=(1, a)), 0, a)
-    return t
+    """Apply mats[a] along the a-th of the last len(mats) axes of t, so
+    (mats[0] x ... x mats[-1]) to each C-ordered trailing block; leading
+    axes, such as a column axis, pass through.  One batched product per
+    axis makes one new C-ordered array, so at most two of the result's
+    size live.  The last axis goes first: while the axes before it are
+    still narrow, a widening operator meets the fewest batches."""
+    shape = list(t.shape)
+    lead = t.ndim - len(mats)
+    for a in reversed(range(len(mats))):
+        m = mats[a]
+        t = np.matmul(m, np.reshape(t, (math.prod(shape[:lead + a]),
+                                        m.shape[1],
+                                        math.prod(shape[lead + a + 1:]))))
+        shape[lead + a] = m.shape[0]
+    return np.reshape(t, shape)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ FORMAT_VERSION = 4
 # Version of the rules that turn a configuration into a basis and its
 # pivots (numerical rank, maxvol search).  Part of the configuration hash:
 # bump it when those rules change, so that old files are not served.
-ALGO_VERSION = 2
+ALGO_VERSION = 3
 
 
 class CacheMismatch(Exception):
@@ -65,8 +65,7 @@ def write_basis_cache(path, basis_set, build_config):
                 fh.write(struct.pack("<Q", len(blob)))
                 fh.write(blob)
             # column after column: no copy for a built or loaded basis
-            fh.write(np.ascontiguousarray(np.moveaxis(bs.lkb.coeffs, -1, 0),
-                                          "<f8"))
+            fh.write(np.ascontiguousarray(bs.lkb.coeffs, "<f8"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -123,7 +122,5 @@ def read_basis_cache(path, build_config, smoothing):
         raise CacheMismatch(f"{path}: {len(data) - off} bytes after the "
                             f"coefficient block")
     block.flags.writeable = False  # fresh: sample() hands it on uncopied
-    # the same strides as a built basis, so combine() rounds the same
-    lkb = LKBBasis(coeffs=np.moveaxis(block.reshape(shape), 0, -1),
-                   kept=kept, config=smoothing)
+    lkb = LKBBasis(coeffs=block.reshape(shape), kept=kept, config=smoothing)
     return {"lkb": lkb, "rows": rows, "cols": cols}

@@ -75,7 +75,8 @@ def _make_parser(defaults=None):
     p.add_argument("--function", required=True)
     p.add_argument("--method", choices=("dls", "pivotal", "omp"),
                    default="dls")
-    p.add_argument("--sparsity", type=int, default=0)
+    p.add_argument("--sparsity", type=int, default=0,
+                   help="OMP column count (0 = the pivotal rank)")
     common(p)
 
     p = sub.add_parser("table", help="RMSE table over all functions")
@@ -149,17 +150,22 @@ def main(argv=None):
             defaults["n_list"] = ",".join(map(str, defaults["n_list"]))
     parser = _make_parser(defaults)
     args = parser.parse_args(argv)
-    # the valid function ids depend on --d: checked here, before any build
+    # function ids (valid per --d), the sparsity and the grids are all
+    # checked here, before any build
     try:
         if args.command in ("fit", "slopes"):
             func = get_function(args.d, args.function)
         elif args.command == "table":
             registry(args.d)
+        if args.command == "fit" and args.sparsity < 0:
+            raise ValueError(f"need --sparsity >= 0, got {args.sparsity}")
+        if args.command != "knet-rate":
+            spec = _spec(args)
     except (KeyError, ValueError) as exc:
         parser.error(exc.args[0])
 
     if args.command == "build-basis":
-        basis = _spec(args).basis(args.n)
+        basis = spec.basis(args.n)
         locs = basis.pivotal_points
         lines = [f"# d={args.d} n={args.n} rank={basis.rank} "
                  f"columns={basis.matrix.shape[1]}"]
@@ -168,7 +174,6 @@ def main(argv=None):
         return 0
 
     if args.command == "fit":
-        spec = _spec(args)
         fit = fit_by_method(spec.basis(args.n), func, args.method,
                             spec.eval_points(), sparsity=args.sparsity)
         if args.out:
@@ -181,12 +186,12 @@ def main(argv=None):
         return 0
 
     if args.command == "table":
-        csv = run_table_experiment(_spec(args))
+        csv = run_table_experiment(spec)
     elif args.command == "slopes":
-        csv = run_slope_experiment(_spec(args), args.function,
+        csv = run_slope_experiment(spec, args.function,
                                    method=args.method)[0]
     elif args.command == "pivotal-count":
-        csv = pivotal_count_experiment(_spec(args))[0]
+        csv = pivotal_count_experiment(spec)[0]
     else:
         csv = run_knet_rate(args.d, args.g, args.n_list)[0]
     _emit(csv, args.out)

@@ -120,6 +120,8 @@ def omp_fit(matrix, f_values, sparsity):
     which keeps U orthonormal to rounding), so a step costs O(s k) for W
     with s rows, and the coefficients come from one triangular solve.
     """
+    if sparsity < 1:
+        raise ValueError(f"sparsity must be >= 1, got {sparsity}")
     n_rows, n_cols = matrix.shape
     f = target_vector(f_values, n_rows)
     w = matrix.rank_factor()

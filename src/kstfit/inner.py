@@ -87,18 +87,17 @@ def town_intervals(d, k, q):
 
 @dataclass(frozen=True)
 class InnerFamily:
-    """Weights, phi tables and town combinatorics of one construction.
+    """Weights and phi tables of one construction.
 
     phis[q] is an (m, 2) array of (x, phi(x)) nodes, strictly increasing in
-    both columns, with phi(0) = 0 and phi(1) = 1.  towns[k-1][q] is the
-    (m, 2) array of rank-k town intervals of family q.
+    both columns, with phi(0) = 0 and phi(1) = 1.  The rank-k town
+    intervals of family q are town_intervals(d, k, q).
     """
 
     d: int
     rank: int
     lambdas: np.ndarray
     phis: list = field(repr=False)
-    towns: list = field(repr=False)
 
     @property
     def n_phi(self):
@@ -188,7 +187,7 @@ def _assign_widths(lengths, unit_ids, town_caps, town_lens, tilt):
 
 
 def _build_phi(d, rank, q, lambdas, attempt):
-    """Construct one phi table; returns (table, towns_per_rank)."""
+    """Construct one phi table; None when this attempt fails."""
     towns_per_rank = [town_intervals(d, k, q) for k in range(1, rank + 1)]
     flat_per_rank = [t.ravel() for t in towns_per_rank]
 
@@ -268,7 +267,7 @@ def _build_phi(d, rank, q, lambdas, attempt):
         if not bad:
             break
         if tighten(report):
-            return None, None
+            return None
     # Verify exhaustively at the larger cap (this is what decides for
     # ranks the tuning loop could only extrapolate).  A last tuning pass
     # that measured every rank and found none crowded has decided already:
@@ -281,24 +280,23 @@ def _build_phi(d, rank, q, lambdas, attempt):
             if not bad:
                 break
             if tighten(report):
-                return None, None
+                return None
         else:
-            return None, None
+            return None
 
     if not (np.all(np.diff(vals) > 0.0) and np.all(np.diff(edges) > 0.0)):
-        return None, None
-    table = np.column_stack([edges, vals])
-    return table, towns_per_rank
+        return None
+    return np.column_stack([edges, vals])
 
 
 @lru_cache(maxsize=8)
 def _build_cached(d, rank):
     lambdas = superposition_weights(d)
-    phis, towns_by_q = [], []
+    phis = []
     for q in range(2 * d + 1):
         table = None
         for attempt in range(8):
-            table, towns_per_rank = _build_phi(d, rank, q, lambdas, attempt)
+            table = _build_phi(d, rank, q, lambdas, attempt)
             if table is not None:
                 break
         if table is None:
@@ -306,12 +304,7 @@ def _build_cached(d, rank):
                 f"could not assign disjoint value windows for family q={q} "
                 f"(d={d}, rank={rank}); refinement too deep for float64")
         phis.append(table)
-        towns_by_q.append(towns_per_rank)
-    # towns[k-1][q]
-    towns = [[towns_by_q[q][k] for q in range(2 * d + 1)]
-             for k in range(rank)]
-    return InnerFamily(d=d, rank=rank, lambdas=lambdas, phis=phis,
-                       towns=towns)
+    return InnerFamily(d=d, rank=rank, lambdas=lambdas, phis=phis)
 
 
 def build_inner_family(d, rank=None):
@@ -433,8 +426,8 @@ def save_inner_family(family, path):
 def load_inner_family(path):
     """Read a family written by save_inner_family.
 
-    Towns are reconstructed from (d, rank); tables are taken from the file
-    and must match what build_inner_family would produce.
+    Tables are taken from the file and must match what build_inner_family
+    would produce.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -454,7 +447,4 @@ def load_inner_family(path):
             raise ValueError(f"{path}: truncated table block")
         phis.append(np.frombuffer(data, "<f8", 2 * m, off).reshape(m, 2).copy())
         off += 16 * m
-    towns = [[town_intervals(d, k, q) for q in range(2 * d + 1)]
-             for k in range(1, rank + 1)]
-    return InnerFamily(d=d, rank=rank, lambdas=lambdas, phis=phis,
-                       towns=towns)
+    return InnerFamily(d=d, rank=rank, lambdas=lambdas, phis=phis)

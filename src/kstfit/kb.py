@@ -25,8 +25,8 @@ PRUNE_TOL = 1e-10
 class PointSet:
     """Points in [0,1]^d with a fixed enumeration order.
 
-    Grids enumerate lexicographically with the first axis fastest, so
-    row i has coordinates (axes[0][i % n1], axes[1][(i // n1) % n2], ...).
+    Grids enumerate in C order, the last axis fastest, so the samples of
+    a grid reshape to an (n_1, ..., n_d) tensor as a view.
     """
 
     d: int
@@ -52,7 +52,7 @@ class PointSet:
             raise ValueError("need >= 2 grid points per axis")
         axes = tuple(np.linspace(0.0, 1.0, n) for n in per_axis)
         mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel(order="F") for m in mesh], axis=-1)
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
         return cls(d=d, points=pts, grid_axes=axes)
 
     @classmethod
@@ -129,13 +129,12 @@ def _read_only(a):
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Dense samples of basis columns at a point set, with bookkeeping of
-    which original columns survived pruning.
+    """Dense samples of basis columns at a point set.
 
     On a grid the matrix may carry its factorization M = (Q_1 x ... x Q_d)
     W with W = (R_1 x ... x R_d) C: qs and rs hold the thin QR factors
     B_a = Q_a R_a of the per-axis designs and coeffs the coefficient
-    tensor C, shape (coeffs per axis, ...) + (columns,) (LKBBasis.sample
+    tensor C, shape (columns,) + (coeffs per axis, ...) (LKBBasis.sample
     fills all three).  A plain matrix has none of them and W = values.
     The arrays are held read-only, and a writable one is copied first, so
     the SVD of W that the matrix keeps cannot go stale;
@@ -143,7 +142,6 @@ class DesignMatrix:
     without a copy."""
 
     values: np.ndarray
-    kept: np.ndarray
     qs: tuple = ()
     rs: tuple = ()
     coeffs: np.ndarray = None
@@ -156,8 +154,6 @@ class DesignMatrix:
         values = _read_only(self.values)
         if not np.all(np.isfinite(values)):
             raise ValueError("design matrix entries must be finite")
-        if values.shape[1] != len(self.kept):
-            raise ValueError("kept-column map does not match value columns")
         object.__setattr__(self, "values", values)
         if not self.qs:
             return
@@ -166,36 +162,30 @@ class DesignMatrix:
         coeffs = _read_only(self.coeffs)
         if (math.prod(q.shape[0] for q in qs) != values.shape[0]
                 or [q.shape[1] for q in qs] != [r.shape[0] for r in rs]
-                or coeffs.shape != tuple(r.shape[1] for r in rs)
-                + values.shape[1:]):
+                or coeffs.shape != values.shape[1:]
+                + tuple(r.shape[1] for r in rs)):
             raise ValueError("factors do not match the values")
         object.__setattr__(self, "qs", qs)
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "coeffs", coeffs)
 
     def rank_factor(self):
-        """W as a new array: (R_1 x ... x R_d) C, or a copy of values for a
-        plain matrix.  W^T W = M^T M, so W has the singular values of M,
-        with at most as many rows: prod_a min(|axis_a|, coeffs per axis)
-        for a factored matrix, whatever the grid size."""
+        """W as a new Fortran-ordered array: (R_1 x ... x R_d) C, or a copy
+        of values for a plain matrix.  W^T W = M^T M, so W has the singular
+        values of M, with at most as many rows: prod_a min(|axis_a|, coeffs
+        per axis) for a factored matrix, whatever the grid size."""
         if not self.qs:
-            return self.values.copy()
-        # one batched product per axis on the column blocks of C makes one
-        # new array per step (tensordot would also copy its input), so at
-        # most two arrays of W's size are alive at once
-        n_cols = lead = self.values.shape[1]
-        t = np.moveaxis(self.coeffs, -1, 0)
-        for r in self.rs:
-            t = np.matmul(r, np.reshape(t, (lead, r.shape[1], -1)))
-            lead *= r.shape[0]
-        return np.ascontiguousarray(np.reshape(t, (n_cols, -1)).T)
+            return self.values.T.copy().T  # a Fortran-ordered copy
+        # C's column blocks stay blocks: the columns of a Fortran-ordered W
+        w = contract_axes(self.rs, self.coeffs)
+        return w.reshape(self.values.shape[1], -1).T
 
     def project(self, f):
         """(Q_1 x ... x Q_d)^T f: samples f (N,) in the row coordinates of
         W; f itself for a plain matrix."""
         shape = [q.shape[0] for q in self.qs] or [len(f)]
-        t = np.reshape(f, shape, order="F")  # grid rows: first axis fastest
-        return contract_axes([q.T for q in self.qs], t).reshape(-1)
+        return contract_axes([q.T for q in self.qs],
+                             np.reshape(f, shape)).reshape(-1)
 
     @cached_property
     def svd(self):
@@ -203,11 +193,9 @@ class DesignMatrix:
         on the first read and kept, W itself is not.  s is sigma(M),
         largest first: a factored matrix has min(W.shape) of them, and any
         missing up to min(M.shape) are zero."""
-        # W is C-ordered, so W^T is Fortran-ordered and LAPACK factors the
-        # new array in place: no copy, and gesdd's smaller workspace
-        v, s, ut = sla.svd(self.rank_factor().T, full_matrices=False,
-                           overwrite_a=True, check_finite=False)
-        factors = (ut.T, s, v.T)
+        # W is a new Fortran-ordered array: LAPACK factors it in place
+        factors = sla.svd(self.rank_factor(), full_matrices=False,
+                          overwrite_a=True, check_finite=False)
         for a in factors:
             a.flags.writeable = False
         return factors
@@ -263,7 +251,7 @@ def independence_check(basis, pts, rel_tol=None):
     """
     raw = assemble_design_matrix(basis, pts)
     kept = prune_near_zero_columns(raw, tol=0.0)
-    nonzero = DesignMatrix(values=raw[:, kept].toarray(), kept=kept)
+    nonzero = DesignMatrix(values=raw[:, kept].toarray())
     n_rows, n_cols = nonzero.shape
     if n_rows < n_cols:
         raise ValueError(

@@ -29,7 +29,7 @@ def _as_matrix(matrix):
     if isinstance(matrix, DesignMatrix):
         return matrix
     values = np.asarray(matrix, dtype=float)
-    return DesignMatrix(values=values, kept=np.arange(values.shape[1]))
+    return DesignMatrix(values=values)
 
 
 @dataclass(frozen=True)

@@ -114,12 +114,12 @@ def energy_matrix(d, cfg):
     """Dense quadratic form of the thin-plate-type energy on coefficient
     vectors (C-order flattening of the coefficient tensor)."""
     grams = _axis_grams(cfg.degree, cfg.segments)
-    total = None
+    total = 0.0
     for alpha, weight in _second_order_multi_indices(d):
         term = np.array([[weight]])
         for a in range(d):
             term = np.kron(term, grams[alpha[a]])
-        total = term if total is None else total + term
+        total += term  # in place from the second term on
     return total
 
 
@@ -144,45 +144,50 @@ class GridSmoother:
             raise ValueError(
                 f"{len(grid)} grid points cannot determine {ncf ** self.d} "
                 f"coefficients")
+        # penalty * E + A^T A / N, summed in place: with LAPACK's copy at
+        # most two arrays of the normal matrix's size are alive at once
+        normal = energy_matrix(self.d, cfg)
+        normal *= cfg.penalty
         ata = np.array([[1.0]])
         for b in designs:
             ata = np.kron(ata, b.T @ b)
-        normal = ata / len(grid) + cfg.penalty * energy_matrix(self.d, cfg)
+        ata /= len(grid)
+        normal += ata
+        del ata
         try:
             self._cho = cho_factor(normal)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"singular penalized normal system: {exc}")
+        del normal
         self._ncf = ncf
-        # A = B_d x ... x B_1 has its rows in grid order (first axis
-        # fastest) and its columns in Fortran order of the coefficient
-        # tensor; A^T keeps its rows in C order, the order of the solve
+        # A = B_1 x ... x B_d: rows in grid order, columns in the C order
+        # of the coefficient tensor
         a = sparse.csr_array(designs[0])
         for b in designs[1:]:
-            a = sparse.kron(b, a, format="csr")
-        to_c = np.arange(ncf ** self.d).reshape((ncf,) * self.d, order="F")
-        self._at = a.T.tocsr()[to_c.reshape(-1)]
+            a = sparse.kron(a, b, format="csr")
+        self._at = a.T.tocsr()
 
     def coefficients(self, values):
         """Coefficient tensors of the smoothed columns of values (N, m),
-        dense or sparse, stacked along a trailing column axis: shape
-        (ncf,)*d + (m,).
+        dense or sparse, stacked along a leading column axis: shape
+        (m,) + (ncf,)*d, C-contiguous.
 
-        LAPACK returns the solve column-major, so the reshape is a view
-        whose column blocks are contiguous (the cache's byte layout)."""
+        LAPACK returns the solve column-major, so its transpose reshapes
+        to that tensor as a view."""
         v = sparse.csr_array(values, dtype=float)
         if v.ndim != 2 or v.shape[0] != len(self.grid):
             raise ValueError("sample count does not match the grid")
         rhs = (self._at @ v).toarray()
         rhs /= len(self.grid)
         x = cho_solve(self._cho, rhs)
-        return x.reshape((self._ncf,) * self.d + (v.shape[1],))
+        return x.T.reshape((v.shape[1],) + (self._ncf,) * self.d)
 
     def denoise(self, values):
         """The smoothed surface of one sample column of shape (N,)."""
         v = np.asarray(values, dtype=float)
         if v.ndim != 1:
             raise ValueError("denoise takes one sample column")
-        return SmoothSurface(coeffs=self.coefficients(v[:, None])[..., 0],
+        return SmoothSurface(coeffs=self.coefficients(v[:, None])[0],
                              degree=self.cfg.degree,
                              segments=self.cfg.segments)
 
@@ -203,11 +208,10 @@ def eval_surface(surface, x):
     out = np.empty(len(pts))
     for lo in range(0, len(pts), _EVAL_CHUNK):
         sub = pts[lo:lo + _EVAL_CHUNK]
-        t = surface.coeffs
         # contract one axis at a time against per-point basis rows
         designs = [_axis_design(surface.degree, surface.segments, sub[:, a])
                    for a in range(surface.d)]
-        t = np.tensordot(designs[0], t, axes=(1, 0))  # (p, rest...)
+        t = np.tensordot(designs[0], surface.coeffs, axes=(1, 0))
         for a in range(1, surface.d):
             t = np.einsum("pi,pi...->p...", designs[a], t)
         out[lo:lo + _EVAL_CHUNK] = t
@@ -220,16 +224,16 @@ def eval_surface_on_grid(surface, grid):
         return eval_surface(surface, grid.points)
     designs = [_axis_design(surface.degree, surface.segments, axis)
                for axis in grid.grid_axes]
-    return contract_axes(designs, surface.coeffs).reshape(-1, order="F")
+    return contract_axes(designs, surface.coeffs).reshape(-1)
 
 
 @dataclass(frozen=True)
 class LKBBasis:
     """Denoised versions of the kept design-matrix columns.
 
-    coeffs has shape (ncf,)*d + (m,): the coefficient tensors of all m
-    columns along a trailing column axis, which is the matrix C of
-    M = (B_1 x ... x B_d) C."""
+    coeffs has shape (m,) + (ncf,)*d, C-contiguous: the coefficient
+    tensors of all m columns, one after the other, which is the matrix C
+    of M = (B_1 x ... x B_d) C."""
 
     coeffs: np.ndarray
     kept: np.ndarray
@@ -237,7 +241,7 @@ class LKBBasis:
 
     @property
     def n_columns(self):
-        return self.coeffs.shape[-1]
+        return self.coeffs.shape[0]
 
     @property
     def d(self):
@@ -248,7 +252,7 @@ class LKBBasis:
         if not 0 <= j < self.n_columns:
             raise IndexError(
                 f"column {j} out of range 0..{self.n_columns - 1}")
-        return SmoothSurface(coeffs=self.coeffs[..., j],
+        return SmoothSurface(coeffs=self.coeffs[j],
                              degree=self.config.degree,
                              segments=self.config.segments)
 
@@ -258,7 +262,7 @@ class LKBBasis:
         c = np.asarray(coefficients, dtype=float)
         if c.shape != (self.n_columns,):
             raise ValueError("coefficient length must match column count")
-        return SmoothSurface(coeffs=self.coeffs @ c,
+        return SmoothSurface(coeffs=np.tensordot(c, self.coeffs, 1),
                              degree=self.config.degree,
                              segments=self.config.segments)
 
@@ -271,12 +275,10 @@ class LKBBasis:
 
     def design_matrix(self, grid):
         """(|grid|, n_columns) samples of every column on a full uniform
-        grid: one contraction of the factors of M = (B_1 x ... x B_d) C."""
-        # grid rows run first axis fastest: in C order that is the point
-        # axes reversed, then the column axis (one copy at most)
-        order = list(range(grid.d))[::-1] + [grid.d]
-        t = contract_axes(self._designs(grid), self.coeffs).transpose(order)
-        return np.ascontiguousarray(t).reshape(len(grid), -1)
+        grid: one contraction of the factors of M = (B_1 x ... x B_d) C,
+        a Fortran-ordered view of one column's samples after the other."""
+        t = contract_axes(self._designs(grid), self.coeffs)
+        return t.reshape(self.n_columns, -1).T
 
     def sample(self, grid):
         """The DesignMatrix M = design_matrix(grid) with its factorization
@@ -289,8 +291,7 @@ class LKBBasis:
         values = self.design_matrix(grid)
         for a in (values, *(x for qr in qrs for x in qr)):
             a.flags.writeable = False
-        return DesignMatrix(values=values, kept=self.kept,
-                            qs=tuple(q for q, _ in qrs),
+        return DesignMatrix(values=values, qs=tuple(q for q, _ in qrs),
                             rs=tuple(r for _, r in qrs), coeffs=self.coeffs)
 
 

@@ -1,15 +1,23 @@
 """Shared brute-force oracles for the test suite.
 
 These helpers deliberately avoid the library's own verification paths:
-they read the public tables/town lists and check properties from scratch.
+they read the public tables and town intervals and check properties from
+scratch.
 """
 
+from functools import lru_cache
+
 import numpy as np
+
+from kstfit.inner import town_intervals
+
+# the oracles ask for the same intervals once per probed point
+town_intervals = lru_cache(maxsize=None)(town_intervals)
 
 
 def town_value_windows(family, k, q):
     """[phi(left), phi(right)] per rank-k town of family q, via the table."""
-    towns = family.towns[k - 1][q]
+    towns = town_intervals(family.d, k, q)
     tab = family.phis[q]
     lo = np.interp(towns[:, 0], tab[:, 0], tab[:, 1])
     hi = np.interp(towns[:, 1], tab[:, 0], tab[:, 1])
@@ -56,7 +64,7 @@ def families_missing_at(family, k, x):
     """How many families have coordinate value x outside all rank-k towns."""
     missing = 0
     for q in range(family.n_phi):
-        towns = family.towns[k - 1][q]
+        towns = town_intervals(family.d, k, q)
         if not np.any((towns[:, 0] - EDGE_TOL <= x)
                       & (x <= towns[:, 1] + EDGE_TOL)):
             missing += 1
@@ -96,7 +104,7 @@ def in_town_cube_count(family, k, grid_1d):
     d = family.d
     counts = None
     for q in range(family.n_phi):
-        towns = family.towns[k - 1][q]
+        towns = town_intervals(family.d, k, q)
         coord_in = np.array([np.any((towns[:, 0] - EDGE_TOL <= x)
                                     & (x <= towns[:, 1] + EDGE_TOL))
                              for x in grid_1d])

@@ -276,8 +276,7 @@ def test_criterion_11_omp_planted_recovery():
         if all(gram[c, s] < 0.5 for s in separated):
             separated.append(int(c))
     assert len(separated) >= 8
-    sub = DesignMatrix(values=values[:, sorted(separated)],
-                       kept=lkb.kept[sorted(separated)])
+    sub = DesignMatrix(values=values[:, sorted(separated)])
     rng = np.random.default_rng(11)
     for trial in range(20):
         support = sorted(rng.choice(sub.shape[1], size=5, replace=False))

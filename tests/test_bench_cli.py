@@ -93,8 +93,8 @@ def test_slope_examples():
 
 def test_build_takes_one_svd_of_the_rank_factor(monkeypatch):
     """The rank, the maxvol guard and every DLS fit read the one SVD that
-    the sampled matrix keeps, so a cold build and its fits factor W once
-    (as W^T)."""
+    the sampled matrix keeps, so a cold build and its fits factor W
+    once."""
     calls = []
 
     def counting(svd):
@@ -108,7 +108,7 @@ def test_build_takes_one_svd_of_the_rank_factor(monkeypatch):
     basis = build_basis_set(2, 100)
     for c in range(5):
         dls_fit(basis.matrix, np.cos(c * basis.grid.points[:, 0]))
-    assert calls == [basis.matrix.rank_factor().T.shape]
+    assert calls == [basis.matrix.rank_factor().shape]
 
 
 def test_build_frees_the_raw_matrix_before_the_pivot_search(monkeypatch):
@@ -141,12 +141,12 @@ def test_cache_roundtrip_bit_identical(cache_dir):
     built = get_basis_set(2, 40, cache_dir=cache_dir)
     loaded = get_basis_set(2, 40, cache_dir=cache_dir)
     assert np.array_equal(built.matrix.values, loaded.matrix.values)
-    assert np.array_equal(built.matrix.kept, loaded.matrix.kept)
+    assert np.array_equal(built.lkb.kept, loaded.lkb.kept)
     assert np.array_equal(built.rows, loaded.rows)
     assert np.array_equal(built.cols, loaded.cols)
     assert np.array_equal(built.lkb.coeffs, loaded.lkb.coeffs)
-    # one memory layout for both, so combine() rounds the same way
-    assert built.lkb.coeffs.strides == loaded.lkb.coeffs.strides
+    assert built.lkb.coeffs.flags.c_contiguous
+    assert loaded.lkb.coeffs.flags.c_contiguous
     # the file stores no setting: the load takes them from the config
     assert loaded.lkb.config == built.lkb.config
 
@@ -203,7 +203,7 @@ def read_cache(path, cfg):
 def test_default_cache_file_name_is_pinned(tmp_path):
     """A refactor that changes the hashed configuration re-keys every
     cache; the default 2-d n=20 file keeps its name."""
-    name = "basis-d2-n20-ae0263182b6d63b2.lkbc"
+    name = "basis-d2-n20-09e8cdb41d211c1a.lkbc"
     assert cache_path("", basis_config(2, 20)) == name
     get_basis_set(2, 20, cache_dir=str(tmp_path))
     assert [p.name for p in tmp_path.iterdir()] == [name]
@@ -310,7 +310,7 @@ def test_format_3_file_is_rebuilt_to_the_cold_bytes(tmp_path):
         for blob in blobs:
             fh.write(struct.pack("<Q", len(blob)) + blob)
         fh.write(struct.pack("<QIId", cold.lkb.n_columns, 24, 4, 1.0))
-        fh.write(np.ascontiguousarray(np.moveaxis(cold.lkb.coeffs, -1, 0)))
+        fh.write(cold.lkb.coeffs)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         warm = get_basis_set(2, 20, cache_dir=cache)
@@ -434,7 +434,7 @@ def test_fit_by_method_rejects_unknown_method(cache_dir):
 
 def _refuse_builds(monkeypatch):
     def no_build(cfg):
-        raise AssertionError("basis built for an unknown function")
+        raise AssertionError("basis built for a bad input")
 
     monkeypatch.setattr(bench, "_build", no_build)
 
@@ -454,6 +454,34 @@ def test_unknown_function_fails_before_any_build(monkeypatch, capsys):
             cli.main(argv)
         assert exc.value.code == 2
         assert word in capsys.readouterr().err
+
+
+def test_bad_grid_fails_before_any_build(monkeypatch, capsys):
+    """An eval grid of 1 point per axis used to fail only after every
+    basis of the table was built."""
+    _refuse_builds(monkeypatch)
+    for grids in ({"eval_grid": 1}, {"fit_grid": 1}):
+        with pytest.raises(ValueError, match="2 grid points"):
+            run_table_experiment(ExperimentSpec(d=2, n_list=(20, 30),
+                                                **grids))
+    for argv in (["table", "--n-list", "20", "--eval-grid", "1"],
+                 ["fit", "--n", "20", "--function", "f5", "--eval-grid", "1"],
+                 ["build-basis", "--n", "20", "--grid", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "2 grid points" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_negative_sparsity(monkeypatch, capsys):
+    """--sparsity -3 used to die inside np.zeros after the build; 0 keeps
+    meaning the pivotal rank."""
+    _refuse_builds(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--n", "20", "--function", "f5", "--method", "omp",
+                  "--sparsity", "-3"])
+    assert exc.value.code == 2
+    assert "--sparsity" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sizes", ["", ",", "0", "20,-5"])

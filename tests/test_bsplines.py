@@ -8,10 +8,45 @@ from kstfit.bsplines import (
     LinearSpline,
     ReluCombination,
     UniformBSplineBasis,
+    contract_axes,
     eval_relu_combination,
     linear_interpolant,
     linear_spline_to_relu,
 )
+
+
+@st.composite
+def axis_operators(draw):
+    """d = 1..3 matrices with distinct input sizes per axis (such as
+    8 x 9 x 10), a tensor with those trailing axes and an optional
+    leading column axis."""
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(2, 10), min_size=d, max_size=d,
+                          unique=True))
+    outs = draw(st.lists(st.integers(1, 7), min_size=d, max_size=d))
+    lead = draw(st.sampled_from([(), (1,), (4,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = [rng.normal(size=(p, k)) for p, k in zip(outs, sizes)]
+    return mats, rng.normal(size=lead + tuple(sizes))
+
+
+@settings(max_examples=80, deadline=None)
+@given(axis_operators())
+def test_contract_axes_applies_the_kronecker_product(case):
+    """contract_axes(mats, t) is (mats[0] x ... x mats[-1]) applied to the
+    C-order flattening of each trailing block of t, in C order."""
+    mats, t = case
+    kron = np.array([[1.0]])
+    for m in mats:
+        kron = np.kron(kron, m)
+    lead = t.shape[:t.ndim - len(mats)]
+    blocks = t.reshape((-1, kron.shape[1]))
+    want = (blocks @ kron.T).reshape(lead + tuple(m.shape[0] for m in mats))
+    got = contract_axes(mats, t)
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert np.max(np.abs(got - want), initial=0.0) \
+        <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

@@ -42,7 +42,7 @@ def test_dls_reproduces_own_column(pipeline):
 def test_dls_coefficient_unit_vector_on_full_rank():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(50, 8))
-    m = DesignMatrix(values=values, kept=np.arange(8))
+    m = DesignMatrix(values=values)
     fit = dls_fit(m, values[:, 3])
     want = np.zeros(8)
     want[3] = 1.0
@@ -74,7 +74,7 @@ def rank_deficient_plain(draw):
     r = draw(st.integers(0, min(n_rows, n_cols)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     values = rng.normal(size=(n_rows, r)) @ rng.normal(size=(r, n_cols))
-    return (DesignMatrix(values=values, kept=np.arange(n_cols)),
+    return (DesignMatrix(values=values),
             rng.normal(size=n_rows))
 
 
@@ -94,8 +94,7 @@ def rank_deficient_lkb(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     ncf = cfg.coeffs_per_axis
     block = rng.normal(size=(m, r)) @ rng.normal(size=(r, ncf ** d))
-    lkb = LKBBasis(coeffs=np.moveaxis(block.reshape((m,) + (ncf,) * d),
-                                      0, -1),
+    lkb = LKBBasis(coeffs=block.reshape((m,) + (ncf,) * d),
                    kept=np.arange(m), config=cfg)
     return lkb.sample(grid), rng.normal(size=len(grid))
 
@@ -126,7 +125,7 @@ def test_dls_matches_lstsq_on_factored_lkb_bases(case):
 
 def test_factored_and_plain_paths_agree(pipeline):
     _, matrix, grid = pipeline
-    plain = DesignMatrix(values=matrix.values, kept=matrix.kept)
+    plain = DesignMatrix(values=matrix.values)
     assert matrix.rank_factor().shape[0] < plain.rank_factor().shape[0]
     k = matrix.rank(LSTSQ_RCOND)
     assert plain.rank(LSTSQ_RCOND) == k
@@ -157,8 +156,8 @@ def test_dls_factors_each_matrix_once(pipeline, monkeypatch):
     for matrix in matrices:
         for c in range(5):
             dls_fit(matrix, np.cos(c * grid.points[:, 0]))
-    # one SVD of W (as W^T) per matrix
-    assert calls == [matrices[0].rank_factor().T.shape] * 2
+    # one SVD of W per matrix
+    assert calls == [matrices[0].rank_factor().shape] * 2
 
 
 def test_dls_fitted_values_hold_on_an_ill_conditioned_matrix():
@@ -169,7 +168,7 @@ def test_dls_fitted_values_hold_on_an_ill_conditioned_matrix():
     u, _ = np.linalg.qr(rng.normal(size=(80, 30)))
     v, _ = np.linalg.qr(rng.normal(size=(30, 30)))
     values = (u * np.logspace(0, -9.8, 30)) @ v.T
-    matrix = DesignMatrix(values=values, kept=np.arange(30))
+    matrix = DesignMatrix(values=values)
     f = values @ rng.normal(size=30)
     fit = dls_fit(matrix, f)
     assert matrix.rank(LSTSQ_RCOND) == 30
@@ -180,7 +179,7 @@ def test_dls_fitted_values_hold_on_an_ill_conditioned_matrix():
 def test_design_matrix_values_are_read_only(pipeline):
     _, matrix, _ = pipeline
     values = np.eye(3)
-    plain = DesignMatrix(values=values, kept=np.arange(3))
+    plain = DesignMatrix(values=values)
     for array in (plain.values, matrix.values, matrix.coeffs, *matrix.qs,
                   *matrix.rs):
         with pytest.raises(ValueError, match="read-only"):
@@ -195,7 +194,7 @@ def test_design_matrix_ignores_later_writes_to_the_callers_array():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(20, 5))
     f = rng.normal(size=20)
-    matrix = DesignMatrix(values=values, kept=np.arange(5))
+    matrix = DesignMatrix(values=values)
     first = dls_fit(matrix, f)
     values[:, 0] *= 2.0
     again = dls_fit(matrix, f)
@@ -211,18 +210,18 @@ def test_pipeline_hands_its_arrays_over_without_copies(pipeline):
         assert not array.flags.writeable
     handed = np.eye(3)
     handed.flags.writeable = False  # a fresh array, handed over
-    assert DesignMatrix(values=handed, kept=np.arange(3)).values is handed
+    assert DesignMatrix(values=handed).values is handed
 
 
 def test_design_matrix_rejects_mismatched_factor(pipeline):
     _, matrix, _ = pipeline
     with pytest.raises(ValueError, match="factors"):
-        DesignMatrix(values=matrix.values, kept=matrix.kept,
+        DesignMatrix(values=matrix.values,
                      qs=matrix.qs[:1], rs=matrix.rs[:1],
                      coeffs=matrix.coeffs)
     with pytest.raises(ValueError, match="factors"):
-        DesignMatrix(values=matrix.values, kept=matrix.kept, qs=matrix.qs,
-                     rs=matrix.rs, coeffs=matrix.coeffs[..., 1:])
+        DesignMatrix(values=matrix.values, qs=matrix.qs,
+                     rs=matrix.rs, coeffs=matrix.coeffs[1:])
 
 
 def test_dls_dimension_mismatch(pipeline):
@@ -239,9 +238,9 @@ def _nan_at(values, i=1):
 
 @pytest.mark.parametrize("call", [
     lambda: PointSet.from_points(_nan_at(np.full((3, 2), 0.5))),
-    lambda: dls_fit(DesignMatrix(values=np.eye(4), kept=np.arange(4)),
+    lambda: dls_fit(DesignMatrix(values=np.eye(4)),
                     _nan_at(np.ones(4))),
-    lambda: omp_fit(DesignMatrix(values=np.eye(4), kept=np.arange(4)),
+    lambda: omp_fit(DesignMatrix(values=np.eye(4)),
                     _nan_at(np.ones(4)), sparsity=2),
     lambda: pivotal_fit(np.eye(4), [0, 1], [0, 1], _nan_at(np.ones(2))),
 ], ids=["PointSet", "dls_fit", "omp_fit", "pivotal_fit"])
@@ -261,7 +260,7 @@ def test_dls_deterministic(pipeline):
 def test_adding_columns_never_hurts(pipeline):
     _, matrix, grid = pipeline
     f = np.exp(-grid.points[:, 0] - grid.points[:, 1])
-    sub = DesignMatrix(values=matrix.values[:, :30], kept=matrix.kept[:30])
+    sub = DesignMatrix(values=matrix.values[:, :30])
     frm = dls_fit(sub, f).training_rmse
     full = dls_fit(matrix, f).training_rmse
     assert full <= frm + 1e-12
@@ -294,7 +293,7 @@ def test_evaluate_zero_fit_gives_rms_of_target(pipeline):
 def test_omp_single_atom_unnormalized_scale():
     rng = np.random.default_rng(1)
     values = rng.normal(size=(40, 6))
-    m = DesignMatrix(values=values, kept=np.arange(6))
+    m = DesignMatrix(values=values)
     fit = omp_fit(m, 3.0 * values[:, 5], sparsity=3)
     assert list(fit.support) == [5]
     assert fit.coefficients[5] == pytest.approx(3.0, abs=1e-12)
@@ -304,7 +303,7 @@ def test_omp_single_atom_unnormalized_scale():
 def test_omp_planted_support_recovery():
     rng = np.random.default_rng(2)
     q, _ = np.linalg.qr(rng.normal(size=(60, 12)))
-    m = DesignMatrix(values=q, kept=np.arange(12))
+    m = DesignMatrix(values=q)
     planted = [1, 4, 6, 9, 11]
     target = q[:, planted] @ np.array([2.0, -1.5, 1.0, 0.5, -3.0])
     fit = omp_fit(m, target, sparsity=5)
@@ -312,11 +311,20 @@ def test_omp_planted_support_recovery():
     assert fit.training_rmse <= 1e-8
 
 
+@pytest.mark.parametrize("sparsity", [0, -3])
+def test_omp_refuses_a_sparsity_below_one(sparsity):
+    """sparsity=0 used to return the all-zero fit, and -3 died inside
+    np.zeros."""
+    matrix = DesignMatrix(values=np.eye(4))
+    with pytest.raises(ValueError, match="sparsity"):
+        omp_fit(matrix, np.ones(4), sparsity=sparsity)
+
+
 def test_omp_orthogonal_target_stagnates():
     values = np.zeros((5, 2))
     values[0, 0] = 1.0
     values[1, 1] = 1.0
-    m = DesignMatrix(values=values, kept=np.arange(2))
+    m = DesignMatrix(values=values)
     target = np.zeros(5)
     target[4] = 1.0
     fit = omp_fit(m, target, sparsity=2)
@@ -377,7 +385,7 @@ def test_omp_matches_lstsq_oracle_on_separated_gaussian_matrices():
             * rng.uniform(0.5, 2.0, size=n_cols)
         f = rng.normal(size=n_rows)
         sparsity = int(rng.integers(1, min(n_rows, n_cols) + 1))
-        fit = omp_fit(DesignMatrix(values=values, kept=np.arange(n_cols)),
+        fit = omp_fit(DesignMatrix(values=values),
                       f, sparsity=sparsity)
         support, coef = omp_lstsq_oracle(values, f, sparsity)
         assert list(fit.support) == support, trial
@@ -397,7 +405,7 @@ def test_omp_breaks_rounding_ties_toward_the_lowest_index():
         values = base.copy()
         values[:, 4] = np.nextafter((trial % 4 + 1) * base[:, 1],
                                     rng.choice([-np.inf, np.inf], size=30))
-        fit = omp_fit(DesignMatrix(values=values, kept=np.arange(6)), f,
+        fit = omp_fit(DesignMatrix(values=values), f,
                       sparsity=2)
         assert list(fit.support) == [1, 2], trial
 
@@ -416,7 +424,7 @@ def full_rank_lkb(draw):
         min_size=d, max_size=d))))
     m = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    lkb = LKBBasis(coeffs=rng.normal(size=(ncf,) * d + (m,)),
+    lkb = LKBBasis(coeffs=rng.normal(size=(m,) + (ncf,) * d),
                    kept=np.arange(m), config=cfg)
     return lkb.sample(grid), rng.normal(size=len(grid)), \
         draw(st.integers(1, m))
@@ -426,7 +434,7 @@ def full_rank_lkb(draw):
 @given(full_rank_lkb())
 def test_omp_factored_and_plain_paths_agree(case):
     matrix, f, sparsity = case
-    plain = DesignMatrix(values=matrix.values, kept=matrix.kept)
+    plain = DesignMatrix(values=matrix.values)
     a = omp_fit(matrix, f, sparsity=sparsity)
     b = omp_fit(plain, f, sparsity=sparsity)
     assert list(a.support) == list(b.support)

@@ -23,12 +23,21 @@ def fam3():
     return build_inner_family(3, 2)
 
 
-def test_grid_enumeration_first_axis_fastest():
-    ps = PointSet.grid(2, (3, 2))
-    assert len(ps) == 6
-    # first coordinate cycles fastest
-    assert np.allclose(ps.points[:, 0], [0.0, 0.5, 1.0, 0.0, 0.5, 1.0])
-    assert np.allclose(ps.points[:, 1], [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+def test_grid_enumeration_is_c_order():
+    """Grid rows run last axis fastest, so samples reshape to the tensor
+    of values on the ij-indexed mesh; distinct axis lengths keep an axis
+    mix-up from passing."""
+    for shape in ((3, 2), (4, 5, 6)):
+        ps = PointSet.grid(len(shape), shape)
+        assert len(ps) == np.prod(shape)
+        mesh = np.meshgrid(*ps.grid_axes, indexing="ij")
+
+        def f(x):
+            return sum((a + 1) ** 2 * x[..., a] ** (a + 1)
+                       for a in range(len(shape)))
+
+        assert np.array_equal(f(ps.points).reshape(shape),
+                              f(np.stack(mesh, axis=-1)))
 
 
 def test_pointset_validates_cube():

@@ -199,18 +199,18 @@ def test_block_coefficients_match_per_column_denoise(grid):
     x, y = grid.points.T
     values = np.stack([np.sin(3 * x) * y, x * x - y, np.exp(x * y)], axis=1)
     coeffs = smoother.coefficients(values)
-    assert coeffs.shape == (cfg.coeffs_per_axis,) * 2 + (3,)
+    assert coeffs.shape == (3,) + (cfg.coeffs_per_axis,) * 2
     # column after column in memory: the cache writes this block as is
-    assert np.moveaxis(coeffs, -1, 0).flags.c_contiguous
+    assert coeffs.flags.c_contiguous
     for j in range(3):
         one = smoother.denoise(values[:, j]).coeffs
-        assert np.allclose(coeffs[..., j], one, rtol=0, atol=1e-14)
+        assert np.allclose(coeffs[j], one, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         smoother.denoise(values)
 
 
 def test_lkb_design_matrix_needs_a_grid(grid):
-    lkb = LKBBasis(coeffs=np.zeros((11, 11, 2)), kept=np.arange(2),
+    lkb = LKBBasis(coeffs=np.zeros((2, 11, 11)), kept=np.arange(2),
                    config=SmoothingConfig(segments=8))
     scattered = PointSet.from_points(grid.points[:50])
     with pytest.raises(ValueError, match="grid"):
@@ -231,10 +231,9 @@ def random_lkb_on_grid(draw):
                                    max_size=d)))
     m = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    # column blocks contiguous, as GridSmoother lays them out
+    # column after column, as GridSmoother lays them out
     block = rng.uniform(-1.0, 1.0, (m,) + (cfg.coeffs_per_axis,) * d)
-    lkb = LKBBasis(coeffs=np.moveaxis(block, 0, -1), kept=np.arange(m),
-                   config=cfg)
+    lkb = LKBBasis(coeffs=block, kept=np.arange(m), config=cfg)
     return lkb, PointSet.grid(d, per_axis)
 
 
@@ -245,7 +244,8 @@ def test_grid_design_matrix_matches_per_column_eval(case):
     values = lkb.design_matrix(grid)
     oracle = np.stack([eval_surface_on_grid(lkb.column(j), grid)
                        for j in range(lkb.n_columns)], axis=1)
-    assert values.flags.c_contiguous
+    # a view of the samples of one column after the other
+    assert values.flags.f_contiguous
     assert values.shape == oracle.shape
     assert np.max(np.abs(values - oracle)) <= 1e-14
 
@@ -283,9 +283,9 @@ def contracted_rhs(grid, cfg, values):
                                    degree=cfg.degree).design_matrix(axis)
                for axis in grid.grid_axes]
     shape = tuple(len(axis) for axis in grid.grid_axes)
-    t = values.reshape(shape + (values.shape[1],), order="F")
+    t = values.T.reshape((values.shape[1],) + shape)
     return contract_axes([b.T for b in designs], t).reshape(
-        -1, values.shape[1]), designs
+        values.shape[1], -1).T, designs
 
 
 @st.composite
@@ -322,8 +322,8 @@ def test_sparse_coefficients_match_per_axis_contraction(case):
     smoother = GridSmoother(grid, cfg)
     for block in (values, dense):
         got = smoother.coefficients(block)
-        assert got.shape == (cfg.coeffs_per_axis,) * grid.d + (dense.shape[1],)
-        got = got.reshape(want.shape)
+        assert got.shape == (dense.shape[1],) + (cfg.coeffs_per_axis,) * grid.d
+        got = got.reshape(dense.shape[1], -1).T
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -341,3 +341,40 @@ def test_lkb_build_keeps_the_raw_matrix_sparse():
         tracemalloc.stop()
     assert lkb.n_columns == 10343
     assert peak < 200e6
+
+
+def test_sampling_allocates_little_beside_the_matrix():
+    """M of a 3-d basis (190 columns, 15^3 coefficients, 41^3 grid) is
+    105 MB.  One batched product per axis leaves M beside the previous
+    step's smaller result; a transposing copy of the samples into grid
+    order reached 2.0 x M."""
+    cfg = SmoothingConfig(segments=12)
+    rng = np.random.default_rng(0)
+    lkb = LKBBasis(coeffs=rng.normal(size=(190,) + (15,) * 3),
+                   kept=np.arange(190), config=cfg)
+    grid = PointSet.grid(3, 41)
+    tracemalloc.start()
+    try:
+        matrix = lkb.sample(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (41 ** 3, 190)
+    assert peak < 1.5 * matrix.values.nbytes
+
+
+def test_smoother_forms_its_normal_matrix_in_place():
+    """A fresh 3-d smoother (11^3 coefficients, 1331^2 normal matrix of
+    14 MB) holds at most two arrays of the normal matrix's size at once:
+    its in-place sum and LAPACK's copy.  Summing into new arrays held up
+    to five of them (5.0 x)."""
+    cfg = SmoothingConfig(segments=8)
+    grid = PointSet.grid(3, 16)
+    GridSmoother(grid, cfg)  # the cached per-axis Gram matrices
+    tracemalloc.start()
+    try:
+        GridSmoother(grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * cfg.coeffs_per_axis ** 6 * 8
