@@ -1,13 +1,17 @@
-"""Micro-benchmarks of dls_fit and omp_fit on the pipeline's 2-d n=1000
-basis.
+"""Micro-benchmarks of the fits on the pipeline's 2-d n=1000 basis.
 
 The basis is the LKB basis the pipeline builds for 2-d n=1000 on the 41^2
-fit grid (a 1681 x 1458 matrix with a 729 x 1458 rank factor W), without
-its pivot search.  The first DLS fit on a freshly sampled matrix pays the
-SVD of W; every later fit reuses it.  OMP runs at sparsity 71, the
-pipeline's pivotal rank for this basis, once on the factored matrix and
-once on the same values as a plain matrix (W = M).  The file name keeps
-it out of the default test collection; run it on its own:
+fit grid (a 1681 x 1458 matrix with a 729 x 1458 rank factor W).  The
+first DLS fit on a freshly sampled matrix pays the SVD of W; every later
+fit, DLS or OMP, reuses it.  OMP runs at sparsity 71, the pipeline's
+pivotal rank for this basis, once on the factored matrix and once on the
+same values as a plain matrix (W = M); on a 2-core Intel Xeon x86-64 VM
+one factored fit takes 26-35 ms, where rebuilding W for every fit took
+46-57 ms.  The pivotal fit solves on the 71 x 71 block at the pivots that
+maxvol_select picks (a one-off ~4 s search); the warm fit reuses the SVD
+of that block.  The warm evaluation collapses a DLS fit into one surface
+and evaluates it on the 101^2 evaluation grid.  The file name keeps it
+out of the default test collection; run it on its own:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_fitting.py
 """
@@ -16,10 +20,12 @@ import numpy as np
 import pytest
 
 from kstfit.bench import ExperimentSpec
-from kstfit.fitting import dls_fit, omp_fit
+from kstfit.fitting import dls_fit, evaluate_fit, omp_fit
 from kstfit.inner import build_inner_family
 from kstfit.kb import DesignMatrix, KBBasis, PointSet
+from kstfit.pivotal import maxvol_select, pivotal_fit
 from kstfit.smoothing import SmoothingConfig, build_lkb_basis
+from kstfit.testfuncs import get as get_function
 
 D, N = 2, 1000
 OMP_SPARSITY = 71  # the pivotal rank of this basis
@@ -63,6 +69,29 @@ def test_omp_fit(benchmark, basis, kind):
     matrix = lkb.sample(grid)
     if kind == "plain":
         matrix = DesignMatrix(values=matrix.values)
+    omp_fit(matrix, target, sparsity=OMP_SPARSITY)  # factors W
     fit = benchmark.pedantic(omp_fit, args=(matrix, target),
                              kwargs={"sparsity": OMP_SPARSITY}, rounds=5)
     assert len(fit.support) == OMP_SPARSITY
+
+
+def test_warm_pivotal_fit(benchmark, basis):
+    lkb, grid, target = basis
+    matrix = lkb.sample(grid)
+    rows, cols = maxvol_select(matrix, OMP_SPARSITY)
+    pivotal_fit(matrix, rows, cols, target[rows])  # factors the block
+    fit = benchmark.pedantic(pivotal_fit,
+                             args=(matrix, rows, cols, target[rows]),
+                             rounds=20)
+    assert fit.training_rmse < 1e-8
+
+
+def test_warm_evaluate_fit(benchmark, basis):
+    lkb, grid, _ = basis
+    func = get_function(D, "f7")
+    fit = dls_fit(lkb.sample(grid), func(grid.points))
+    eval_pts = ExperimentSpec(d=D, n_list=(N,)).eval_points()
+    evaluate_fit(fit, lkb, eval_pts, func)  # fills the axis-design cache
+    err = benchmark.pedantic(evaluate_fit, args=(fit, lkb, eval_pts, func),
+                             rounds=20)
+    assert err < 1e-3

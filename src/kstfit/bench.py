@@ -34,8 +34,8 @@ _DEFAULT_EVAL_GRID = {1: 1001, 2: 101, 3: 101}
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a table/slope/count experiment needs; the one place
-    where segments and eval_grid of 0 take their defaults and grids are
-    checked, before anything is built."""
+    where segments and eval_grid of 0 take their defaults and grids and
+    smoothing settings are checked, before anything is built."""
 
     d: int
     n_list: tuple
@@ -54,6 +54,8 @@ class ExperimentSpec:
         if min(self.fit_grid, self.eval_grid) < 2:
             raise ValueError(f"need >= 2 grid points per axis, got fit grid "
                              f"{self.fit_grid}, eval grid {self.eval_grid}")
+        SmoothingConfig(penalty=self.penalty, degree=self.degree,
+                        segments=self.segments)  # raises on a bad setting
 
     def build_config(self, n):
         """Every input of the size-n build, the dict the cache hashes and

@@ -10,7 +10,8 @@ from .smoothing import eval_surface_on_grid
 
 # Relative singular-value threshold of the rank-revealing solve.
 LSTSQ_RCOND = 1e-10
-# Correlations below this mean the residual is numerically orthogonal.
+# Correlations at or below this times ||f|| mean the residual is
+# numerically orthogonal to every column.
 OMP_STAGNATION = 1e-14
 # Correlations within this relative distance of the largest tie; the
 # lowest index among them wins.
@@ -108,61 +109,69 @@ def omp_fit(matrix, f_values, sparsity):
     among correlations within a relative OMP_TIE of the largest the lowest
     index wins, so rounding cannot flip a tie.  Reported coefficients live
     on the original (unnormalized) columns.  Stops at the requested
-    sparsity, or flags stagnation when every remaining column is
-    numerically orthogonal to the residual or the chosen one lies in the
-    span of the active set.
+    sparsity, or flags stagnation when every remaining column scores at
+    most OMP_STAGNATION * ||f|| against the residual (a rule that scales
+    with the target, so 3 f and 3e9 f pick the same columns) or the chosen
+    one lies in the span of the active set.
 
-    The loop runs in the row coordinates of the rank factor: M = Q W with
-    Q = Q_1 x ... x Q_d orthonormal gives M^T r = W^T Q^T r, equal column
-    norms, and ||M_A x - f||^2 = ||W_A x - g||^2 + ||f - Q g||^2 for
-    g = Q^T f.  The active columns of W keep a QR factorization W_A = U R
-    that grows by one Gram-Schmidt column per step (orthogonalized twice,
-    which keeps U orthonormal to rounding), so a step costs O(s k) for W
-    with s rows, and the coefficients come from one triangular solve.
+    The loop runs in the coordinates of Z = S V^T from the SVD W = U S V^T
+    of the rank factor that the matrix keeps: M = Q W with Q = Q_1 x ... x
+    Q_d orthonormal, so Z^T Z = W^T W = M^T M, the columns of M and Z have
+    the same norms, and the part of g = Q^T f outside range(U) is
+    orthogonal to every column.  The target is h = U^T g, and column j
+    scores |V^T (S r)|_j / ||M_j|| for the residual r, with the column
+    norms the matrix keeps, so no step forms W or Z: the work that
+    depends on the basis alone is done once per matrix.  The active
+    columns of Z keep a QR factorization Z_A = U_A^T R whose U_A gains one
+    orthonormal Gram-Schmidt row per step (orthogonalized twice, which
+    keeps U_A orthonormal to rounding), so a step costs O(p m) for
+    p = min(s, m) rows of Z and m columns, and the coefficients come from
+    one triangular solve.
     """
     if sparsity < 1:
         raise ValueError(f"sparsity must be >= 1, got {sparsity}")
     n_rows, n_cols = matrix.shape
     f = target_vector(f_values, n_rows)
-    w = matrix.rank_factor()
-    g = matrix.project(f)
-    norms = np.linalg.norm(w, axis=0)
+    u_w, s, vt = matrix.svd
+    h = u_w.T @ matrix.project(f)
+    norms = matrix.column_norms
     usable = norms > 0
     phi = np.where(usable, norms, 1.0)
+    floor = OMP_STAGNATION * np.linalg.norm(f)
 
     budget = min(sparsity, n_rows, n_cols)
-    # W_A = U R: orthonormal U (s x k) and upper-triangular R (k x k)
-    u = np.zeros((w.shape[0], min(budget, w.shape[0])))
-    r = np.zeros((u.shape[1], u.shape[1]))
+    # Z_A = U_A^T R: U_A's rows orthonormal (k x p), R upper-triangular
+    u = np.zeros((min(budget, len(s)), len(s)))
+    r = np.zeros((len(u), len(u)))
     active = []
-    residual = g.copy()
+    residual = h.copy()
     stagnated = False
     while len(active) < budget:
         k = len(active)
-        corr = np.abs(w.T @ residual) / phi
+        corr = np.abs(vt.T @ (s * residual)) / phi
         corr[~usable] = 0.0
         corr[active] = 0.0
         top = corr.max()
         best = int(np.argmax(corr >= top * (1.0 - OMP_TIE)))
-        # at k = s, U spans every row coordinate of W: no column is new
-        if top < OMP_STAGNATION or k == u.shape[1]:
+        # at k = p, U_A spans every coordinate of Z: no column is new
+        if top <= floor or k == len(u):
             stagnated = True
             break
-        col = w[:, best].copy()
+        col = s * vt[:, best]
         for _ in range(2):
-            proj = u[:, :k].T @ col
-            col -= u[:, :k] @ proj
+            proj = u[:k] @ col
+            col -= proj @ u[:k]
             r[:k, k] += proj
         r[k, k] = np.linalg.norm(col)
         if r[k, k] <= LSTSQ_RCOND * norms[best]:
             stagnated = True
             break
-        u[:, k] = col / r[k, k]
-        residual -= u[:, k] * (u[:, k] @ residual)
+        u[k] = col / r[k, k]
+        residual -= u[k] * (u[k] @ residual)
         active.append(best)
     k = len(active)
     coef = np.zeros(n_cols)
-    coef[active] = sla.solve_triangular(r[:k, :k], u[:, :k].T @ g)
+    coef[active] = sla.solve_triangular(r[:k, :k], u[:k] @ h)
     return FitResult(coefficients=coef,
                      training_rmse=rms_seminorm(matrix.values @ coef - f),
                      method="omp", support=np.array(sorted(active), dtype=int),

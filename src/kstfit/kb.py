@@ -200,6 +200,32 @@ class DesignMatrix:
             a.flags.writeable = False
         return factors
 
+    @cached_property
+    def column_norms(self):
+        """Euclidean norms of the columns of M (those of W too), read-only;
+        taken on the first read and kept."""
+        norms = np.sqrt(np.einsum("ij,ij->j", self.values, self.values))
+        norms.flags.writeable = False
+        return norms
+
+    def block_svd(self, rows, cols):
+        """The thin SVD (U, s, V^T) of the block values[I, J], read-only.
+        The matrix keeps it for the last (I, J) asked for, as it keeps
+        svd, so repeated fits on one pivot set factor the block once; any
+        other (I, J) is factored afresh and replaces it."""
+        rows = np.array(rows, dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
+        kept = self.__dict__.get("_block_svd")
+        if (kept is not None and np.array_equal(kept[0], rows)
+                and np.array_equal(kept[1], cols)):
+            return kept[2]
+        factors = np.linalg.svd(self.values[np.ix_(rows, cols)],
+                                full_matrices=False)
+        for a in factors:
+            a.flags.writeable = False
+        self.__dict__["_block_svd"] = (rows, cols, factors)
+        return factors
+
     @property
     def singular_values(self):
         """sigma(M), largest first: the s of svd."""

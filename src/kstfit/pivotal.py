@@ -225,13 +225,15 @@ def build_cross_approximation(matrix, r):
 
 def pivotal_fit(matrix, rows, cols, f_at_rows):
     """Least-squares solve of the pivotal block M[I, J] x ~= f_I, embedded
-    as a full-length coefficient vector (zeros off J).  One SVD of the
-    block gives both its condition number and the solve."""
+    as a full-length coefficient vector (zeros off J).  (I, J) depend on
+    the basis alone, so the SVD of the block comes from the matrix, which
+    keeps it for the last (I, J) asked for: repeated fits on one basis
+    factor the block once and give the same bits as a fresh SVD.  That SVD
+    gives both the block's condition number and the solve."""
     matrix = _as_matrix(matrix)
     m = matrix.values
     f = target_vector(f_at_rows, len(rows))
-    core = m[np.ix_(rows, cols)]
-    u, s, vt = np.linalg.svd(core, full_matrices=False)
+    u, s, vt = matrix.block_svd(rows, cols)
     cond = s[0] / s[-1] if s[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > PIVOTAL_CONDITION_LIMIT:
         raise ValueError(
@@ -241,7 +243,7 @@ def pivotal_fit(matrix, rows, cols, f_at_rows):
     x = vt.T @ ((u.T @ f) / s)
     coef = np.zeros(m.shape[1])
     coef[np.asarray(cols)] = x
-    resid = rms_seminorm(core @ x - f)
+    resid = rms_seminorm(m[np.ix_(rows, cols)] @ x - f)
     return FitResult(coefficients=coef, training_rmse=resid,
                      method="pivotal", support=np.asarray(cols, dtype=int))
 

@@ -42,8 +42,8 @@ class SmoothingConfig:
     segments: int = 12
 
     def __post_init__(self):
-        if self.penalty < 0:
-            raise ValueError("penalty must be >= 0")
+        if not 0 <= self.penalty < np.inf:  # NaN fails too
+            raise ValueError("penalty must be finite and >= 0")
         if self.segments < 4:
             raise ValueError("need at least 4 segments per axis")
         if self.degree not in (2, 3):
@@ -71,6 +71,20 @@ class SmoothSurface:
 def _axis_design(degree, segments, t):
     return UniformBSplineBasis(count=segments + degree, degree=degree,
                                upper=1.0).design_matrix(t)
+
+
+def _grid_axis_design(degree, segments, axis):
+    """_axis_design at the points of one grid axis, read-only and shared:
+    the fit and evaluation grids repeat across every fit and basis."""
+    axis = np.ascontiguousarray(axis, dtype=float)
+    return _cached_axis_design(degree, segments, axis.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _cached_axis_design(degree, segments, axis_bytes):
+    design = _axis_design(degree, segments, np.frombuffer(axis_bytes))
+    design.flags.writeable = False
+    return design
 
 
 @lru_cache(maxsize=32)
@@ -137,7 +151,7 @@ class GridSmoother:
         self.grid = grid
         self.cfg = cfg
         self.d = grid.d
-        designs = [_axis_design(cfg.degree, cfg.segments, a)
+        designs = [_grid_axis_design(cfg.degree, cfg.segments, a)
                    for a in grid.grid_axes]
         ncf = cfg.coeffs_per_axis
         if len(grid) < ncf ** self.d:
@@ -222,7 +236,7 @@ def eval_surface_on_grid(surface, grid):
     """Fast path for tensor grids; returns values in grid row order."""
     if not grid.is_grid:
         return eval_surface(surface, grid.points)
-    designs = [_axis_design(surface.degree, surface.segments, axis)
+    designs = [_grid_axis_design(surface.degree, surface.segments, axis)
                for axis in grid.grid_axes]
     return contract_axes(designs, surface.coeffs).reshape(-1)
 
@@ -270,8 +284,8 @@ class LKBBasis:
         """The per-axis designs B_a of M = (B_1 x ... x B_d) C."""
         if not grid.is_grid:
             raise ValueError("the factored form needs a full uniform grid")
-        return [_axis_design(self.config.degree, self.config.segments, axis)
-                for axis in grid.grid_axes]
+        return [_grid_axis_design(self.config.degree, self.config.segments,
+                                  axis) for axis in grid.grid_axes]
 
     def design_matrix(self, grid):
         """(|grid|, n_columns) samples of every column on a full uniform

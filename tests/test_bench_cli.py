@@ -473,6 +473,24 @@ def test_bad_grid_fails_before_any_build(monkeypatch, capsys):
         assert "2 grid points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, setting, value", [
+    ("--segments", "segments", 3), ("--degree", "degree", 5),
+    ("--lambda-pen", "penalty", -1.0), ("--lambda-pen", "penalty", np.nan),
+    ("--lambda-pen", "penalty", np.inf)])
+def test_bad_smoothing_settings_fail_before_any_build(flag, setting, value,
+                                                      monkeypatch, capsys):
+    """These used to end in a traceback (exit 1): the first three from
+    SmoothingConfig, a NaN or infinite penalty from the Cholesky factor
+    after the inner family was built."""
+    _refuse_builds(monkeypatch)
+    with pytest.raises(ValueError, match=setting):
+        ExperimentSpec(d=2, n_list=(20,), **{setting: value})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--d", "2", "--n-list", "100", flag, str(value)])
+    assert exc.value.code == 2
+    assert setting in capsys.readouterr().err
+
+
 def test_cli_refuses_a_negative_sparsity(monkeypatch, capsys):
     """--sparsity -3 used to die inside np.zeros after the build; 0 keeps
     meaning the pivotal rank."""

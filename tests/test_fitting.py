@@ -300,6 +300,20 @@ def test_omp_single_atom_unnormalized_scale():
     assert fit.training_rmse <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e-9, 1.0, 3.0, 3e6, 3e9, 1e9])
+def test_omp_stagnation_does_not_depend_on_the_target_units(scale):
+    """An absolute stagnation floor picked [0, 3, 5] for 3e6 * column 5
+    and [2, 3, 5] for 3e9 * column 5: the residual's rounding grows with
+    the target, the floor did not."""
+    rng = np.random.default_rng(1)
+    values = rng.normal(size=(40, 6))
+    fit = omp_fit(DesignMatrix(values=values), scale * values[:, 5],
+                  sparsity=3)
+    assert list(fit.support) == [5]
+    assert fit.stagnated
+    assert fit.coefficients[5] == pytest.approx(scale, rel=1e-12)
+
+
 def test_omp_planted_support_recovery():
     rng = np.random.default_rng(2)
     q, _ = np.linalg.qr(rng.normal(size=(60, 12)))
@@ -365,7 +379,7 @@ def omp_lstsq_oracle(values, f, sparsity):
         corr = np.abs(normalized.T @ residual)
         corr[active] = 0.0
         best = int(np.argmax(corr))
-        if corr[best] < OMP_STAGNATION:
+        if corr[best] <= OMP_STAGNATION * np.linalg.norm(f):
             break
         active.append(best)
         coef_active = np.linalg.lstsq(values[:, active], f,
@@ -454,6 +468,36 @@ def test_omp_solves_no_least_squares_problem(pipeline, monkeypatch):
     monkeypatch.setattr(sla, "lstsq", refuse)
     fit = omp_fit(matrix, np.sin(3 * grid.points[:, 0]), sparsity=10)
     assert len(fit.support) == 10
+
+
+def test_omp_builds_the_rank_factor_once_per_matrix(pipeline, monkeypatch):
+    """OMP reads the SVD that the matrix keeps, so W = (R_1 x ... x R_d) C
+    is built once per matrix, for that SVD, not once per fit."""
+    lkb, _, grid = pipeline
+    calls = []
+
+    def counted(self):
+        calls.append(self.shape)
+        return rank_factor(self)
+
+    rank_factor = DesignMatrix.rank_factor
+    monkeypatch.setattr(DesignMatrix, "rank_factor", counted)
+    matrices = [lkb.sample(grid), lkb.sample(grid)]
+    for matrix in matrices:
+        for c in range(5):
+            fit = omp_fit(matrix, np.cos(c * grid.points[:, 0]), sparsity=8)
+            assert len(fit.support) == 8
+    assert calls == [matrices[0].shape] * 2
+
+
+def test_column_norms_are_kept_read_only(pipeline):
+    _, matrix, _ = pipeline
+    norms = matrix.column_norms
+    assert matrix.column_norms is norms
+    assert np.allclose(norms, np.linalg.norm(matrix.values, axis=0),
+                       rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        norms[0] = 1.0
 
 
 def test_omp_allocates_no_copy_of_the_sampled_matrix(pipeline):

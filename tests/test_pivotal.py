@@ -361,6 +361,59 @@ def test_pivotal_fit_takes_one_svd_of_the_block():
                        np.ones(2)).coefficients[1] == pytest.approx(1e11)
 
 
+def test_pivotal_fit_reuses_the_kept_block_svd():
+    """Repeated fits on one matrix and pivot set factor the block once,
+    give the same bits every time, and match a fresh SVD of the block."""
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=(30, 12))
+    matrix = DesignMatrix(values=values)
+    rows, cols = maxvol_select(matrix, 6)
+    targets = rng.normal(size=(4, 6))
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        fits = [pivotal_fit(matrix, rows, cols, f) for f in targets]
+        again = pivotal_fit(matrix, list(rows), list(cols), targets[0])
+    assert [call.args[0].shape for call in svd.call_args_list] == [(6, 6)]
+    assert np.array_equal(again.coefficients, fits[0].coefficients)
+    assert again.training_rmse == fits[0].training_rmse
+    u, s, vt = np.linalg.svd(values[np.ix_(rows, cols)], full_matrices=False)
+    for fit, f in zip(fits, targets):
+        assert np.array_equal(fit.coefficients[cols], vt.T @ ((u.T @ f) / s))
+        fresh = pivotal_fit(values, rows, cols, f)  # a new plain matrix
+        assert np.array_equal(fit.coefficients, fresh.coefficients)
+    for a, b in zip(matrix.block_svd(rows, cols), (u, s, vt)):
+        assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_another_pivot_set_gets_its_own_block_svd():
+    """The matrix keeps the factors of the last (I, J) only; a fit on
+    another (I, J) must never read stale factors."""
+    rng = np.random.default_rng(14)
+    values = rng.normal(size=(20, 10))
+    matrix = DesignMatrix(values=values)
+    f = rng.normal(size=4)
+    first = ([0, 3, 5, 7], [1, 2, 4, 8])
+    for rows, cols in (first, ([0, 3, 5, 9], [1, 2, 4, 8]),
+                       ([0, 3, 5, 7], [1, 2, 4, 9]), first):
+        fit = pivotal_fit(matrix, rows, cols, f)
+        want = np.linalg.solve(values[np.ix_(rows, cols)], f)
+        assert np.allclose(fit.coefficients[cols], want, rtol=1e-12,
+                           atol=1e-12)
+        fresh = np.linalg.svd(values[np.ix_(rows, cols)],
+                              full_matrices=False)
+        for kept, want in zip(matrix.block_svd(rows, cols), fresh):
+            assert np.array_equal(kept, want)
+    # the key is a copy: changing the caller's index array refactors
+    rows = np.array([0, 3, 5, 8])
+    pivotal_fit(matrix, rows, first[1], f)
+    rows[-1] = 9
+    fit = pivotal_fit(matrix, rows, first[1], f)
+    assert np.allclose(fit.coefficients[first[1]],
+                       np.linalg.solve(values[np.ix_(rows, first[1])], f),
+                       rtol=1e-12, atol=1e-12)
+
+
 def test_pivotal_fit_validates_length():
     m = np.eye(4)
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import second_derivative_sup, thin_plate_energy_of
+from kstfit import smoothing
 from kstfit.bsplines import UniformBSplineBasis, contract_axes
 from kstfit.inner import build_inner_family
 from kstfit.kb import KBBasis, PointSet, assemble_design_matrix
@@ -191,6 +192,29 @@ def test_surface_point_eval_matches_grid_eval(grid):
     via_grid = eval_surface_on_grid(s, grid)
     via_points = eval_surface(s, grid.points)
     assert np.allclose(via_grid, via_points, atol=1e-12)
+
+
+def test_grid_evaluation_reads_cached_read_only_axis_designs():
+    """Grid axes repeat across fits, so their designs are computed once
+    and shared read-only; evaluation through them keeps every bit."""
+    cfg = SmoothingConfig(degree=2, segments=5)
+    rng = np.random.default_rng(3)
+    surface = smoothing.SmoothSurface(
+        coeffs=rng.normal(size=(cfg.coeffs_per_axis,) * 2),
+        degree=cfg.degree, segments=cfg.segments)
+    uni = UniformBSplineBasis(count=cfg.coeffs_per_axis, degree=cfg.degree)
+    for grid in (PointSet.grid(2, 101), PointSet.grid(2, (7, 13))):
+        designs = [smoothing._grid_axis_design(cfg.degree, cfg.segments, a)
+                   for a in grid.grid_axes]
+        for axis, design in zip(grid.grid_axes, designs):
+            assert np.array_equal(design, uni.design_matrix(axis))
+            assert smoothing._grid_axis_design(
+                cfg.degree, cfg.segments, axis.copy()) is design
+            with pytest.raises(ValueError, match="read-only"):
+                design[0, 0] = 1.0
+        want = contract_axes([uni.design_matrix(a) for a in grid.grid_axes],
+                             surface.coeffs).reshape(-1)
+        assert np.array_equal(eval_surface_on_grid(surface, grid), want)
 
 
 def test_block_coefficients_match_per_column_denoise(grid):
