@@ -12,11 +12,9 @@ from .fitting import FitResult, dls_fit, evaluate_fit, omp_fit, rms_seminorm
 from .inner import (
     InnerFamily,
     build_inner_family,
-    eval_phi,
     eval_z,
     forward_superpose,
     load_inner_family,
-    make_kl_function,
     save_inner_family,
 )
 from .kb import (

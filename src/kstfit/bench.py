@@ -10,8 +10,7 @@ import numpy as np
 
 from . import cache as cache_io, kb
 from .fitting import dls_fit, evaluate_fit, omp_fit
-from .inner import PROFILES, build_inner_family, default_rank, \
-    make_kl_function
+from .inner import PROFILES, build_inner_family, default_rank
 from .kb import DesignMatrix, KBBasis, PointSet
 from .knet import rate_experiment
 from .pivotal import estimate_rank, maxvol_select, pivotal_fit, \
@@ -47,10 +46,13 @@ class ExperimentSpec:
     cache_dir: str = None
 
     def __post_init__(self):
+        if self.d not in _DEFAULT_SEGMENTS:
+            raise ValueError(f"no basis settings for d={self.d}; choose d "
+                             f"in {tuple(_DEFAULT_SEGMENTS)}")
         object.__setattr__(self, "segments", self.segments
-                           or _DEFAULT_SEGMENTS.get(self.d, 8))
+                           or _DEFAULT_SEGMENTS[self.d])
         object.__setattr__(self, "eval_grid", self.eval_grid
-                           or _DEFAULT_EVAL_GRID.get(self.d, 41))
+                           or _DEFAULT_EVAL_GRID[self.d])
         if min(self.fit_grid, self.eval_grid) < 2:
             raise ValueError(f"need >= 2 grid points per axis, got fit grid "
                              f"{self.fit_grid}, eval grid {self.eval_grid}")
@@ -255,13 +257,12 @@ def pivotal_count_experiment(spec):
 
 def run_knet_rate(d, profile, n_list):
     """Network sup-error against the family superposition of one of
-    inner.PROFILES at unit scale, as CSV."""
+    inner.PROFILES, as CSV."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
                          f"choose from {sorted(PROFILES)}")
     family = build_inner_family(d)
-    res = rate_experiment(family, make_kl_function(family, profile).profile,
-                          list(n_list))
+    res = rate_experiment(family, PROFILES[profile], list(n_list))
     lines = ["n,sup_error"]
     lines += [f"{n},{e:.4e}" for n, e in zip(res["n"], res["sup_error"])]
     slope = res["slope"]

@@ -85,16 +85,15 @@ class LinearSpline:
 
 
 def linear_interpolant(f, knots):
-    """The linear spline interpolating f at the given knots."""
+    """The linear spline interpolating f at the given knots; f takes the
+    knot array and returns one value per knot."""
     k = np.asarray(knots, dtype=float)
     if k.ndim != 1 or len(k) < 2 or np.any(np.diff(k) <= 0):
         raise ValueError("knots must be strictly increasing, >= 2 of them")
-    try:
-        vals = np.asarray(f(k), dtype=float)
-        if vals.shape != k.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(f(x)) for x in k])
+    vals = np.asarray(f(k), dtype=float)
+    if vals.shape != k.shape:
+        raise ValueError(f"f must return one value per knot: shape "
+                         f"{vals.shape} for {len(k)} knots")
     return LinearSpline(k, vals)
 
 

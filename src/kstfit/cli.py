@@ -16,7 +16,7 @@ import sys
 from .bench import (ExperimentSpec, fit_by_method,
                     pivotal_count_experiment, run_knet_rate,
                     run_slope_experiment, run_table_experiment)
-from .inner import PROFILES
+from .inner import PROFILES, superposition_weights
 from .testfuncs import get as get_function, registry
 
 FULL_SWEEP_2D = (100, 200, 400, 1000, 10000)
@@ -150,8 +150,8 @@ def main(argv=None):
             defaults["n_list"] = ",".join(map(str, defaults["n_list"]))
     parser = _make_parser(defaults)
     args = parser.parse_args(argv)
-    # function ids (valid per --d), the sparsity and the grids are all
-    # checked here, before any build
+    # --d, function ids (valid per --d), the sparsity and the grids are
+    # all checked here, before any build
     try:
         if args.command in ("fit", "slopes"):
             func = get_function(args.d, args.function)
@@ -159,7 +159,9 @@ def main(argv=None):
             registry(args.d)
         if args.command == "fit" and args.sparsity < 0:
             raise ValueError(f"need --sparsity >= 0, got {args.sparsity}")
-        if args.command != "knet-rate":
+        if args.command == "knet-rate":
+            superposition_weights(args.d)  # refuses a d it has no weights for
+        else:
             spec = _spec(args)
     except (KeyError, ValueError) as exc:
         parser.error(exc.args[0])

@@ -14,7 +14,7 @@ enough that the images of distinct town cubes under
 
 are pairwise disjoint intervals.  Window separation is measured on the
 constructed tables (exhaustively up to a size cap, extrapolated beyond)
-and the windows are re-tightened or perturbed until the margin holds.
+and the windows are re-tightened until the margin holds.
 """
 
 import math
@@ -24,7 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# One prime per weight, so these also fix the largest supported dimension.
+# d = 5 is the last d whose rank-1 check the tuning loop measures: its
+# 12**5 town cubes are within _BUILD_CHECK_CAP, while d = 6 has 14**6 and
+# no lower rank to extrapolate the separation from.
+_PRIMES = (2, 3, 5, 7, 11)
 
 # Largest number of town cubes (T**d) enumerated inside the tuning loop,
 # and the larger cap used by the final verification pass.
@@ -103,10 +107,6 @@ class InnerFamily:
     def n_phi(self):
         return 2 * self.d + 1
 
-    @property
-    def lambda_sum(self):
-        return float(self.lambdas.sum())
-
 
 def _min_cube_gap(anchors, lambdas, cap=_BUILD_CHECK_CAP):
     """Smallest gap between the weighted d-fold sums of the anchors.
@@ -127,7 +127,7 @@ def _min_cube_gap(anchors, lambdas, cap=_BUILD_CHECK_CAP):
     return float(np.diff(sums).min())
 
 
-def _assign_widths(lengths, unit_ids, town_caps, town_lens, tilt):
+def _assign_widths(lengths, unit_ids, town_caps, town_lens):
     """Distribute a unit value budget over the final segments.
 
     Walks the rank hierarchy top-down.  Within a cell, rank-k town pieces
@@ -147,7 +147,7 @@ def _assign_widths(lengths, unit_ids, town_caps, town_lens, tilt):
     rise_cum = []
     for k in range(rank + 1):
         deeper = (unit_ids[:, k:] % 2 == 1).any(axis=1)
-        free = np.where(deeper, 0.0, lengths) * tilt
+        free = np.where(deeper, 0.0, lengths)
         rise_cum.append(np.concatenate([[0.0], np.cumsum(free)]))
 
     stack = [(0, nseg, 1.0, 0)]
@@ -186,8 +186,9 @@ def _assign_widths(lengths, unit_ids, town_caps, town_lens, tilt):
     return widths
 
 
-def _build_phi(d, rank, q, lambdas, attempt):
-    """Construct one phi table; None when this attempt fails."""
+def _build_phi(d, rank, q, lambdas):
+    """Construct one phi table; RuntimeError when the value windows cannot
+    be made disjoint in float64."""
     towns_per_rank = [town_intervals(d, k, q) for k in range(1, rank + 1)]
     flat_per_rank = [t.ravel() for t in towns_per_rank]
 
@@ -206,23 +207,18 @@ def _build_phi(d, rank, q, lambdas, attempt):
     li = [np.searchsorted(edges, t[:, 0]) for t in towns_per_rank]
     ri = [np.searchsorted(edges, t[:, 1]) for t in towns_per_rank]
 
-    counts = [len(t) for t in towns_per_rank]
     lam_sum = float(lambdas.sum())
     town_lens = [2 * d * gap_width(d, k) for k in range(1, rank + 1)]
 
-    # Deterministic symmetry-breaking tilt, engaged only on retries.
-    if attempt == 0:
-        tilt = np.ones(nseg)
-    else:
-        rng = np.random.default_rng(776_003 * attempt + 131 * q + 7 * d + rank)
-        tilt = 1.0 + rng.integers(-8, 9, size=nseg) / 64.0
+    too_deep = (f"could not assign disjoint value windows for family q={q} "
+                f"(d={d}, rank={rank}); refinement too deep for float64")
 
     # Per-rank budget of one full town's value window.
     caps = np.array([0.02 / (3.0 * lam_sum * (2 * d + 2)) ** (k - 1)
                      for k in range(1, rank + 1)])
 
     def solve(cap):
-        widths = _assign_widths(lengths, unit_ids, caps, town_lens, tilt)
+        widths = _assign_widths(lengths, unit_ids, caps, town_lens)
         widths = np.where(lengths > 0, np.maximum(widths, _WIDTH_FLOOR), 0.0)
         vals = np.concatenate([[0.0], np.cumsum(widths)])
         vals /= vals[-1]
@@ -245,29 +241,25 @@ def _build_phi(d, rank, q, lambdas, attempt):
         return vals, report
 
     def tighten(report):
-        """Shrink caps of crowded ranks; True when the windows already sit
-        on the float64 floor and cannot be thinned further."""
-        floored = False
+        """Shrink caps of crowded ranks; raise when a measured crowded rank
+        already sits on the float64 floor and cannot be thinned further."""
         for k, (sep, maxw, measured) in enumerate(report):
             if maxw * lam_sum * _SEP_MARGIN > sep:
                 if caps[k] <= _WIDTH_FLOOR:
                     if measured:
-                        floored = True
+                        raise RuntimeError(too_deep)
                     continue
                 caps[k] = max(caps[k] * 0.9 * sep
                               / (_SEP_MARGIN * lam_sum * maxw),
                               0.5 * _WIDTH_FLOOR)
-        return floored
 
-    vals = None
     for _ in range(10):
         vals, report = solve(_BUILD_CHECK_CAP)
         bad = [k for k, (sep, maxw, _) in enumerate(report)
                if maxw * lam_sum * _SEP_MARGIN > sep]
         if not bad:
             break
-        if tighten(report):
-            return None
+        tighten(report)
     # Verify exhaustively at the larger cap (this is what decides for
     # ranks the tuning loop could only extrapolate).  A last tuning pass
     # that measured every rank and found none crowded has decided already:
@@ -279,31 +271,17 @@ def _build_phi(d, rank, q, lambdas, attempt):
                    if measured and maxw * lam_sum * _SEP_MARGIN > sep]
             if not bad:
                 break
-            if tighten(report):
-                return None
-        else:
-            return None
-
-    if not (np.all(np.diff(vals) > 0.0) and np.all(np.diff(edges) > 0.0)):
-        return None
+            tighten(report)
+    if bad or not (np.all(np.diff(vals) > 0.0)
+                   and np.all(np.diff(edges) > 0.0)):
+        raise RuntimeError(too_deep)
     return np.column_stack([edges, vals])
 
 
 @lru_cache(maxsize=8)
 def _build_cached(d, rank):
     lambdas = superposition_weights(d)
-    phis = []
-    for q in range(2 * d + 1):
-        table = None
-        for attempt in range(8):
-            table = _build_phi(d, rank, q, lambdas, attempt)
-            if table is not None:
-                break
-        if table is None:
-            raise RuntimeError(
-                f"could not assign disjoint value windows for family q={q} "
-                f"(d={d}, rank={rank}); refinement too deep for float64")
-        phis.append(table)
+    phis = [_build_phi(d, rank, q, lambdas) for q in range(2 * d + 1)]
     return InnerFamily(d=d, rank=rank, lambdas=lambdas, phis=phis)
 
 
@@ -312,8 +290,9 @@ def build_inner_family(d, rank=None):
     ``rank`` (default: default_rank(d)).  Deterministic: identical
     (d, rank) give identical tables.
 
-    Raises ValueError when the rank-``rank`` towns are too narrow for
-    float64, RuntimeError when no admissible value assignment is found.
+    Raises ValueError for a d outside 1..5 or when the rank-``rank``
+    towns are too narrow for float64, RuntimeError when no admissible
+    value assignment is found.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -326,18 +305,6 @@ def build_inner_family(d, rank=None):
             f"rank {rank} towns are narrower than 1e-14; construction "
             f"would underflow double precision")
     return _build_cached(d, rank)
-
-
-def eval_phi(family, q, x):
-    """Evaluate phi_q at x in [0,1] (scalar or array)."""
-    if not 0 <= q <= 2 * family.d:
-        raise IndexError(f"q must be in 0..{2 * family.d}, got {q}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
-        raise ValueError("phi argument outside [0, 1]")
-    table = family.phis[q]
-    out = np.interp(xa, table[:, 0], table[:, 1])
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
 def eval_z(family, q, x):
@@ -367,45 +334,14 @@ def forward_superpose(family, g, x):
     return float(acc) if single else acc
 
 
-# Univariate profiles g(t) = profile(scale, t) for make_kl_function.
+# Univariate outer profiles g(t) on [0, d], by name.
 PROFILES = {
-    "linear": lambda c, t: c * t,
-    "sin": lambda c, t: np.sin(c * t),
-    "sqrt": lambda c, t: np.sqrt(c * t),
-    "exp": lambda c, t: np.exp(-c * t),
-    "chirp": lambda c, t: np.sin(c * t * t / 2.0),
+    "linear": lambda t: t,
+    "sin": np.sin,
+    "sqrt": np.sqrt,
+    "exp": lambda t: np.exp(-t),
+    "chirp": lambda t: np.sin(t * t / 2.0),
 }
-
-
-def make_kl_function(family, kind, scale=1.0, basis=None, index=None):
-    """A d-variate evaluator built by superposing a univariate profile.
-
-    kind names one of PROFILES, 'linear' (C*t), 'sin' (sin(C*t)), 'sqrt'
-    (sqrt(C*t)), 'exp' (exp(-C*t)) and 'chirp' (sin(C*t^2/2)), or is
-    'bspline' (basis function ``index`` of a univariate basis on [0, d],
-    passed via ``basis``).
-    """
-    if not np.isfinite(scale):
-        raise ValueError("scale must be finite")
-    c = float(scale)
-    if kind in PROFILES:
-        profile = PROFILES[kind]
-        g = lambda t: profile(c, t)
-    elif kind == "bspline":
-        if basis is None or index is None:
-            raise ValueError("kind='bspline' needs basis= and index=")
-
-        def g(t):
-            col = basis.design_matrix(np.ravel(t))[:, index]
-            return col.reshape(np.shape(t)) if np.ndim(t) else float(col[0])
-    else:
-        raise ValueError(f"unknown profile kind {kind!r}")
-
-    def f(x):
-        return forward_superpose(family, g, x)
-
-    f.profile = g
-    return f
 
 
 _MAGIC = b"KSTI"

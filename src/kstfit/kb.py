@@ -55,11 +55,6 @@ class PointSet:
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         return cls(d=d, points=pts, grid_axes=axes)
 
-    @classmethod
-    def from_points(cls, pts):
-        pts = np.asarray(pts, dtype=float)
-        return cls(d=pts.shape[1], points=pts)
-
     @property
     def is_grid(self):
         return self.grid_axes is not None

@@ -433,10 +433,11 @@ def test_fit_by_method_rejects_unknown_method(cache_dir):
 
 
 def _refuse_builds(monkeypatch):
-    def no_build(cfg):
-        raise AssertionError("basis built for a bad input")
+    def no_build(*args):
+        raise AssertionError("basis or inner family built for a bad input")
 
     monkeypatch.setattr(bench, "_build", no_build)
+    monkeypatch.setattr(bench, "build_inner_family", no_build)
 
 
 def test_unknown_function_fails_before_any_build(monkeypatch, capsys):
@@ -489,6 +490,37 @@ def test_bad_smoothing_settings_fail_before_any_build(flag, setting, value,
         cli.main(["table", "--d", "2", "--n-list", "100", flag, str(value)])
     assert exc.value.code == 2
     assert setting in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [0, 4, 5])
+def test_basis_dimension_outside_the_defaults_fails_before_any_build(
+        d, monkeypatch, capsys):
+    """A d with no per-dimension segments and eval grid used to fall back
+    to 8 segments and a 41**d fit grid: 116 M points at d = 5, made before
+    anything failed."""
+    _refuse_builds(monkeypatch)
+    with pytest.raises(ValueError, match=f"d={d}"):
+        ExperimentSpec(d=d, n_list=(10,))
+    with pytest.raises(ValueError, match=f"d={d}"):
+        get_basis_set(d, 10)
+    for argv in (["build-basis", "--n", "10"],
+                 ["pivotal-count", "--n-list", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--d", str(d)])
+        assert exc.value.code == 2
+        assert f"d={d}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [0, 6, 16])
+def test_cli_knet_rate_refuses_an_unsupported_dimension(d, monkeypatch,
+                                                        capsys):
+    """These ended in a traceback (exit 1): a ValueError at d = 0 and 16,
+    an IndexError inside the inner build at d = 6."""
+    _refuse_builds(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["knet-rate", "--d", str(d), "--n-list", "4,8,16"])
+    assert exc.value.code == 2
+    assert "dimension" in capsys.readouterr().err
 
 
 def test_cli_refuses_a_negative_sparsity(monkeypatch, capsys):

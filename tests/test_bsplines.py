@@ -149,6 +149,15 @@ def test_linear_interpolant_rejects_bad_knots():
         linear_interpolant(np.sin, [0.0, 0.5, 0.5, 1.0])
 
 
+def test_linear_interpolant_needs_one_value_per_knot():
+    """f is called once on the knot array; a scalar-only f is refused
+    rather than called again point by point."""
+    with pytest.raises(ValueError, match="one value per knot"):
+        linear_interpolant(lambda t: 1.0, [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="one value per knot"):
+        linear_interpolant(lambda t: np.sin(t)[:-1], [0.0, 0.5, 1.0])
+
+
 def test_relu_identity_is_single_term():
     s = LinearSpline(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     r = linear_spline_to_relu(s)

@@ -237,7 +237,7 @@ def _nan_at(values, i=1):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: PointSet.from_points(_nan_at(np.full((3, 2), 0.5))),
+    lambda: PointSet(d=2, points=_nan_at(np.full((3, 2), 0.5))),
     lambda: dls_fit(DesignMatrix(values=np.eye(4)),
                     _nan_at(np.ones(4))),
     lambda: omp_fit(DesignMatrix(values=np.eye(4)),

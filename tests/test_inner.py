@@ -9,18 +9,24 @@ from conftest import (
     in_town_cube_count,
 )
 from kstfit import inner
+from kstfit.bench import run_knet_rate
 from kstfit.inner import (
+    PROFILES,
     build_inner_family,
-    eval_phi,
     eval_z,
     forward_superpose,
     gap_width,
     load_inner_family,
-    make_kl_function,
     save_inner_family,
     superposition_weights,
     _build_cached,
 )
+
+
+def phi(family, q, x):
+    """phi_q at x, read from its table."""
+    table = family.phis[q]
+    return np.interp(x, table[:, 0], table[:, 1])
 
 
 def test_weights_distinct_in_unit_interval():
@@ -66,22 +72,20 @@ def test_gap_miss_at_most_one_family_per_rank():
 
 def test_phi_anchors_and_domain():
     fam = build_inner_family(2, 2)
+    assert len(fam.phis) == fam.n_phi == 5
     for q in range(5):
-        assert eval_phi(fam, q, 0.0) == 0.0
-        assert eval_phi(fam, q, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        eval_phi(fam, 0, 1.5)
-    with pytest.raises(ValueError):
-        eval_phi(fam, 0, -0.1)
-    with pytest.raises(IndexError):
-        eval_phi(fam, 5, 0.5)
+        assert phi(fam, q, 0.0) == 0.0
+        assert phi(fam, q, 1.0) == 1.0
+    for bad in ([0.5, 1.5], [-0.1, 0.5]):
+        with pytest.raises(ValueError, match="unit cube"):
+            eval_z(fam, 0, np.array(bad))
 
 
 def test_phi_strictly_increasing_on_samples():
     fam = build_inner_family(2, 3)
     x = np.linspace(0, 1, 1001)
     for q in range(5):
-        v = eval_phi(fam, q, x)
+        v = phi(fam, q, x)
         assert np.all(np.diff(v) >= 0)
         # strict increase across town boundaries at table nodes
         tab = fam.phis[q]
@@ -95,16 +99,34 @@ def test_phi_stable_under_rank_refinement():
         fine = build_inner_family(d, k + 1)
         toler = 2 * d * gap_width(d, k)
         for q in range(2 * d + 1):
-            assert abs(eval_phi(coarse, q, 0.5) - eval_phi(fine, q, 0.5)) <= toler
+            assert abs(phi(coarse, q, 0.5) - phi(fine, q, 0.5)) <= toler
+
+
+# sha256 of the concatenated phi tables of the depth-3 family in 3-d, the
+# one every 3-d basis build uses
+_PHI3_SHA256 = "760a5516137d86191dfe964be01b202f97916cb61f703371d800751d5461db4f"
+
+
+def test_d3_default_family_keeps_its_bytes():
+    family = build_inner_family(3, 3)  # criterion 1's build, when cached
+    tables = b"".join(table.tobytes() for table in family.phis)
+    assert hashlib.sha256(tables).hexdigest() == _PHI3_SHA256
+
+
+def test_too_deep_a_rank_raises_runtime_error():
+    """At d = 2, rank 5 the value windows cannot be made disjoint in
+    float64; the one attempt per table says so."""
+    with pytest.raises(RuntimeError, match="rank=5"):
+        build_inner_family(2, 5)
 
 
 def test_z_corners_and_composition():
     fam = build_inner_family(2, 2)
     assert eval_z(fam, 0, np.zeros(2)) == 0.0
     top = eval_z(fam, 1, np.ones(2))
-    assert top == pytest.approx(fam.lambda_sum, abs=1e-14)
+    assert top == pytest.approx(fam.lambdas.sum(), abs=1e-14)
     lam = fam.lambdas
-    want = lam[0] * eval_phi(fam, 2, 0.3) + lam[1] * eval_phi(fam, 2, 0.7)
+    want = lam[0] * phi(fam, 2, 0.3) + lam[1] * phi(fam, 2, 0.7)
     assert eval_z(fam, 2, np.array([0.3, 0.7])) == pytest.approx(want, abs=1e-15)
     with pytest.raises(ValueError):
         eval_z(fam, 0, np.array([0.5, 1.2]))
@@ -134,21 +156,22 @@ def test_superpose_identity_matches_double_loop():
     for i, p in enumerate(pts):
         for q in range(5):
             for j in range(2):
-                want[i] += fam.lambdas[j] * eval_phi(fam, q, p[j])
+                want[i] += fam.lambdas[j] * phi(fam, q, p[j])
     assert np.allclose(got, want, atol=1e-13)
 
 
-def test_kl_factory():
+def test_profiles_superpose():
     fam = build_inner_family(2, 2)
-    zero = make_kl_function(fam, "linear", scale=0.0)
-    assert zero(np.array([0.3, 0.9])) == 0.0
-    lin = make_kl_function(fam, "linear", scale=1.0)
-    assert lin(np.ones(2)) == pytest.approx(5 * fam.lambda_sum, rel=1e-13)
-    for kind in ("sin", "exp", "chirp"):
-        f = make_kl_function(fam, kind, scale=2.0)
-        assert np.isfinite(f(np.array([0.2, 0.4])))
-    with pytest.raises(ValueError):
-        make_kl_function(fam, "tanh")
+    lin = forward_superpose(fam, PROFILES["linear"], np.ones(2))
+    assert lin == pytest.approx(5 * fam.lambdas.sum(), rel=1e-13)
+    corner = forward_superpose(fam, PROFILES["linear"], np.zeros(2))
+    assert corner == 0.0
+    pts = np.random.default_rng(2).random((20, 2))
+    for g in PROFILES.values():
+        out = forward_superpose(fam, g, pts)
+        assert out.shape == (20,) and np.all(np.isfinite(out))
+    with pytest.raises(ValueError, match="tanh"):
+        run_knet_rate(2, "tanh", (8, 16, 32))
 
 
 def test_build_rejects_bad_arguments():
@@ -158,6 +181,10 @@ def test_build_rejects_bad_arguments():
         build_inner_family(2, 0)
     with pytest.raises(ValueError):
         build_inner_family(2, 40)  # town widths below double precision
+    # d = 6..15 used to end in an IndexError inside the separation check
+    for d in (6, 15, 16):
+        with pytest.raises(ValueError, match="dimension"):
+            build_inner_family(d)
 
 
 def test_deterministic_rebuild():

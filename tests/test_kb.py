@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from kstfit.inner import build_inner_family
+from kstfit.inner import build_inner_family, forward_superpose
 from kstfit.kb import (
     KBBasis,
     PointSet,
@@ -42,7 +42,7 @@ def test_grid_enumeration_is_c_order():
 
 def test_pointset_validates_cube():
     with pytest.raises(ValueError):
-        PointSet.from_points(np.array([[0.5, 1.5]]))
+        PointSet(d=2, points=np.array([[0.5, 1.5]]))
 
 
 def test_kb_column_sum_is_2d_plus_1(fam2):
@@ -79,7 +79,7 @@ def test_trailing_columns_vanish(fam2):
 
 def test_design_matrix_rows_match_pointwise_eval(fam2):
     basis = KBBasis(fam2, n=8)
-    ps = PointSet.from_points(np.random.default_rng(3).random((5, 2)))
+    ps = PointSet(d=2, points=np.random.default_rng(3).random((5, 2)))
     m = assemble_design_matrix(basis, ps)
     assert m.shape == (5, 16)
     # a row holds at most degree+1 nonzeros from each of the 2d+1 maps
@@ -168,21 +168,19 @@ def test_independence_needs_enough_points(fam2):
 def test_superpose_of_basis_profile_equals_kb_column(fam2):
     # summing a univariate basis function over the superposition maps is
     # the definition of the composed column
-    from kstfit.inner import make_kl_function
-
     basis = KBBasis(fam2, n=12, degree=3)
     pts = np.random.default_rng(5).random((50, 2))
     for j in (0, 5, 11):
-        f = make_kl_function(fam2, "bspline", basis=basis.univariate,
-                             index=j)
-        assert np.allclose(f(pts), eval_kb(basis, j, pts), atol=1e-13)
-        # a scalar in gives a scalar out, at one point and in the profile
-        assert f(pts[0]) == pytest.approx(eval_kb(basis, j, pts[0]),
-                                          abs=1e-13)
-        value = f.profile(1.3)
-        assert isinstance(value, float)
-        assert value == basis.univariate.design_matrix(1.3)[0, j]
-        assert f.profile(np.full((2, 3), 1.3)).shape == (2, 3)
+        def b_j(t):
+            col = basis.univariate.design_matrix(np.ravel(t))[:, j]
+            return col.reshape(np.shape(t))
+
+        assert np.allclose(forward_superpose(fam2, b_j, pts),
+                           eval_kb(basis, j, pts), atol=1e-13)
+        # a scalar in gives a scalar out
+        one = forward_superpose(fam2, b_j, pts[0])
+        assert isinstance(one, float)
+        assert one == pytest.approx(eval_kb(basis, j, pts[0]), abs=1e-13)
 
 
 def test_density_residual_nonincreasing(fam2):

@@ -120,7 +120,7 @@ def test_error_bound_with_impulsive_noise(grid):
 
 
 def test_smoother_requires_grid_and_enough_points():
-    scattered = PointSet.from_points(np.random.default_rng(0).random((99, 2)))
+    scattered = PointSet(d=2, points=np.random.default_rng(0).random((99, 2)))
     with pytest.raises(ValueError, match="grid"):
         GridSmoother(scattered, SmoothingConfig(segments=8))
     tiny = PointSet.grid(2, 9)
@@ -236,7 +236,7 @@ def test_block_coefficients_match_per_column_denoise(grid):
 def test_lkb_design_matrix_needs_a_grid(grid):
     lkb = LKBBasis(coeffs=np.zeros((2, 11, 11)), kept=np.arange(2),
                    config=SmoothingConfig(segments=8))
-    scattered = PointSet.from_points(grid.points[:50])
+    scattered = PointSet(d=2, points=grid.points[:50])
     with pytest.raises(ValueError, match="grid"):
         lkb.design_matrix(scattered)
     with pytest.raises(ValueError, match="grid"):
