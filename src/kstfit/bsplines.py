@@ -1,11 +1,82 @@
 """Uniform B-spline bases, linear interpolatory splines and their exact
-rewriting as combinations of ReLU hinges."""
+rewriting as combinations of ReLU hinges.
+
+B-splines are evaluated by the de Boor recursion (de Boor 1972, "On
+calculating with B-splines") in the operation order of SciPy's
+``BSpline``, so designs and derivatives keep SciPy's bits without
+importing SciPy's interpolation package and what it pulls in."""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
+from scipy import sparse
+
+
+def bspline_basis(x, knots, degree):
+    """The degree+1 B-splines of the knot vector that can be nonzero at
+    each point: (values, first) with values[i, a] = B_{first[i]+a}(x[i]).
+
+    x must lie in [knots[degree], knots[-degree-1]]; each point falls in
+    the knot interval t_l <= x < t_{l+1}, the last interval being closed.
+    A NaN fails the range check, where searchsorted would place it."""
+    x = np.ascontiguousarray(x, dtype=float).ravel()
+    t = knots
+    n = len(t) - degree - 1
+    if not np.all((x >= t[degree]) & (x <= t[n])):
+        raise ValueError(f"argument outside [{t[degree]}, {t[n]}]")
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, degree, n - 1)
+    h = np.empty((len(x), degree + 1))
+    h[:, 0] = 1.0
+    for j in range(1, degree + 1):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for m in range(1, j + 1):
+            xb = t[ell + m]
+            xa = t[ell + m - j]
+            w = hh[:, m - 1] / (xb - xa)
+            h[:, m - 1] += w * (xb - x)
+            h[:, m] = w * (x - xa)
+    return h, ell - degree
+
+
+def design_csr(x, knots, degree):
+    """(len(x), len(knots)-degree-1) CSR design of every B-spline at x,
+    with SciPy's ``BSpline.design_matrix`` layout: degree+1 stored entries
+    per row, exact zeros included."""
+    values, first = bspline_basis(x, knots, degree)
+    rows, width = values.shape
+    itype = np.int32 if rows * width < np.iinfo(np.int32).max else np.int64
+    indices = (first[:, None] + np.arange(width)).astype(itype).ravel()
+    indptr = np.arange(0, (rows + 1) * width, width, dtype=itype)
+    return sparse.csr_array((values.ravel(), indices, indptr),
+                            shape=(rows, len(knots) - width))
+
+
+def spline_derivative(knots, coeffs, degree, order):
+    """(knots, coeffs, degree) of the order-th derivative of the splines
+    with the given coefficient columns, by SciPy's ``splder`` formula;
+    coeffs is padded with zero rows to len(knots)."""
+    c = np.zeros((len(knots), coeffs.shape[1]))
+    c[:len(coeffs)] = coeffs
+    t, k = knots, degree
+    for _ in range(order):
+        dt = t[k + 1:-1] - t[1:-k - 1]
+        c = (c[1:-1 - k] - c[:-2 - k]) * k / dt[:, None]
+        c = np.concatenate([c, np.zeros((k, c.shape[1]))])
+        t = t[1:-1]
+        k -= 1
+    return t, c, k
+
+
+def eval_spline(knots, coeffs, degree, x):
+    """The splines with the given coefficient columns at x, one column
+    each: the nonzero B-splines weighted and added left to right."""
+    values, first = bspline_basis(x, knots, degree)
+    out = 0.0
+    for a in range(degree + 1):
+        out = out + coeffs[first + a] * values[:, a, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -33,12 +104,11 @@ class UniformBSplineBasis:
 
     def design_matrix(self, t):
         """Dense (len(t), count) matrix of all basis functions at t."""
-        ta = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(ta < 0.0) or np.any(ta > self.upper):
-            raise ValueError(f"argument outside [0, {self.upper}]")
-        dm = BSpline.design_matrix(ta, self.knots, self.degree,
-                                   extrapolate=False)
-        return dm.toarray()
+        values, first = bspline_basis(t, self.knots, self.degree)
+        out = np.zeros((len(values), self.count))
+        rows = np.arange(len(values))[:, None]
+        out[rows, first[:, None] + np.arange(self.degree + 1)] = values
+        return out
 
     def support(self, j):
         """Knot interval outside which basis function j vanishes."""

@@ -127,81 +127,153 @@ def _min_cube_gap(anchors, lambdas, cap=_BUILD_CHECK_CAP):
     return float(np.diff(sums).min())
 
 
-def _assign_widths(lengths, unit_ids, town_caps, town_lens):
+def _run_sums(values, groups, n):
+    """Sum of each cell's run of values, where groups pairs an array of
+    cell numbers with the (cells, count) index matrix of their runs.  Runs
+    of one length are summed as the rows of one 2-D array, which uses the
+    pairwise kernel of ndarray.sum, so each sum has the bits of
+    values[run].sum()."""
+    out = np.zeros(n)
+    for cells, idx in groups:
+        out[cells] = values[idx].sum(axis=1)
+    return out
+
+
+def _run_groups(counts):
+    """The groups of _run_sums for consecutive runs counts[c] long."""
+    first = np.cumsum(counts) - counts
+    groups = []
+    for p in np.unique(counts[counts > 0]):
+        cells = np.flatnonzero(counts == p)
+        groups.append((cells, first[cells, None] + np.arange(p)))
+    return groups
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The rank-k split of every rank-k cell into its town and gap pieces.
+
+    parent[p] is the cell piece p lies in; the pieces of one level are
+    the cells of the next.  glen is a piece's length and rise the length
+    of a gap piece not covered by any deeper town (0 for towns).  Per
+    cell, rises says whether there is rise to spread the budget over,
+    rise_sum and glen_sum are the sums the budget is split by."""
+
+    parent: np.ndarray
+    is_town: np.ndarray
+    glen: np.ndarray
+    rise: np.ndarray
+    groups: list
+    rises: np.ndarray
+    rise_sum: np.ndarray
+    glen_sum: np.ndarray
+
+
+@dataclass(frozen=True)
+class _WidthPlan:
+    """The town/gap cell tree of one phi, which depends on the segment
+    lengths and unit ids only: one _Level per rank, then the bottom cell
+    of each final segment and the length of that cell."""
+
+    levels: list
+    lengths: np.ndarray
+    bottom: np.ndarray
+    bottom_len: np.ndarray
+
+
+def _width_plan(lengths, unit_ids):
+    """Walk the rank hierarchy top-down once.  Cells partition the
+    segments at every rank, so the rank-k pieces are the segment runs cut
+    at a cell boundary or where the rank-k unit changes."""
+    nseg, rank = unit_ids.shape
+    len_cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    bounds = np.array([0, nseg])
+    levels = []
+    for k in range(rank):
+        ids = unit_ids[:, k]
+        cuts = np.union1d(bounds, np.flatnonzero(ids[1:] != ids[:-1]) + 1)
+        starts, ends = cuts[:-1], cuts[1:]
+        ncell = len(bounds) - 1
+        parent = np.searchsorted(bounds, starts, side="right") - 1
+        is_town = ids[starts] % 2 == 1
+        glen = len_cum[ends] - len_cum[starts]
+        # length free of towns at ranks deeper than k
+        deeper = (unit_ids[:, k + 1:] % 2 == 1).any(axis=1)
+        rc = np.concatenate([[0.0], np.cumsum(np.where(deeper, 0.0,
+                                                       lengths))])
+        rise = np.where(is_town, 0.0, rc[ends] - rc[starts])
+        gap = ~is_town
+        rise_sum = _run_sums(rise[gap], _run_groups(
+            np.bincount(parent[gap], minlength=ncell)), ncell)
+        groups = _run_groups(np.bincount(parent, minlength=ncell))
+        rises = rise_sum > 0.0
+        levels.append(_Level(
+            parent=parent, is_town=is_town, glen=glen, rise=rise,
+            groups=groups, rises=rises,
+            rise_sum=np.where(rises, rise_sum, 1.0),
+            glen_sum=_run_sums(glen, groups, ncell)))
+        bounds = cuts
+    bottom = np.searchsorted(bounds, np.arange(nseg), side="right") - 1
+    return _WidthPlan(levels=levels, lengths=lengths, bottom=bottom,
+                      bottom_len=len_cum[bounds[1:]] - len_cum[bounds[:-1]])
+
+
+def _assign_widths(plan, town_caps, town_lens):
     """Distribute a unit value budget over the final segments.
 
-    Walks the rank hierarchy top-down.  Within a cell, rank-k town pieces
-    receive thin windows drawn from the global per-town budget
-    (town_caps[k] per full town of length town_lens[k], prorated), and the
-    remaining budget flows to gap pieces proportional to their rise
-    capacity: the length not covered by any deeper-rank town.  Full gaps
-    between sibling towns have identical capacity, so sibling anchors fall
-    on local arithmetic progressions, which keeps the weighted cube sums
-    spread out instead of collapsing birthday-style.
+    Walks the rank hierarchy of the plan top-down, one level at a time.
+    Within a cell, rank-k town pieces receive thin windows drawn from the
+    global per-town budget (town_caps[k] per full town of length
+    town_lens[k], prorated), and the remaining budget flows to gap pieces
+    proportional to their rise capacity: the length not covered by any
+    deeper-rank town.  Full gaps between sibling towns have identical
+    capacity, so sibling anchors fall on local arithmetic progressions,
+    which keeps the weighted cube sums spread out instead of collapsing
+    birthday-style.  A cell without rise splits its budget by length; a
+    gap piece without rise gets no budget and passes none down.
     """
-    nseg, rank = unit_ids.shape
-    widths = np.zeros(nseg)
-    len_cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    # rise_cum[k]: cumulative length free of towns at ranks >= k (0-based);
-    # rise_cum[rank] counts every segment.
-    rise_cum = []
-    for k in range(rank + 1):
-        deeper = (unit_ids[:, k:] % 2 == 1).any(axis=1)
-        free = np.where(deeper, 0.0, lengths)
-        rise_cum.append(np.concatenate([[0.0], np.cumsum(free)]))
+    w = np.ones(1)
+    for k, lv in enumerate(plan.levels):
+        ncell, up = len(w), lv.parent
+        piece_w = np.where(lv.is_town, town_caps[k] * lv.glen / town_lens[k],
+                           0.0)
+        tw_sum = _run_sums(piece_w, lv.groups, ncell)
+        # towns may take at most half of a cell that has rise
+        crowded = lv.rises & (tw_sum > 0.5 * w)
+        if crowded.any():
+            scale = np.ones(ncell)
+            scale[crowded] = 0.5 * w[crowded] / tw_sum[crowded]
+            piece_w *= scale[up]
+            tw_sum = _run_sums(piece_w, lv.groups, ncell)
+        gap_w = (w - tw_sum)[up] * lv.rise / lv.rise_sum[up]
+        by_len = w[up] * lv.glen / lv.glen_sum[up]
+        w = np.where(lv.rises[up], np.where(lv.is_town, piece_w, gap_w),
+                     by_len)
+    # bottom: spread across the final segments of each piece
+    return w[plan.bottom] * plan.lengths / plan.bottom_len[plan.bottom]
 
-    stack = [(0, nseg, 1.0, 0)]
-    while stack:
-        lo, hi, w_cell, k = stack.pop()
-        if w_cell <= 0.0 or hi <= lo:
-            continue
-        if k == rank:
-            # Bottom: spread across the final segments of this piece.
-            widths[lo:hi] = (w_cell * lengths[lo:hi]
-                             / (len_cum[hi] - len_cum[lo]))
-            continue
-        ids = unit_ids[lo:hi, k]
-        cut = np.flatnonzero(ids[1:] != ids[:-1]) + lo + 1
-        starts = np.concatenate([[lo], cut])
-        ends = np.concatenate([cut, [hi]])
-        is_town = unit_ids[starts, k] % 2 == 1
-        glen = len_cum[ends] - len_cum[starts]
 
-        piece_w = np.zeros(len(starts))
-        piece_w[is_town] = town_caps[k] * glen[is_town] / town_lens[k]
-        gap = ~is_town
-        rc = rise_cum[k + 1]
-        rise = rc[ends[gap]] - rc[starts[gap]]
-        tw_sum = piece_w.sum()
-        if gap.any() and rise.sum() > 0.0:
-            if tw_sum > 0.5 * w_cell:
-                piece_w *= 0.5 * w_cell / tw_sum
-                tw_sum = piece_w.sum()
-            piece_w[gap] = (w_cell - tw_sum) * rise / rise.sum()
-        else:
-            # Nowhere to rise: fall back to plain length proportion.
-            piece_w = w_cell * glen / glen.sum()
-        for s, e, w in zip(starts, ends, piece_w):
-            stack.append((s, e, w, k + 1))
-    return widths
+def _segments(d, rank, q):
+    """The rank-1..rank towns of family q, the sorted edges of the final
+    segments they cut [0,1] into, and unit_ids[s, k-1]: which rank-k
+    town/gap unit segment s falls in, encoded so odd values mean "inside
+    a town"."""
+    towns_per_rank = [town_intervals(d, k, q) for k in range(1, rank + 1)]
+    flat_per_rank = [t.ravel() for t in towns_per_rank]
+    edges = np.unique(np.concatenate([np.array([0.0, 1.0])] + flat_per_rank))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    unit_ids = np.empty((len(mids), rank), dtype=np.int64)
+    for k in range(rank):
+        unit_ids[:, k] = np.searchsorted(flat_per_rank[k], mids, side="right")
+    return towns_per_rank, edges, unit_ids
 
 
 def _build_phi(d, rank, q, lambdas):
     """Construct one phi table; RuntimeError when the value windows cannot
     be made disjoint in float64."""
-    towns_per_rank = [town_intervals(d, k, q) for k in range(1, rank + 1)]
-    flat_per_rank = [t.ravel() for t in towns_per_rank]
-
-    edges = np.unique(np.concatenate([np.array([0.0, 1.0])] + flat_per_rank))
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    towns_per_rank, edges, unit_ids = _segments(d, rank, q)
     lengths = np.diff(edges)
-    nseg = len(mids)
-
-    # unit_ids[s, k-1]: which rank-k town/gap unit segment s falls in,
-    # encoded so odd values mean "inside a town".
-    unit_ids = np.empty((nseg, rank), dtype=np.int64)
-    for k in range(rank):
-        unit_ids[:, k] = np.searchsorted(flat_per_rank[k], mids, side="right")
+    plan = _width_plan(lengths, unit_ids)
 
     # Node index of each town's endpoints in the edge array (exact floats).
     li = [np.searchsorted(edges, t[:, 0]) for t in towns_per_rank]
@@ -218,7 +290,7 @@ def _build_phi(d, rank, q, lambdas):
                      for k in range(1, rank + 1)])
 
     def solve(cap):
-        widths = _assign_widths(lengths, unit_ids, caps, town_lens)
+        widths = _assign_widths(plan, caps, town_lens)
         widths = np.where(lengths > 0, np.maximum(widths, _WIDTH_FLOOR), 0.0)
         vals = np.concatenate([[0.0], np.cumsum(widths)])
         vals /= vals[-1]
@@ -315,7 +387,7 @@ def eval_z(family, q, x):
     xa = np.asarray(x, dtype=float)
     if xa.shape[-1] != family.d:
         raise ValueError(f"expected last axis of size {family.d}")
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):  # NaN fails too
         raise ValueError("point outside the unit cube")
     table = family.phis[q]
     vals = np.interp(xa, table[:, 0], table[:, 1])

@@ -12,9 +12,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.interpolate import BSpline
 
-from .bsplines import UniformBSplineBasis, contract_axes
+from .bsplines import UniformBSplineBasis, contract_axes, design_csr
 from .inner import eval_z
 
 # Relative column norm at or below which a raw KB column is pruned.
@@ -241,8 +240,7 @@ def assemble_design_matrix(basis, pts):
     uni = basis.univariate
     acc = None
     for q in range(z.shape[0]):
-        dm = BSpline.design_matrix(np.clip(z[q], 0.0, uni.upper), uni.knots,
-                                   uni.degree, extrapolate=False)
+        dm = design_csr(np.clip(z[q], 0.0, uni.upper), uni.knots, uni.degree)
         acc = dm if acc is None else acc + dm
     return acc
 

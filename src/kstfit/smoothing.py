@@ -20,10 +20,14 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve
 
-from .bsplines import UniformBSplineBasis, contract_axes
+from .bsplines import (
+    UniformBSplineBasis,
+    contract_axes,
+    eval_spline,
+    spline_derivative,
+)
 from .kb import DesignMatrix, assemble_design_matrix, prune_near_zero_columns
 
 # Gauss-Legendre points per interval of the energy quadrature, exact for
@@ -98,16 +102,14 @@ def _axis_grams(degree, segments):
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_POINTS)
     grams = []
     for order in range(3):
+        # one coefficient column per basis function
+        knots, coeffs, deg = spline_derivative(basis.knots, np.eye(ncf),
+                                               degree, order)
         g = np.zeros((ncf, ncf))
         for a, b in zip(breaks[:-1], breaks[1:]):
             t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
             w = 0.5 * (b - a) * weights
-            cols = np.empty((len(t), ncf))
-            for j in range(ncf):
-                c = np.zeros(ncf)
-                c[j] = 1.0
-                spl = BSpline(basis.knots, c, degree)
-                cols[:, j] = spl.derivative(order)(t) if order else spl(t)
+            cols = eval_spline(knots, coeffs, deg, t)
             g += (cols * w[:, None]).T @ cols
         grams.append(g)
     return grams
@@ -135,6 +137,32 @@ def energy_matrix(d, cfg):
             term = np.kron(term, grams[alpha[a]])
         total += term  # in place from the second term on
     return total
+
+
+def _kron_csr(x, y):
+    """kron(x, y) of two CSR arrays with sorted indices, built in CSR with
+    sorted indices: row (r, j) holds x[r, i] * y[j, l] at column
+    i * y.shape[1] + l.  One vectorized pass per row of y fills the final
+    arrays in place, with no COO intermediate of the product's size."""
+    nrow, ncol = x.shape[0] * y.shape[0], x.shape[1] * y.shape[1]
+    counts = np.multiply.outer(np.diff(x.indptr), np.diff(y.indptr))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    itype = np.int32 if max(indptr[-1], ncol) <= np.iinfo(np.int32).max \
+        else np.int64
+    indices = np.empty(indptr[-1], dtype=itype)
+    data = np.empty(indptr[-1])
+    x_row = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    x_pos = np.arange(x.nnz) - x.indptr[x_row]  # place within its row
+    x_col = x.indices.astype(np.int64) * y.shape[1]
+    for j in range(y.shape[0]):
+        lo, hi = y.indptr[j], y.indptr[j + 1]
+        # entry p of x starts a run of hi - lo entries in row (r(p), j)
+        dest = (indptr[x_row * y.shape[0] + j] + x_pos * (hi - lo))[:, None] \
+            + np.arange(hi - lo)
+        indices[dest] = x_col[:, None] + y.indices[lo:hi]
+        data[dest] = x.data[:, None] * y.data[lo:hi]
+    return sparse.csr_array((data, indices, indptr.astype(itype)),
+                            shape=(nrow, ncol))
 
 
 class GridSmoother:
@@ -174,12 +202,12 @@ class GridSmoother:
             raise ValueError(f"singular penalized normal system: {exc}")
         del normal
         self._ncf = ncf
-        # A = B_1 x ... x B_d: rows in grid order, columns in the C order
-        # of the coefficient tensor
-        a = sparse.csr_array(designs[0])
+        # A^T = B_1^T x ... x B_d^T for A = B_1 x ... x B_d: rows in the
+        # C order of the coefficient tensor, columns in grid order
+        at = sparse.csr_array(designs[0].T)
         for b in designs[1:]:
-            a = sparse.kron(a, b, format="csr")
-        self._at = a.T.tocsr()
+            at = _kron_csr(at, sparse.csr_array(b.T))
+        self._at = at
 
     def coefficients(self, values):
         """Coefficient tensors of the smoothed columns of values (N, m),

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import shutil
 import struct
@@ -109,6 +110,29 @@ def test_build_takes_one_svd_of_the_rank_factor(monkeypatch):
     for c in range(5):
         dls_fit(basis.matrix, np.cos(c * basis.grid.points[:, 0]))
     assert calls == [basis.matrix.rank_factor().shape]
+
+
+# sha256 of the 2-d n=100 pivot rows then columns (little-endian int64)
+# and of its default table CSV; the same under 1 and 2 OpenBLAS threads
+# and under the Prescott, Sandybridge, Haswell and SkylakeX kernels
+_PIVOTS_2D_N100_SHA256 = \
+    "cf15e318be4cf4d2844bfcc86c3bf724742e21b852dec2c93b1f39253f3b5608"
+_TABLE_2D_N100_SHA256 = \
+    "3242a9b2a6d85fe3346437ca78542435a83447416883a6b552f812c4a4edc287"
+
+
+def test_2d_n100_pivots_and_table_keep_their_bytes():
+    """The same-numbers gate: a change meant to keep the numbers keeps the
+    52 pivots and the table text byte for byte."""
+    spec = ExperimentSpec(d=2, n_list=(100,))
+    basis = spec.basis(100)
+    assert basis.rank == 52
+    pivots = np.concatenate([basis.rows, basis.cols]).astype("<i8")
+    assert hashlib.sha256(pivots.tobytes()).hexdigest() \
+        == _PIVOTS_2D_N100_SHA256
+    table = run_table_experiment(spec)
+    assert "pivotal n=100 (52 samples)" in table
+    assert hashlib.sha256(table.encode()).hexdigest() == _TABLE_2D_N100_SHA256
 
 
 def test_build_frees_the_raw_matrix_before_the_pivot_search(monkeypatch):

@@ -1,17 +1,26 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kstfit
+
 from kstfit.bsplines import (
     LinearSpline,
     ReluCombination,
     UniformBSplineBasis,
+    bspline_basis,
     contract_axes,
+    design_csr,
     eval_relu_combination,
+    eval_spline,
     linear_interpolant,
     linear_spline_to_relu,
+    spline_derivative,
 )
 
 
@@ -114,6 +123,55 @@ def test_design_matrix_rejects_points_outside_the_domain():
     for bad in (2.5, -0.1, [0.5, 2.0 + 1e-9]):
         with pytest.raises(ValueError, match="outside"):
             basis.design_matrix(bad)
+
+
+def test_evaluator_keeps_the_bits_of_scipy_bsplines():
+    """The NumPy de Boor recursion reproduces SciPy's design matrix (data,
+    indices, index dtype) and its splder derivatives bit for bit, at
+    random points, at every knot and at both ends."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(5)
+    for degree in (1, 2, 3):
+        for count, upper in ((degree + 1, 1.0), (17, 1.0), (40, 3.0)):
+            basis = UniformBSplineBasis(count=count, degree=degree,
+                                        upper=upper)
+            x = np.concatenate([upper * rng.random(500), basis.knots])
+            want = interpolate.BSpline.design_matrix(x, basis.knots, degree)
+            got = design_csr(x, basis.knots, degree)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(want, name), getattr(got, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert np.array_equal(basis.design_matrix(x), want.toarray())
+            c = rng.normal(size=count)
+            spline = interpolate.BSpline(basis.knots, c, degree)
+            for order in range(degree + 1):
+                t, cc, k = spline_derivative(basis.knots, c[:, None], degree,
+                                             order)
+                assert np.array_equal(eval_spline(t, cc, k, x)[:, 0],
+                                      spline.derivative(order)(x))
+
+
+def test_evaluator_rejects_non_finite_arguments():
+    """searchsorted would place a NaN silently; every entry point raises
+    instead, as SciPy's design matrix does."""
+    basis = UniformBSplineBasis(count=9, degree=3, upper=2.0)
+    for bad in ([0.5, np.nan], [np.inf], [-np.inf, 1.0]):
+        with pytest.raises(ValueError):
+            basis.design_matrix(bad)
+        with pytest.raises(ValueError):
+            bspline_basis(np.array(bad), basis.knots, 3)
+        with pytest.raises(ValueError):
+            design_csr(np.array(bad), basis.knots, 3)
+
+
+def test_import_leaves_scipy_interpolate_out():
+    """B-splines need no scipy.interpolate, so no process pays its import."""
+    src = os.path.dirname(os.path.dirname(kstfit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, kstfit, kstfit.cli; "
+            "sys.exit('scipy.interpolate' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_linear_interpolant_reproduces_linear_and_kinks():

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     cube_image_overlap,
@@ -13,6 +14,7 @@ from kstfit.bench import run_knet_rate
 from kstfit.inner import (
     PROFILES,
     build_inner_family,
+    default_rank,
     eval_z,
     forward_superpose,
     gap_width,
@@ -132,6 +134,15 @@ def test_z_corners_and_composition():
         eval_z(fam, 0, np.array([0.5, 1.2]))
 
 
+def test_z_rejects_a_nan_coordinate():
+    """NaN compares false both ways; it must not pass the cube check and
+    come back as a NaN z."""
+    fam = build_inner_family(2, 2)
+    for bad in ([np.nan, 0.5], [[0.1, 0.2], [0.5, np.nan]], [np.inf, 0.5]):
+        with pytest.raises(ValueError, match="unit cube"):
+            eval_z(fam, 0, np.array(bad))
+
+
 def test_z_vectorized_matches_scalar():
     fam = build_inner_family(2, 2)
     pts = np.random.default_rng(3).random((50, 2))
@@ -201,6 +212,97 @@ _PHI_SHA256 = {
     1: "e3495741f30282fbb8362061eecb7d8ac05729794493388f7cc92ce24421f681",
     2: "ad6f65fbaf0d43be67ee23c8238734a0e71f89c67f83d8fb9aaf0434874570a9",
 }
+
+
+# the same for two shallower 2-d families
+_PHI_SHA256_SHALLOW = {
+    (2, 2): "a51dc455786c8bd080da7799e73c5bd2e615e409e3c60a99317b6e34502e73c8",
+    (2, 3): "34580d80b4a4d54e7ff8c0f0befff811e45472a68adc84ed15dea57301ded354",
+}
+
+
+@pytest.mark.parametrize("d,rank", sorted(_PHI_SHA256_SHALLOW))
+def test_shallow_families_keep_their_bytes(d, rank):
+    family = _build_cached.__wrapped__(d, rank)
+    tables = b"".join(table.tobytes() for table in family.phis)
+    assert hashlib.sha256(tables).hexdigest() == _PHI_SHA256_SHALLOW[d, rank]
+
+
+def reference_widths(lengths, unit_ids, town_caps, town_lens):
+    """The width assignment as one recursive walk of the cell tree, cell
+    by cell: the oracle of the level-by-level plan."""
+    nseg, rank = unit_ids.shape
+    widths = np.zeros(nseg)
+    len_cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    rise_cum = []
+    for k in range(rank + 1):
+        deeper = (unit_ids[:, k:] % 2 == 1).any(axis=1)
+        free = np.where(deeper, 0.0, lengths)
+        rise_cum.append(np.concatenate([[0.0], np.cumsum(free)]))
+
+    stack = [(0, nseg, 1.0, 0)]
+    while stack:
+        lo, hi, w_cell, k = stack.pop()
+        if w_cell <= 0.0 or hi <= lo:
+            continue
+        if k == rank:
+            widths[lo:hi] = (w_cell * lengths[lo:hi]
+                             / (len_cum[hi] - len_cum[lo]))
+            continue
+        ids = unit_ids[lo:hi, k]
+        cut = np.flatnonzero(ids[1:] != ids[:-1]) + lo + 1
+        starts = np.concatenate([[lo], cut])
+        ends = np.concatenate([cut, [hi]])
+        is_town = unit_ids[starts, k] % 2 == 1
+        glen = len_cum[ends] - len_cum[starts]
+
+        piece_w = np.zeros(len(starts))
+        piece_w[is_town] = town_caps[k] * glen[is_town] / town_lens[k]
+        gap = ~is_town
+        rc = rise_cum[k + 1]
+        rise = rc[ends[gap]] - rc[starts[gap]]
+        tw_sum = piece_w.sum()
+        if gap.any() and rise.sum() > 0.0:
+            if tw_sum > 0.5 * w_cell:
+                piece_w *= 0.5 * w_cell / tw_sum
+                tw_sum = piece_w.sum()
+            piece_w[gap] = (w_cell - tw_sum) * rise / rise.sum()
+        else:
+            piece_w = w_cell * glen / glen.sum()
+        for s, e, w in zip(starts, ends, piece_w):
+            stack.append((s, e, w, k + 1))
+    return widths
+
+
+@st.composite
+def width_problems(draw):
+    """A family's segments at a supported rank, with per-rank town caps
+    of the construction's start scaled down by factors in (0, 1].  The
+    construction only ever shrinks caps; raised 1000-fold, towns also
+    crowd cells and take the halving branch."""
+    d = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, default_rank(d)))
+    q = draw(st.integers(0, 2 * d))
+    factors = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                            min_size=rank, max_size=rank))
+    boost = draw(st.sampled_from([1.0, 1000.0]))
+    lam_sum = float(superposition_weights(d).sum())
+    caps = np.array([boost * f * 0.02 / (3.0 * lam_sum * (2 * d + 2)) ** k
+                     for k, f in enumerate(factors)])
+    return d, rank, q, caps
+
+
+@settings(max_examples=60, deadline=None)
+@given(width_problems())
+def test_width_plan_matches_the_recursive_walk(problem):
+    d, rank, q, caps = problem
+    _, edges, unit_ids = inner._segments(d, rank, q)
+    lengths = np.diff(edges)
+    town_lens = [2 * d * gap_width(d, k) for k in range(1, rank + 1)]
+    got = inner._assign_widths(inner._width_plan(lengths, unit_ids), caps,
+                               town_lens)
+    want = reference_widths(lengths, unit_ids, caps, town_lens)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -217,6 +217,26 @@ def test_grid_evaluation_reads_cached_read_only_axis_designs():
         assert np.array_equal(eval_surface_on_grid(surface, grid), want)
 
 
+@pytest.mark.parametrize("d,per_axis,segments", [(1, 41, 12), (2, 41, 12),
+                                                 (2, (7, 13), 4),
+                                                 (3, (9, 6, 11), 4)])
+def test_smoother_builds_the_kron_transpose_in_csr(d, per_axis, segments):
+    """A^T is assembled in CSR from the axis designs with the arrays of
+    kron(B_1, ..., B_d).T.tocsr(): same structure, same products."""
+    cfg = SmoothingConfig(segments=segments)
+    grid = PointSet.grid(d, per_axis)
+    designs = [smoothing._grid_axis_design(cfg.degree, cfg.segments, a)
+               for a in grid.grid_axes]
+    a = sparse.csr_array(designs[0])
+    for b in designs[1:]:
+        a = sparse.kron(a, b, format="csr")
+    want = a.T.tocsr()
+    got = GridSmoother(grid, cfg)._at
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_block_coefficients_match_per_column_denoise(grid):
     cfg = SmoothingConfig(penalty=1.0, segments=8)
     smoother = GridSmoother(grid, cfg)
