@@ -5,13 +5,16 @@ fit grid (a 1681 x 1458 matrix with a 729 x 1458 rank factor W).  The
 first DLS fit on a freshly sampled matrix pays the SVD of W; every later
 fit, DLS or OMP, reuses it.  OMP runs at sparsity 71, the pipeline's
 pivotal rank for this basis, once on the factored matrix and once on the
-same values as a plain matrix (W = M); on a 2-core Intel Xeon x86-64 VM
-one factored fit takes 26-35 ms, where rebuilding W for every fit took
-46-57 ms.  The pivotal fit solves on the 71 x 71 block at the pivots that
-maxvol_select picks (a one-off ~4 s search); the warm fit reuses the SVD
-of that block.  The warm evaluation collapses a DLS fit into one surface
-and evaluates it on the 101^2 evaluation grid.  The file name keeps it
-out of the default test collection; run it on its own:
+same values as a plain matrix (W = M); its first fit also forms the
+Gram matrix G = M^T M that OMP's score updates read.  On a 2-core Intel
+Xeon x86-64 VM one factored fit takes 12-15 ms (median), where scoring
+every column afresh at every step took 33-36 ms and rebuilding W for
+every fit 46-57 ms.  The pivotal fit solves on the 71 x 71 block at the
+pivots that maxvol_select picks (a one-off ~4 s search); the warm fit
+reuses the SVD of that block.  The warm evaluation collapses a DLS fit
+into one surface and evaluates it on the 101^2 evaluation grid.  The
+file name keeps it out of the default test collection; run it on its
+own:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_fitting.py
 """
@@ -69,7 +72,7 @@ def test_omp_fit(benchmark, basis, kind):
     matrix = lkb.sample(grid)
     if kind == "plain":
         matrix = DesignMatrix(values=matrix.values)
-    omp_fit(matrix, target, sparsity=OMP_SPARSITY)  # factors W
+    omp_fit(matrix, target, sparsity=OMP_SPARSITY)  # factors W, forms G
     fit = benchmark.pedantic(omp_fit, args=(matrix, target),
                              kwargs={"sparsity": OMP_SPARSITY}, rounds=5)
     assert len(fit.support) == OMP_SPARSITY

@@ -88,7 +88,8 @@ def _make_parser(defaults=None):
     p = sub.add_parser("slopes", help="convergence slope of one function")
     p.add_argument("--function", required=True)
     p.add_argument("--n-list", type=_int_list, default=None)
-    p.add_argument("--method", choices=("dls", "pivotal"), default="dls")
+    p.add_argument("--method", choices=("dls", "pivotal", "omp"),
+                   default="dls")
     p.add_argument("--full", action="store_true")
     common(p)
 

@@ -101,6 +101,14 @@ def evaluate_fit(fit, lkb_basis, pts, f):
     return err
 
 
+def _best_column(z, phi):
+    """(top, j) for the scores |z| / phi: the largest score and the lowest
+    index among scores within a relative OMP_TIE of it."""
+    corr = np.abs(z) / phi
+    top = corr.max()
+    return top, int(np.argmax(corr >= top * (1.0 - OMP_TIE)))
+
+
 def omp_fit(matrix, f_values, sparsity):
     """Greedy sparse fit: repeatedly add the column most correlated with
     the residual, re-solving least squares on the active set.
@@ -119,14 +127,18 @@ def omp_fit(matrix, f_values, sparsity):
     Q_d orthonormal, so Z^T Z = W^T W = M^T M, the columns of M and Z have
     the same norms, and the part of g = Q^T f outside range(U) is
     orthogonal to every column.  The target is h = U^T g, and column j
-    scores |V^T (S r)|_j / ||M_j|| for the residual r, with the column
-    norms the matrix keeps, so no step forms W or Z: the work that
-    depends on the basis alone is done once per matrix.  The active
-    columns of Z keep a QR factorization Z_A = U_A^T R whose U_A gains one
-    orthonormal Gram-Schmidt row per step (orthogonalized twice, which
-    keeps U_A orthonormal to rounding), so a step costs O(p m) for
-    p = min(s, m) rows of Z and m columns, and the coefficients come from
-    one triangular solve.
+    scores |z_j| / ||M_j|| for z = Z^T r and the residual r, with the
+    column norms the matrix keeps.  The active columns of Z keep a QR
+    factorization Z_A = U_A^T R whose U_A gains one orthonormal
+    Gram-Schmidt row u_k per step (orthogonalized twice, which keeps U_A
+    orthonormal to rounding), and the coefficients come from one
+    triangular solve.  z is formed once, as Z^T h, and then updated as in
+    Batch-OMP (Rubinstein, Zibulevsky and Elad 2008): w_k = Z^T u_k =
+    (G_j - R[:k, k]^T W_A) / R[k, k] from row j of the Gram matrix
+    G = Z^T Z that the matrix keeps and the earlier w's (rows of W_A), then
+    r -= c u_k and z -= c w_k for c = u_k . r.  So a step costs
+    O(m k + p k) for p = min(s, m) rows of Z and m columns, and no step
+    forms W or Z.
     """
     if sparsity < 1:
         raise ValueError(f"sparsity must be >= 1, got {sparsity}")
@@ -135,24 +147,23 @@ def omp_fit(matrix, f_values, sparsity):
     u_w, s, vt = matrix.svd
     h = u_w.T @ matrix.project(f)
     norms = matrix.column_norms
-    usable = norms > 0
-    phi = np.where(usable, norms, 1.0)
+    gram = matrix.gram
+    # a zero or chosen column scores |z_j| / inf = 0
+    phi = np.where(norms > 0, norms, np.inf)
     floor = OMP_STAGNATION * np.linalg.norm(f)
 
     budget = min(sparsity, n_rows, n_cols)
     # Z_A = U_A^T R: U_A's rows orthonormal (k x p), R upper-triangular
     u = np.zeros((min(budget, len(s)), len(s)))
     r = np.zeros((len(u), len(u)))
+    w = np.zeros((len(u), n_cols))  # W_A = U_A Z
     active = []
     residual = h.copy()
+    z = vt.T @ (s * h)
     stagnated = False
     while len(active) < budget:
         k = len(active)
-        corr = np.abs(vt.T @ (s * residual)) / phi
-        corr[~usable] = 0.0
-        corr[active] = 0.0
-        top = corr.max()
-        best = int(np.argmax(corr >= top * (1.0 - OMP_TIE)))
+        top, best = _best_column(z, phi)
         # at k = p, U_A spans every coordinate of Z: no column is new
         if top <= floor or k == len(u):
             stagnated = True
@@ -167,7 +178,11 @@ def omp_fit(matrix, f_values, sparsity):
             stagnated = True
             break
         u[k] = col / r[k, k]
-        residual -= u[k] * (u[k] @ residual)
+        w[k] = (gram[best] - r[:k, k] @ w[:k]) / r[k, k]
+        c = u[k] @ residual
+        residual -= c * u[k]
+        z -= c * w[k]
+        phi[best] = np.inf
         active.append(best)
     k = len(active)
     coef = np.zeros(n_cols)

@@ -202,6 +202,17 @@ class DesignMatrix:
         norms.flags.writeable = False
         return norms
 
+    @cached_property
+    def gram(self):
+        """G = Z^T Z = M^T M (m x m) for Z = S V^T from svd, read-only;
+        taken on the first read and kept.  OMP reads one row of it per
+        step; DLS and pivotal fits never build it."""
+        _, s, vt = self.svd
+        z = s[:, None] * vt
+        gram = z.T @ z
+        gram.flags.writeable = False
+        return gram
+
     def block_svd(self, rows, cols):
         """The thin SVD (U, s, V^T) of the block values[I, J], read-only.
         The matrix keeps it for the last (I, J) asked for, as it keeps

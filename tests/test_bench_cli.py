@@ -24,7 +24,7 @@ from kstfit.bench import (
 )
 from kstfit.cache import CacheMismatch, cache_path, config_hash, \
     read_basis_cache
-from kstfit.fitting import dls_fit
+from kstfit.fitting import dls_fit, omp_fit
 from kstfit.smoothing import SmoothingConfig
 from kstfit.testfuncs import get as get_function, registry
 
@@ -135,6 +135,28 @@ def test_2d_n100_pivots_and_table_keep_their_bytes():
     assert hashlib.sha256(table.encode()).hexdigest() == _TABLE_2D_N100_SHA256
 
 
+# OMP at sparsity = rank on f1-f10: the supports (little-endian int64),
+# the same under 1 and 2 OpenBLAS threads and the four kernels above; the
+# coefficients change with the thread count, since the basis coefficients
+# C, and so the sampled matrix, differ in their last bits between them
+_OMP_2D_N100_SUPPORTS_SHA256 = \
+    "96dadc7b74836f1a27bd133baa5450ed0c25efec1af3dfbf1a02e2a46954174e"
+
+
+def test_2d_n100_omp_supports_keep_their_bytes():
+    """The same-numbers gate of OMP: a change to its loop that is meant to
+    keep the numbers keeps every support of the registry fits."""
+    basis = build_basis_set(2, 100)
+    assert basis.rank == 52
+    digest = hashlib.sha256()
+    for func in registry(2):
+        fit = omp_fit(basis.matrix, func(basis.grid.points),
+                      sparsity=basis.rank)
+        assert len(fit.support) == 52
+        digest.update(fit.support.astype("<i8").tobytes())
+    assert digest.hexdigest() == _OMP_2D_N100_SUPPORTS_SHA256
+
+
 def test_build_frees_the_raw_matrix_before_the_pivot_search(monkeypatch):
     """The pivot search runs next to the kept SVD of W, so no reference to
     the raw KB matrix may outlive the denoising."""
@@ -176,9 +198,9 @@ def test_cache_roundtrip_bit_identical(cache_dir):
 
 
 def test_cache_cold_and_warm_fit_json_identical(tmp_path):
-    # dls runs through the SVD of the rank factor, which the warm path
-    # rebuilds from the loaded coefficients
-    for method in ("pivotal", "dls"):
+    # dls and omp run through the SVD of the rank factor, which the warm
+    # path rebuilds from the loaded coefficients
+    for method in ("pivotal", "dls", "omp"):
         cache = str(tmp_path / f"cache-{method}")
         texts = []
         for run in ("cold", "warm"):
@@ -666,6 +688,25 @@ def test_cli_env_cache_dir(tmp_path, monkeypatch, capsys):
     assert cli.main(["build-basis", "--d", "2", "--n", "20"]) == 0
     capsys.readouterr()
     assert any(p.suffix == ".lkbc" for p in env_dir.iterdir())
+
+
+def test_cli_slopes_by_omp(cache_dir, capsys):
+    """slopes --method omp fits each n at sparsity = its pivotal rank, as
+    fit --method omp does."""
+    spec = ExperimentSpec(d=2, n_list=(20, 30, 40), eval_grid=41,
+                          cache_dir=cache_dir)
+    assert cli.main(["slopes", "--d", "2", "--function", "f3", "--n-list",
+                     "20,30,40", "--eval-grid", "41", "--method", "omp",
+                     "--cache-dir", cache_dir]) == 0
+    out = capsys.readouterr().out
+    assert out == run_slope_experiment(spec, "f3", method="omp")[0]
+    assert out != run_slope_experiment(spec, "f3", method="dls")[0]
+    func, eval_pts = get_function(2, "f3"), spec.eval_points()
+    for n, row in zip(spec.n_list, out.splitlines()[1:4]):
+        basis = spec.basis(n)
+        fit = fit_by_method(basis, func, "omp", eval_pts)
+        assert len(fit.support) == basis.rank
+        assert row == f"{n},{fit.eval_rmse:.3e}"
 
 
 def test_cli_config_file_defaults(tmp_path, cache_dir, capsys):

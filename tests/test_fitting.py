@@ -1,17 +1,19 @@
 import json
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
 
-from kstfit.fitting import LSTSQ_RCOND, OMP_STAGNATION, FitResult, \
-    dls_fit, evaluate_fit, omp_fit, rms_seminorm
+from kstfit import fitting
+from kstfit.fitting import LSTSQ_RCOND, OMP_STAGNATION, OMP_TIE, \
+    FitResult, dls_fit, evaluate_fit, omp_fit, rms_seminorm
 from kstfit.inner import build_inner_family
 from kstfit.kb import DesignMatrix, KBBasis, PointSet
-from kstfit.pivotal import pivotal_fit
+from kstfit.pivotal import maxvol_select, pivotal_fit
 from kstfit.smoothing import LKBBasis, SmoothingConfig, build_lkb_basis
 
 
@@ -510,3 +512,133 @@ def test_omp_allocates_no_copy_of_the_sampled_matrix(pipeline):
     finally:
         tracemalloc.stop()
     assert peak < matrix.values.nbytes / 2
+
+
+def omp_fresh_score_oracle(matrix, f, sparsity):
+    """The OMP loop that scores every step afresh as z = V^T (S r), a
+    p x m product, where omp_fit updates z from one kept row of the Gram
+    matrix per step.  The rest of the loop is omp_fit's: the same tie rule,
+    floor, Gram-Schmidt step and triangular solve.  Returns the sorted
+    support, the coefficients, the stagnation flag and the fresh z of
+    every step."""
+    n_rows, n_cols = matrix.shape
+    u_w, s, vt = matrix.svd
+    h = u_w.T @ matrix.project(f)
+    norms = matrix.column_norms
+    usable = norms > 0
+    phi = np.where(usable, norms, 1.0)
+    floor = OMP_STAGNATION * np.linalg.norm(f)
+    budget = min(sparsity, n_rows, n_cols)
+    u = np.zeros((min(budget, len(s)), len(s)))
+    r = np.zeros((len(u), len(u)))
+    active, scores, residual = [], [], h.copy()
+    stagnated = False
+    while len(active) < budget:
+        k = len(active)
+        scores.append(vt.T @ (s * residual))
+        corr = np.abs(scores[-1]) / phi
+        corr[~usable] = 0.0
+        corr[active] = 0.0
+        top = corr.max()
+        best = int(np.argmax(corr >= top * (1.0 - OMP_TIE)))
+        if top <= floor or k == len(u):
+            stagnated = True
+            break
+        col = s * vt[:, best]
+        for _ in range(2):
+            proj = u[:k] @ col
+            col -= proj @ u[:k]
+            r[:k, k] += proj
+        r[k, k] = np.linalg.norm(col)
+        if r[k, k] <= LSTSQ_RCOND * norms[best]:
+            stagnated = True
+            break
+        u[k] = col / r[k, k]
+        residual -= u[k] * (u[k] @ residual)
+        active.append(best)
+    k = len(active)
+    coef = np.zeros(n_cols)
+    coef[active] = sla.solve_triangular(r[:k, :k], u[:k] @ h)
+    return sorted(active), coef, stagnated, scores
+
+
+def assert_matches_fresh_scores(matrix, f, sparsity):
+    """omp_fit picks the oracle's support with the oracle's coefficient
+    bits and stagnation flag, and its updated z stays within
+    1e-9 ||Z^T h|| of the fresh z at every step."""
+    updated = []
+
+    def spy(z, phi):
+        updated.append(z.copy())
+        return pick(z, phi)
+
+    pick = fitting._best_column
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(fitting, "_best_column", spy)
+        fit = omp_fit(matrix, f, sparsity=sparsity)
+    support, coef, stagnated, fresh = omp_fresh_score_oracle(matrix, f,
+                                                             sparsity)
+    assert list(fit.support) == support
+    assert np.array_equal(fit.coefficients, coef)
+    assert fit.stagnated == stagnated
+    assert len(updated) == len(fresh)
+    scale = np.linalg.norm(fresh[0])
+    for step, (a, b) in enumerate(zip(updated, fresh)):
+        assert np.abs(a - b).max() <= 1e-9 * scale, step
+
+
+def test_omp_matches_the_fresh_score_loop_on_the_pipeline(pipeline):
+    _, matrix, grid = pipeline
+    x, y = grid.points.T
+    rank = matrix.rank(LSTSQ_RCOND)
+    for f in (np.sin(3 * x) + np.cos(2 * y), np.exp(x * y),
+              np.abs(x - 0.4) + y ** 3):
+        for sparsity in (1, 5, 20, rank, matrix.shape[1]):
+            assert_matches_fresh_scores(matrix, f, sparsity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_rank_lkb())
+def test_omp_matches_the_fresh_score_loop_on_lkb_bases(case):
+    assert_matches_fresh_scores(*case)
+
+
+def test_gram_is_kept_read_only_and_equals_the_column_products(pipeline):
+    _, matrix, _ = pipeline
+    gram = matrix.gram
+    assert matrix.gram is gram
+    want = matrix.values.T @ matrix.values
+    assert np.abs(gram - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(ValueError, match="read-only"):
+        gram[0, 0] = 1.0
+
+
+def test_omp_builds_the_gram_once_per_matrix(pipeline, monkeypatch):
+    lkb, _, grid = pipeline
+    calls = []
+
+    def counted(self):
+        calls.append(self.shape)
+        return build(self)
+
+    build = DesignMatrix.gram.func
+    kept = cached_property(counted)
+    kept.__set_name__(DesignMatrix, "gram")
+    monkeypatch.setattr(DesignMatrix, "gram", kept)
+    matrices = [lkb.sample(grid), lkb.sample(grid)]
+    for matrix in matrices:
+        for c in range(5):
+            fit = omp_fit(matrix, np.cos(c * grid.points[:, 0]), sparsity=8)
+            assert len(fit.support) == 8
+    assert calls == [matrices[0].shape] * 2
+
+
+def test_dls_and_pivotal_fits_never_build_the_gram(pipeline):
+    """Only OMP reads G, so a run without OMP never pays its m x m."""
+    lkb, _, grid = pipeline
+    matrix = lkb.sample(grid)
+    f = np.sin(3 * grid.points[:, 0]) * grid.points[:, 1]
+    dls_fit(matrix, f)
+    rows, cols = maxvol_select(matrix, matrix.rank(1e-8))
+    pivotal_fit(matrix, rows, cols, f[rows])
+    assert "gram" not in matrix.__dict__
