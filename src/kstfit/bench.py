@@ -107,41 +107,29 @@ def _grid_and_smoothing(cfg):
                             segments=cfg["segments"]))
 
 
-def _basis_set(n, grid, lkb, select):
-    """The LKB columns sampled on the grid, with their factorization,
-    packaged with the (rows, cols) that select(matrix) picks."""
-    matrix = lkb.sample(grid)
-    rows, cols = select(matrix)
-    return BasisSet(d=grid.d, n=n, grid=grid, lkb=lkb, matrix=matrix,
-                    rows=rows, cols=cols)
-
-
 def _build(cfg):
     """Full pipeline from one build_config: inner family -> raw columns on
     the grid -> prune -> denoise -> numerical rank -> dominant row/column
     sets."""
-    n = cfg["n"]
     grid, smoothing = _grid_and_smoothing(cfg)
     family = build_inner_family(grid.d, cfg["inner_rank"])
     # the raw matrix lives inside build_lkb_basis only: it is freed before
     # the pivot search, which runs next to the kept SVD of W
-    lkb = build_lkb_basis(KBBasis(family, n=n, degree=cfg["degree"]), grid,
-                          smoothing)
-    return _basis_set(n, grid, lkb, lambda matrix: maxvol_select(
-        matrix, estimate_rank(matrix, cfg["rank_tol"])))
-
-
-def build_basis_set(d, n, **settings):
-    """get_basis_set without a cache: the size-n basis set, built."""
-    return get_basis_set(d, n, None, **settings)
+    lkb = build_lkb_basis(KBBasis(family, n=cfg["n"], degree=cfg["degree"]),
+                          grid, smoothing)
+    matrix = lkb.sample(grid)
+    rows, cols = maxvol_select(matrix, estimate_rank(matrix, cfg["rank_tol"]))
+    return BasisSet(d=grid.d, n=cfg["n"], grid=grid, lkb=lkb, matrix=matrix,
+                    rows=rows, cols=cols)
 
 
 def get_basis_set(d, n, cache_dir=None, **settings):
     """The size-n basis set behind a binary cache, one file per
-    build_config hash: load when that file exists, rebuild (with a warning) when it is
-    stale or corrupt.  The cache keeps the coefficients and the pivots; a
-    load samples the matrix again exactly as a build does.  settings are
-    any of BUILD_SETTINGS; a setting that is no build input is refused."""
+    build_config hash: load when that file exists, rebuild (with a
+    warning) when it is stale or corrupt, build uncached when cache_dir is
+    None.  The cache keeps the coefficients and the pivots; a load samples
+    the matrix again exactly as a build does.  settings are any of
+    BUILD_SETTINGS; a setting that is no build input is refused."""
     stray = settings.keys() - set(BUILD_SETTINGS)
     if stray:
         raise TypeError(f"not basis build settings: {sorted(stray)}")
@@ -154,10 +142,12 @@ def get_basis_set(d, n, cache_dir=None, **settings):
         grid, smoothing = _grid_and_smoothing(config)
         try:
             blob = cache_io.read_basis_cache(path, config, smoothing)
-            return _basis_set(n, grid, blob["lkb"],
-                              lambda _: (blob["rows"], blob["cols"]))
         except cache_io.CacheMismatch as exc:
             warnings.warn(f"rebuilding stale basis cache: {exc}")
+        else:
+            return BasisSet(d=d, n=n, grid=grid, lkb=blob["lkb"],
+                            matrix=blob["lkb"].sample(grid),
+                            rows=blob["rows"], cols=blob["cols"])
     basis = _build(config)
     cache_io.write_basis_cache(path, basis, config)
     return basis

@@ -104,11 +104,7 @@ class UniformBSplineBasis:
 
     def design_matrix(self, t):
         """Dense (len(t), count) matrix of all basis functions at t."""
-        values, first = bspline_basis(t, self.knots, self.degree)
-        out = np.zeros((len(values), self.count))
-        rows = np.arange(len(values))[:, None]
-        out[rows, first[:, None] + np.arange(self.degree + 1)] = values
-        return out
+        return design_csr(t, self.knots, self.degree).toarray()
 
     def support(self, j):
         """Knot interval outside which basis function j vanishes."""

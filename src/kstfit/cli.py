@@ -151,8 +151,8 @@ def main(argv=None):
             defaults["n_list"] = ",".join(map(str, defaults["n_list"]))
     parser = _make_parser(defaults)
     args = parser.parse_args(argv)
-    # --d, function ids (valid per --d), the sparsity and the grids are
-    # all checked here, before any build
+    # --d, function ids (valid per --d), the sparsity, the grids and the
+    # sweep length of a slope fit are all checked here, before any build
     try:
         if args.command in ("fit", "slopes"):
             func = get_function(args.d, args.function)
@@ -164,6 +164,10 @@ def main(argv=None):
             superposition_weights(args.d)  # refuses a d it has no weights for
         else:
             spec = _spec(args)
+        # a slope needs 3 sizes; the default sweeps of both have more
+        if (args.command in ("slopes", "knet-rate")
+                and len(args.n_list or SHORT_SWEEP) < 3):
+            raise ValueError("--n-list needs at least 3 sizes to fit a slope")
     except (KeyError, ValueError) as exc:
         parser.error(exc.args[0])
 

@@ -366,17 +366,21 @@ def build_inner_family(d, rank=None):
     towns are too narrow for float64, RuntimeError when no admissible
     value assignment is found.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
     if rank is None:
         rank = default_rank(d)
+    _check_construction(d, rank)
+    return _build_cached(d, rank)
+
+
+def _check_construction(d, rank):
+    """ValueError for a (d, rank) that build_inner_family refuses."""
+    superposition_weights(d)  # refuses a d outside 1..5
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if 2 * d * gap_width(d, rank) < 1e-14:
         raise ValueError(
             f"rank {rank} towns are narrower than 1e-14; construction "
             f"would underflow double precision")
-    return _build_cached(d, rank)
 
 
 def eval_z(family, q, x):
@@ -432,27 +436,32 @@ def save_inner_family(family, path):
 
 
 def load_inner_family(path):
-    """Read a family written by save_inner_family.
-
-    Tables are taken from the file and must match what build_inner_family
-    would produce.
-    """
+    """Read a family written by save_inner_family, its tables as they are
+    (they must match what build_inner_family would produce).  ValueError
+    for a bad magic or version, a d or rank that build_inner_family
+    refuses, a truncated block or bytes after the last table."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != _MAGIC:
+    off = 0
+
+    def take(count):
+        nonlocal off
+        if off + count > len(data):
+            raise ValueError(f"{path}: truncated at {len(data)} bytes")
+        off += count
+        return data[off - count:off]
+
+    if take(4) != _MAGIC:
         raise ValueError(f"{path}: not an inner-family file (bad magic)")
-    version, d, rank = struct.unpack_from("<III", data, 4)
+    version, d, rank = struct.unpack("<III", take(12))
     if version != _FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    off = 16
-    lambdas = np.frombuffer(data, "<f8", d, off).copy()
-    off += 8 * d
+    _check_construction(d, rank)
+    lambdas = np.frombuffer(take(8 * d), "<f8").copy()
     phis = []
     for _ in range(2 * d + 1):
-        (m,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        if off + 16 * m > len(data):
-            raise ValueError(f"{path}: truncated table block")
-        phis.append(np.frombuffer(data, "<f8", 2 * m, off).reshape(m, 2).copy())
-        off += 16 * m
+        (m,) = struct.unpack("<Q", take(8))
+        phis.append(np.frombuffer(take(16 * m), "<f8").reshape(m, 2).copy())
+    if off != len(data):
+        raise ValueError(f"{path}: {len(data) - off} trailing bytes")
     return InnerFamily(d=d, rank=rank, lambdas=lambdas, phis=phis)

@@ -272,12 +272,12 @@ def prune_near_zero_columns(raw, tol=PRUNE_TOL):
     return keep
 
 
-def independence_check(basis, pts, rel_tol=None):
+def independence_check(basis, pts):
     """Numerical-rank report for the nonzero columns sampled at pts.
 
     independent=True means the nonzero-column submatrix has full column
-    rank at this sampling resolution (SVD threshold rel_tol * sigma_1,
-    default max(N, m) * eps).
+    rank at this sampling resolution: SVD threshold max(N, m) * eps *
+    sigma_1, the rank guard of pivotal.maxvol_select.
     """
     raw = assemble_design_matrix(basis, pts)
     kept = prune_near_zero_columns(raw, tol=0.0)
@@ -286,9 +286,7 @@ def independence_check(basis, pts, rel_tol=None):
     if n_rows < n_cols:
         raise ValueError(
             f"need at least {n_cols} points to check {n_cols} columns")
-    if rel_tol is None:
-        rel_tol = max(n_rows, n_cols) * np.finfo(float).eps
-    rank = nonzero.rank(rel_tol)
+    rank = nonzero.rank(max(n_rows, n_cols) * np.finfo(float).eps)
     return {
         "n_nonzero_columns": n_cols,
         "rank": rank,

@@ -211,12 +211,14 @@ def cross_certificate(matrix, rows, cols):
 
 
 def build_cross_approximation(matrix, r):
-    """maxvol_select plus the certificate, packaged; both read the one
-    SVD that the matrix keeps."""
+    """maxvol_select plus the certificate and the condition number of
+    M[I, J], packaged; they read the SVD of M and the block SVD that the
+    matrix keeps, so a pivotal_fit on (I, J) factors nothing more."""
     matrix = _as_matrix(matrix)
     rows, cols = maxvol_select(matrix, r)
     residual, bound = cross_certificate(matrix, rows, cols)
-    cond = float(np.linalg.cond(matrix.values[np.ix_(rows, cols)]))
+    s = matrix.block_svd(rows, cols)[1]
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     return CrossApproximation(rows=rows, cols=cols, rank=r,
                               residual_chebyshev=residual,
                               certificate_bound=bound,

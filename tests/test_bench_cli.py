@@ -13,7 +13,6 @@ from scipy import linalg as sla
 from kstfit import bench, cli, smoothing
 from kstfit.bench import (
     ExperimentSpec,
-    build_basis_set,
     estimate_convergence_slope,
     fit_by_method,
     get_basis_set,
@@ -106,7 +105,7 @@ def test_build_takes_one_svd_of_the_rank_factor(monkeypatch):
 
     for module in (np.linalg, sla):
         monkeypatch.setattr(module, "svd", counting(module.svd))
-    basis = build_basis_set(2, 100)
+    basis = get_basis_set(2, 100)
     for c in range(5):
         dls_fit(basis.matrix, np.cos(c * basis.grid.points[:, 0]))
     assert calls == [basis.matrix.rank_factor().shape]
@@ -146,7 +145,7 @@ _OMP_2D_N100_SUPPORTS_SHA256 = \
 def test_2d_n100_omp_supports_keep_their_bytes():
     """The same-numbers gate of OMP: a change to its loop that is meant to
     keep the numbers keeps every support of the registry fits."""
-    basis = build_basis_set(2, 100)
+    basis = get_basis_set(2, 100)
     assert basis.rank == 52
     digest = hashlib.sha256()
     for func in registry(2):
@@ -175,7 +174,7 @@ def test_build_frees_the_raw_matrix_before_the_pivot_search(monkeypatch):
     assemble, maxvol = smoothing.assemble_design_matrix, bench.maxvol_select
     monkeypatch.setattr(smoothing, "assemble_design_matrix", assembled)
     monkeypatch.setattr(bench, "maxvol_select", select)
-    assert build_basis_set(2, 40).rank > 0
+    assert get_basis_set(2, 40).rank > 0
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +254,7 @@ def test_default_cache_file_name_is_pinned(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
-@pytest.mark.parametrize("stray", [{"cache_dir": "kc"}, {"eval_grid": 21},
-                                   {"inner_rank": 3}])
+@pytest.mark.parametrize("stray", [{"eval_grid": 21}, {"inner_rank": 3}])
 def test_basis_calls_refuse_settings_that_are_no_build_input(stray,
                                                              monkeypatch):
     def no_build(cfg):
@@ -265,10 +263,7 @@ def test_basis_calls_refuse_settings_that_are_no_build_input(stray,
     monkeypatch.setattr(bench, "_build", no_build)
     name = next(iter(stray))
     with pytest.raises(TypeError, match=name):
-        build_basis_set(2, 20, **stray)
-    if name != "cache_dir":
-        with pytest.raises(TypeError, match=name):
-            get_basis_set(2, 20, **stray)
+        get_basis_set(2, 20, **stray)
 
 
 def test_cache_mismatch_forces_rebuild(tmp_path):
@@ -501,6 +496,19 @@ def test_unknown_function_fails_before_any_build(monkeypatch, capsys):
             cli.main(argv)
         assert exc.value.code == 2
         assert word in capsys.readouterr().err
+
+
+def test_too_short_sweep_fails_before_any_build(monkeypatch, capsys):
+    """slopes built every basis, and knet-rate the inner family, before
+    the slope fit refused fewer than 3 sizes with a traceback."""
+    _refuse_builds(monkeypatch)
+    for argv in (["slopes", "--d", "2", "--function", "f4",
+                  "--n-list", "20,30"],
+                 ["knet-rate", "--d", "1", "--n-list", "4,8"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "at least 3 sizes" in capsys.readouterr().err
 
 
 def test_bad_grid_fails_before_any_build(monkeypatch, capsys):

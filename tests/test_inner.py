@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -346,3 +347,17 @@ def test_serialization_rejects_corruption(tmp_path):
     (tmp_path / "short.ksti").write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ValueError):
         load_inner_family(tmp_path / "short.ksti")
+    for cut in (2, 10):  # inside the magic, inside the header
+        (tmp_path / "stub.ksti").write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            load_inner_family(tmp_path / "stub.ksti")
+    (tmp_path / "long.ksti").write_bytes(raw + bytes(8))
+    with pytest.raises(ValueError, match="8 trailing bytes"):
+        load_inner_family(tmp_path / "long.ksti")
+    # a d or rank that build_inner_family refuses, the rest intact
+    for d, rank, word in ((0, 1, "dimension"), (6, 1, "dimension"),
+                          (2, 0, "rank"), (2, 40, "narrower")):
+        header = struct.pack("<III", 1, d, rank)
+        (tmp_path / "bad.ksti").write_bytes(raw[:4] + header + raw[16:])
+        with pytest.raises(ValueError, match=word):
+            load_inner_family(tmp_path / "bad.ksti")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kstfit.bench import build_basis_set
+from kstfit.bench import get_basis_set
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,7 +41,7 @@ def test_traced_target_resolves(name):
 def test_built_basis_exposes_its_sampled_values():
     """The benchmark's DLS-linearity check reads the sampled matrix and
     its pivot block from matrix.values."""
-    basis = build_basis_set(2, 20)
+    basis = get_basis_set(2, 20)
     values = basis.matrix.values
     assert isinstance(values, np.ndarray)
     assert values.shape == (len(basis.grid), basis.matrix.shape[1])
