@@ -33,8 +33,8 @@ _DEFAULT_EVAL_GRID = {1: 1001, 2: 101, 3: 101}
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a table/slope/count experiment needs; the one place
-    where segments and eval_grid of 0 take their defaults and grids and
-    smoothing settings are checked, before anything is built."""
+    where segments and eval_grid of 0 take their defaults and sizes, grids
+    and smoothing settings are checked, before anything is built."""
 
     d: int
     n_list: tuple
@@ -49,6 +49,8 @@ class ExperimentSpec:
         if self.d not in _DEFAULT_SEGMENTS:
             raise ValueError(f"no basis settings for d={self.d}; choose d "
                              f"in {tuple(_DEFAULT_SEGMENTS)}")
+        if any(n < 1 for n in self.n_list):
+            raise ValueError(f"need every n >= 1, got {self.n_list}")
         object.__setattr__(self, "segments", self.segments
                            or _DEFAULT_SEGMENTS[self.d])
         object.__setattr__(self, "eval_grid", self.eval_grid
@@ -56,8 +58,11 @@ class ExperimentSpec:
         if min(self.fit_grid, self.eval_grid) < 2:
             raise ValueError(f"need >= 2 grid points per axis, got fit grid "
                              f"{self.fit_grid}, eval grid {self.eval_grid}")
-        SmoothingConfig(penalty=self.penalty, degree=self.degree,
-                        segments=self.segments)  # raises on a bad setting
+        ncf = SmoothingConfig(penalty=self.penalty, degree=self.degree,
+                              segments=self.segments).coeffs_per_axis
+        if self.fit_grid < ncf:
+            raise ValueError(f"a fit grid of {self.fit_grid} points per axis "
+                             f"cannot determine {ncf} coefficients per axis")
 
     def build_config(self, n):
         """Every input of the size-n build, the dict the cache hashes and
@@ -202,8 +207,8 @@ def estimate_convergence_slope(errors, n_list):
     errors = np.asarray(errors, dtype=float)
     if len(errors) != len(n_list):
         raise ValueError("need one error per n")
-    if len(errors) < 3:
-        raise ValueError("need at least 3 sizes to fit a slope")
+    if len(set(n_list)) < 3:
+        raise ValueError("need at least 3 distinct sizes to fit a slope")
     if np.any(errors == 0.0):
         return None, "exact"
     slope = float(np.polyfit(np.log(n_list), np.log(errors), 1)[0])
@@ -236,7 +241,7 @@ def pivotal_count_experiment(spec):
     if np.any(np.diff(counts) < 0):
         warnings.warn(f"pivotal counts not monotone over n: {counts}")
     slope = None
-    if len(counts) >= 2:
+    if len(set(spec.n_list)) >= 2:
         slope = float(np.polyfit(np.log(spec.n_list), np.log(counts), 1)[0])
     lines = ["n,pivotal_count"]
     lines += [f"{n},{c}" for n, c in zip(spec.n_list, counts)]

@@ -24,11 +24,11 @@ SHORT_SWEEP = (100, 200, 400, 1000)
 
 
 def _int_list(text):
-    """Comma-separated sizes, at least one, each >= 1."""
+    """Comma-separated sizes, at least one, each >= 1 and none repeated."""
     sizes = tuple(int(tok) for tok in text.split(",") if tok)
-    if not sizes or min(sizes) < 1:
+    if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
         raise argparse.ArgumentTypeError(
-            f"need one or more sizes >= 1, got {text!r}")
+            f"need one or more distinct sizes >= 1, got {text!r}")
     return sizes
 
 
@@ -151,7 +151,7 @@ def main(argv=None):
             defaults["n_list"] = ",".join(map(str, defaults["n_list"]))
     parser = _make_parser(defaults)
     args = parser.parse_args(argv)
-    # --d, function ids (valid per --d), the sparsity, the grids and the
+    # --d, function ids (valid per --d), the sparsity, sizes, grids and the
     # sweep length of a slope fit are all checked here, before any build
     try:
         if args.command in ("fit", "slopes"):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .bsplines import UniformBSplineBasis, contract_axes, design_csr
-from .inner import eval_z
+from .inner import eval_z, forward_superpose
 
 # Relative column norm at or below which a raw KB column is pruned.
 PRUNE_TOL = 1e-10
@@ -88,26 +88,17 @@ class KBBasis:
     def n_columns(self):
         return self.family.d * self.n
 
-    def z_values(self, pts):
-        """(2d+1, N) array of superposition values at the points."""
-        out = np.empty((self.family.n_phi, len(pts)))
-        for q in range(self.family.n_phi):
-            out[q] = eval_z(self.family, q, pts)
-        return out
-
 
 def eval_kb(basis, j, x):
-    """Basis column j at a point (or (N, d) array of points)."""
+    """Basis column j at a point (or (N, d) array of points): the
+    superposition sum_q b_j(z_q(x)) of the univariate B-spline b_j."""
     if not 0 <= j < basis.n_columns:
         raise IndexError(f"column {j} out of range 0..{basis.n_columns - 1}")
     xa = np.asarray(x, dtype=float)
-    single = xa.ndim == 1
-    pts = xa.reshape(-1, basis.d)
-    z = basis.z_values(pts)
-    acc = np.zeros(len(pts))
-    for q in range(z.shape[0]):
-        acc += basis.univariate.design_matrix(z[q])[:, j]
-    return float(acc[0]) if single else acc
+    col = forward_superpose(basis.family,
+                            lambda z: basis.univariate.design_matrix(z)[:, j],
+                            xa.reshape(-1, basis.d))
+    return float(col[0]) if xa.ndim == 1 else col
 
 
 def _read_only(a):
@@ -247,11 +238,11 @@ def assemble_design_matrix(basis, pts):
     """Sparse CSR (|pts|, d*n) matrix with entry (i, j) = column j at
     point i: the sum of the 2d+1 B-spline designs at z_q(pts), each with at
     most degree+1 nonzeros per row."""
-    z = basis.z_values(pts.points)
     uni = basis.univariate
     acc = None
-    for q in range(z.shape[0]):
-        dm = design_csr(np.clip(z[q], 0.0, uni.upper), uni.knots, uni.degree)
+    for q in range(basis.family.n_phi):
+        z = eval_z(basis.family, q, pts.points)
+        dm = design_csr(np.clip(z, 0.0, uni.upper), uni.knots, uni.degree)
         acc = dm if acc is None else acc + dm
     return acc
 

@@ -79,8 +79,8 @@ def rate_experiment(family, g, n_list, grid_per_axis=None):
     'exact' (slope undefined) when every error vanishes.
     """
     n_list = list(n_list)
-    if len(n_list) < 3:
-        raise ValueError("need at least 3 network sizes to fit a slope")
+    if len(set(n_list)) < 3:
+        raise ValueError("need at least 3 distinct sizes to fit a slope")
     d = family.d
     if grid_per_axis is None:
         grid_per_axis = {1: 2001, 2: 201, 3: 61}.get(d, 21)

@@ -60,12 +60,11 @@ class SmoothingConfig:
 
 @dataclass(frozen=True)
 class SmoothSurface:
-    """Tensor-product spline on the unit cube; coeffs has one axis per
-    coordinate."""
+    """Tensor-product spline on the unit cube in the space of config;
+    coeffs has one axis per coordinate."""
 
     coeffs: np.ndarray
-    degree: int
-    segments: int
+    config: SmoothingConfig
 
     @property
     def d(self):
@@ -77,11 +76,15 @@ def _axis_design(degree, segments, t):
                                upper=1.0).design_matrix(t)
 
 
-def _grid_axis_design(degree, segments, axis):
-    """_axis_design at the points of one grid axis, read-only and shared:
-    the fit and evaluation grids repeat across every fit and basis."""
-    axis = np.ascontiguousarray(axis, dtype=float)
-    return _cached_axis_design(degree, segments, axis.tobytes())
+def _grid_designs(cfg, grid):
+    """_axis_design at the points of each axis of a full uniform grid,
+    read-only and shared: the fit and evaluation grids repeat across every
+    fit and basis, and bases that differ only in penalty share them."""
+    if not grid.is_grid:
+        raise ValueError("per-axis designs need a full uniform grid")
+    return [_cached_axis_design(cfg.degree, cfg.segments,
+                                np.ascontiguousarray(a, dtype=float).tobytes())
+            for a in grid.grid_axes]
 
 
 @lru_cache(maxsize=32)
@@ -168,19 +171,15 @@ def _kron_csr(x, y):
 class GridSmoother:
     """Factored penalized normal equations for one (grid, config) pair.
 
-    coefficients() solves for a block of sample columns, denoise() for
-    one; the factorization is shared read-only, so column batches are
+    coefficients() solves for a block of sample columns; the
+    factorization is shared read-only, so column batches are
     embarrassingly parallel.
     """
 
     def __init__(self, grid, cfg):
-        if not grid.is_grid:
-            raise ValueError("smoothing needs a full uniform grid")
+        designs = _grid_designs(cfg, grid)
         self.grid = grid
-        self.cfg = cfg
         self.d = grid.d
-        designs = [_grid_axis_design(cfg.degree, cfg.segments, a)
-                   for a in grid.grid_axes]
         ncf = cfg.coeffs_per_axis
         if len(grid) < ncf ** self.d:
             raise ValueError(
@@ -224,20 +223,16 @@ class GridSmoother:
         x = cho_solve(self._cho, rhs)
         return x.T.reshape((v.shape[1],) + (self._ncf,) * self.d)
 
-    def denoise(self, values):
-        """The smoothed surface of one sample column of shape (N,)."""
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("denoise takes one sample column")
-        return SmoothSurface(coeffs=self.coefficients(v[:, None])[0],
-                             degree=self.cfg.degree,
-                             segments=self.cfg.segments)
-
 
 def denoise_samples(values, grid, cfg):
-    """Minimizer of the penalized least-squares functional for samples on
-    a full uniform grid."""
-    return GridSmoother(grid, cfg).denoise(values)
+    """Minimizer of the penalized least-squares functional for one sample
+    column (N,) on a full uniform grid."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError("denoise takes one sample column")
+    return SmoothSurface(
+        coeffs=GridSmoother(grid, cfg).coefficients(v[:, None])[0],
+        config=cfg)
 
 
 def eval_surface(surface, x):
@@ -251,7 +246,8 @@ def eval_surface(surface, x):
     for lo in range(0, len(pts), _EVAL_CHUNK):
         sub = pts[lo:lo + _EVAL_CHUNK]
         # contract one axis at a time against per-point basis rows
-        designs = [_axis_design(surface.degree, surface.segments, sub[:, a])
+        designs = [_axis_design(surface.config.degree,
+                                surface.config.segments, sub[:, a])
                    for a in range(surface.d)]
         t = np.tensordot(designs[0], surface.coeffs, axes=(1, 0))
         for a in range(1, surface.d):
@@ -264,9 +260,8 @@ def eval_surface_on_grid(surface, grid):
     """Fast path for tensor grids; returns values in grid row order."""
     if not grid.is_grid:
         return eval_surface(surface, grid.points)
-    designs = [_grid_axis_design(surface.degree, surface.segments, axis)
-               for axis in grid.grid_axes]
-    return contract_axes(designs, surface.coeffs).reshape(-1)
+    return contract_axes(_grid_designs(surface.config, grid),
+                         surface.coeffs).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -294,9 +289,7 @@ class LKBBasis:
         if not 0 <= j < self.n_columns:
             raise IndexError(
                 f"column {j} out of range 0..{self.n_columns - 1}")
-        return SmoothSurface(coeffs=self.coeffs[j],
-                             degree=self.config.degree,
-                             segments=self.config.segments)
+        return SmoothSurface(coeffs=self.coeffs[j], config=self.config)
 
     def combine(self, coefficients):
         """The surface sum_j coefficients[j] * column_j; linear combos of
@@ -305,21 +298,13 @@ class LKBBasis:
         if c.shape != (self.n_columns,):
             raise ValueError("coefficient length must match column count")
         return SmoothSurface(coeffs=np.tensordot(c, self.coeffs, 1),
-                             degree=self.config.degree,
-                             segments=self.config.segments)
-
-    def _designs(self, grid):
-        """The per-axis designs B_a of M = (B_1 x ... x B_d) C."""
-        if not grid.is_grid:
-            raise ValueError("the factored form needs a full uniform grid")
-        return [_grid_axis_design(self.config.degree, self.config.segments,
-                                  axis) for axis in grid.grid_axes]
+                             config=self.config)
 
     def design_matrix(self, grid):
         """(|grid|, n_columns) samples of every column on a full uniform
         grid: one contraction of the factors of M = (B_1 x ... x B_d) C,
         a Fortran-ordered view of one column's samples after the other."""
-        t = contract_axes(self._designs(grid), self.coeffs)
+        t = contract_axes(_grid_designs(self.config, grid), self.coeffs)
         return t.reshape(self.n_columns, -1).T
 
     def sample(self, grid):
@@ -329,7 +314,7 @@ class LKBBasis:
         factor W = (R_1 x ... x R_d) C only when asked.  The fresh M, Q_a
         and R_a are handed over read-only, uncopied; C is copied only if
         this basis holds it writable."""
-        qrs = [np.linalg.qr(b) for b in self._designs(grid)]
+        qrs = [np.linalg.qr(b) for b in _grid_designs(self.config, grid)]
         values = self.design_matrix(grid)
         for a in (values, *(x for qr in qrs for x in qr)):
             a.flags.writeable = False

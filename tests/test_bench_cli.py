@@ -599,6 +599,64 @@ def test_cli_refuses_an_empty_or_nonpositive_n_list(sizes, monkeypatch,
         assert "--n-list" in capsys.readouterr().err
 
 
+def test_nonpositive_n_fails_before_any_build(monkeypatch, capsys):
+    """build-basis --n 0 and fit --n -3 built the inner family, then
+    ended in a traceback (exit 1) from the KB basis."""
+    _refuse_builds(monkeypatch)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n >= 1"):
+            ExperimentSpec(d=2, n_list=(20, n))
+        with pytest.raises(ValueError, match="n >= 1"):
+            get_basis_set(2, n)
+    for argv in (["build-basis", "--d", "2", "--n", "0"],
+                 ["fit", "--d", "2", "--n", "-3", "--function", "f5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "n >= 1" in capsys.readouterr().err
+
+
+def test_fit_grid_below_the_coefficients_fails_before_any_build(
+        monkeypatch, capsys):
+    """table --grid 10 built the inner family, then the smoother refused
+    100 grid points for 729 coefficients with a traceback (exit 1)."""
+    _refuse_builds(monkeypatch)
+    with pytest.raises(ValueError, match="27 coefficients per axis"):
+        ExperimentSpec(d=2, n_list=(20,), fit_grid=10)
+    with pytest.raises(ValueError, match="15 coefficients per axis"):
+        ExperimentSpec(d=3, n_list=(20,), fit_grid=14)
+    ExperimentSpec(d=3, n_list=(20,), fit_grid=15)  # just enough
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--d", "2", "--n-list", "20", "--grid", "10"])
+    assert exc.value.code == 2
+    assert "coefficients" in capsys.readouterr().err
+
+
+def test_repeated_sizes_give_no_slope(monkeypatch, capsys):
+    """knet-rate --n-list 4,4,4 and pivotal-count --n-list 20,20 printed a
+    slope that np.polyfit fitted to one distinct size."""
+    _refuse_builds(monkeypatch)
+    for argv in (["knet-rate", "--d", "1", "--n-list", "4,4,4"],
+                 ["pivotal-count", "--d", "2", "--n-list", "20,20"],
+                 ["slopes", "--d", "2", "--function", "f4",
+                  "--n-list", "20,30,20"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "distinct" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="3 distinct sizes"):
+        estimate_convergence_slope([0.1] * 3, [20] * 3)
+    with pytest.raises(ValueError, match="3 distinct sizes"):
+        bench.rate_experiment(None, np.sin, [4, 8, 4])
+    monkeypatch.setattr(bench, "_build", lambda cfg: bench.BasisSet(
+        d=2, n=cfg["n"], grid=None, lkb=None, matrix=None,
+        rows=np.arange(40), cols=np.arange(40)))
+    csv, counts, slope = pivotal_count_experiment(
+        ExperimentSpec(d=2, n_list=(20, 20)))
+    assert counts == [40, 40] and slope is None
+    assert "slope" not in csv
+
+
 def test_cli_config_n_list_is_checked_like_the_flag(tmp_path, monkeypatch,
                                                      capsys):
     _refuse_builds(monkeypatch)

@@ -37,8 +37,7 @@ def raw_column(kb, grid, j):
 def energy(surface):
     """c^T E c with E the energy matrix that the smoother factors."""
     c = surface.coeffs.reshape(-1)
-    cfg = SmoothingConfig(degree=surface.degree, segments=surface.segments)
-    return c @ energy_matrix(surface.d, cfg) @ c
+    return c @ energy_matrix(surface.d, surface.config) @ c
 
 
 def test_energy_of_affine_is_zero(grid):
@@ -196,20 +195,23 @@ def test_surface_point_eval_matches_grid_eval(grid):
 
 def test_grid_evaluation_reads_cached_read_only_axis_designs():
     """Grid axes repeat across fits, so their designs are computed once
-    and shared read-only; evaluation through them keeps every bit."""
+    and shared read-only, by bases of any penalty; evaluation through
+    them keeps every bit."""
     cfg = SmoothingConfig(degree=2, segments=5)
     rng = np.random.default_rng(3)
     surface = smoothing.SmoothSurface(
-        coeffs=rng.normal(size=(cfg.coeffs_per_axis,) * 2),
-        degree=cfg.degree, segments=cfg.segments)
+        coeffs=rng.normal(size=(cfg.coeffs_per_axis,) * 2), config=cfg)
     uni = UniformBSplineBasis(count=cfg.coeffs_per_axis, degree=cfg.degree)
     for grid in (PointSet.grid(2, 101), PointSet.grid(2, (7, 13))):
-        designs = [smoothing._grid_axis_design(cfg.degree, cfg.segments, a)
-                   for a in grid.grid_axes]
-        for axis, design in zip(grid.grid_axes, designs):
+        designs = smoothing._grid_designs(cfg, grid)
+        # equal axes in new arrays, under another penalty
+        same = PointSet(d=2, points=grid.points.copy(),
+                        grid_axes=tuple(a.copy() for a in grid.grid_axes))
+        again = smoothing._grid_designs(
+            SmoothingConfig(penalty=7.0, degree=2, segments=5), same)
+        for axis, design, other in zip(grid.grid_axes, designs, again):
             assert np.array_equal(design, uni.design_matrix(axis))
-            assert smoothing._grid_axis_design(
-                cfg.degree, cfg.segments, axis.copy()) is design
+            assert other is design
             with pytest.raises(ValueError, match="read-only"):
                 design[0, 0] = 1.0
         want = contract_axes([uni.design_matrix(a) for a in grid.grid_axes],
@@ -225,8 +227,7 @@ def test_smoother_builds_the_kron_transpose_in_csr(d, per_axis, segments):
     kron(B_1, ..., B_d).T.tocsr(): same structure, same products."""
     cfg = SmoothingConfig(segments=segments)
     grid = PointSet.grid(d, per_axis)
-    designs = [smoothing._grid_axis_design(cfg.degree, cfg.segments, a)
-               for a in grid.grid_axes]
+    designs = smoothing._grid_designs(cfg, grid)
     a = sparse.csr_array(designs[0])
     for b in designs[1:]:
         a = sparse.kron(a, b, format="csr")
@@ -247,10 +248,10 @@ def test_block_coefficients_match_per_column_denoise(grid):
     # column after column in memory: the cache writes this block as is
     assert coeffs.flags.c_contiguous
     for j in range(3):
-        one = smoother.denoise(values[:, j]).coeffs
+        one = denoise_samples(values[:, j], grid, cfg).coeffs
         assert np.allclose(coeffs[j], one, rtol=0, atol=1e-14)
-    with pytest.raises(ValueError):
-        smoother.denoise(values)
+    with pytest.raises(ValueError, match="one sample column"):
+        denoise_samples(values, grid, cfg)
 
 
 def test_lkb_design_matrix_needs_a_grid(grid):
