@@ -112,12 +112,15 @@ def _grid_and_smoothing(cfg):
                             segments=cfg["segments"]))
 
 
-def _build(cfg):
-    """Full pipeline from one build_config: inner family -> raw columns on
-    the grid -> prune -> denoise -> numerical rank -> dominant row/column
-    sets."""
+def _build(cfg, cache_dir=None):
+    """Full pipeline from one build_config: inner family (through the
+    family file of cache_dir, when given) -> raw columns on the grid ->
+    prune -> denoise -> numerical rank -> dominant row/column sets."""
     grid, smoothing = _grid_and_smoothing(cfg)
-    family = build_inner_family(grid.d, cfg["inner_rank"])
+    if cache_dir is None:
+        family = build_inner_family(grid.d, cfg["inner_rank"])
+    else:
+        family = cache_io.inner_family(cache_dir, grid.d, cfg["inner_rank"])
     # the raw matrix lives inside build_lkb_basis only: it is freed before
     # the pivot search, which runs next to the kept SVD of W
     lkb = build_lkb_basis(KBBasis(family, n=cfg["n"], degree=cfg["degree"]),
@@ -133,7 +136,9 @@ def get_basis_set(d, n, cache_dir=None, **settings):
     build_config hash: load when that file exists, rebuild (with a
     warning) when it is stale or corrupt, build uncached when cache_dir is
     None.  The cache keeps the coefficients and the pivots; a load samples
-    the matrix again exactly as a build does.  settings are any of
+    the matrix again exactly as a build does.  A build in cache_dir reads
+    its inner family from the directory's family file, which the first
+    build there writes (cache.inner_family).  settings are any of
     BUILD_SETTINGS; a setting that is no build input is refused."""
     stray = settings.keys() - set(BUILD_SETTINGS)
     if stray:
@@ -153,7 +158,7 @@ def get_basis_set(d, n, cache_dir=None, **settings):
             return BasisSet(d=d, n=n, grid=grid, lkb=blob["lkb"],
                             matrix=blob["lkb"].sample(grid),
                             rows=blob["rows"], cols=blob["cols"])
-    basis = _build(config)
+    basis = _build(config, cache_dir)
     cache_io.write_basis_cache(path, basis, config)
     return basis
 

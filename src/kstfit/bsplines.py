@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 
 def bspline_basis(x, knots, degree):
@@ -44,6 +43,7 @@ def design_csr(x, knots, degree):
     """(len(x), len(knots)-degree-1) CSR design of every B-spline at x,
     with SciPy's ``BSpline.design_matrix`` layout: degree+1 stored entries
     per row, exact zeros included."""
+    from scipy import sparse
     values, first = bspline_basis(x, knots, degree)
     rows, width = values.shape
     itype = np.int32 if rows * width < np.iinfo(np.int32).max else np.int64

@@ -11,15 +11,25 @@ sampled matrix is not stored either: it is one contraction of the
 coefficients, recomputed on load.  A bad magic, version or hash
 invalidates the file, as do index sets out of order or out of range;
 truncated or overlong files are detected by length checks while parsing.
+
+Beside the basis files lives one inner-family file per (d, rank), in the
+format of inner.family_bytes, so a directory builds and verifies each
+family once.  It is named by a hash of (d, rank, inner.ALGO_VERSION); a
+version bump therefore re-keys it.  A file that fails load_inner_family's
+checks (checksum, weights, monotone tables from (0, 0) to (1, 1)) is a
+miss: it is rebuilt and rewritten with a warning.  Both kinds of file are
+written to a temporary file, fsynced and renamed into place.
 """
 
 import hashlib
 import os
 import struct
 import uuid
+import warnings
 
 import numpy as np
 
+from . import inner
 from .smoothing import LKBBasis
 
 MAGIC = b"LKBC"
@@ -49,29 +59,40 @@ def cache_path(cache_dir, build_config):
                         f"-{config_hash(build_config).hex()[:16]}.lkbc")
 
 
-def write_basis_cache(path, basis_set, build_config):
-    """Write to a temporary file beside path, then rename it into place, so
-    a crash or a concurrent writer never leaves a partial file at path."""
-    bs = basis_set
+def _write_atomic(path, chunks):
+    """Write the byte chunks to a temporary file beside path, fsync it,
+    then rename it into place, so a crash or a concurrent writer never
+    leaves a partial file at path."""
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(config_hash(build_config))
-            for idx in (bs.lkb.kept, bs.rows, bs.cols):
-                blob = np.asarray(idx).astype("<i8").tobytes()
-                fh.write(struct.pack("<Q", len(blob)))
-                fh.write(blob)
-            # column after column: no copy for a built or loaded basis
-            fh.write(np.ascontiguousarray(bs.lkb.coeffs, "<f8"))
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_basis_cache(path, basis_set, build_config):
+    """Write the basis set's file through _write_atomic."""
+    bs = basis_set
+
+    def chunks():
+        yield MAGIC
+        yield struct.pack("<I", FORMAT_VERSION)
+        yield config_hash(build_config)
+        for idx in (bs.lkb.kept, bs.rows, bs.cols):
+            blob = np.asarray(idx).astype("<i8").tobytes()
+            yield struct.pack("<Q", len(blob))
+            yield blob
+        # column after column: no copy for a built or loaded basis
+        yield np.ascontiguousarray(bs.lkb.coeffs, "<f8")
+
+    _write_atomic(path, chunks())
 
 
 def read_basis_cache(path, build_config, smoothing):
@@ -124,3 +145,31 @@ def read_basis_cache(path, build_config, smoothing):
     block.flags.writeable = False  # fresh: sample() hands it on uncopied
     lkb = LKBBasis(coeffs=block.reshape(shape), kept=kept, config=smoothing)
     return {"lkb": lkb, "rows": rows, "cols": cols}
+
+
+def family_path(cache_dir, d, rank):
+    """File name of the (d, rank) inner family, keyed by a hash of (d,
+    rank, inner.ALGO_VERSION)."""
+    key = hashlib.sha256(repr((d, rank, inner.ALGO_VERSION)).encode())
+    return os.path.join(cache_dir,
+                        f"inner-d{d}-r{rank}-{key.hexdigest()[:16]}.ksti")
+
+
+def inner_family(cache_dir, d, rank):
+    """The (d, rank) inner family of cache_dir: loaded from its file when
+    that passes load_inner_family's checks, else built by
+    build_inner_family and written (with a warning for a bad file)."""
+    path = family_path(cache_dir, d, rank)
+    if os.path.exists(path):
+        try:
+            family = inner.load_inner_family(path)
+            if (family.d, family.rank) != (d, rank):
+                raise ValueError(f"{path}: holds d={family.d}, "
+                                 f"rank={family.rank}")
+        except ValueError as exc:
+            warnings.warn(f"rebuilding inner-family file: {exc}")
+        else:
+            return family
+    family = inner.build_inner_family(d, rank)
+    _write_atomic(path, [inner.family_bytes(family)])
+    return family

@@ -4,7 +4,6 @@ sparse fitting by orthogonal matching pursuit."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .smoothing import eval_surface_on_grid
 
@@ -140,6 +139,7 @@ def omp_fit(matrix, f_values, sparsity):
     O(m k + p k) for p = min(s, m) rows of Z and m columns, and no step
     forms W or Z.
     """
+    from scipy.linalg import solve_triangular
     if sparsity < 1:
         raise ValueError(f"sparsity must be >= 1, got {sparsity}")
     n_rows, n_cols = matrix.shape
@@ -186,7 +186,7 @@ def omp_fit(matrix, f_values, sparsity):
         active.append(best)
     k = len(active)
     coef = np.zeros(n_cols)
-    coef[active] = sla.solve_triangular(r[:k, :k], u[:k] @ h)
+    coef[active] = solve_triangular(r[:k, :k], u[:k] @ h)
     return FitResult(coefficients=coef,
                      training_rmse=rms_seminorm(matrix.values @ coef - f),
                      method="omp", support=np.array(sorted(active), dtype=int),

@@ -17,6 +17,7 @@ constructed tables (exhaustively up to a size cap, extrapolated beyond)
 and the windows are re-tightened until the margin holds.
 """
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -34,6 +35,11 @@ _PRIMES = (2, 3, 5, 7, 11)
 # and the larger cap used by the final verification pass.
 _BUILD_CHECK_CAP = 2 ** 21
 _FINAL_CHECK_CAP = 2 ** 27
+# Above this many sums the exhaustive check streams them in value slabs of
+# about _STREAM_SLAB sums (in practice only the 3-d final-cap calls), so
+# its memory stays near a slab's and not 8 bytes per sum.
+_STREAM_ABOVE = 2 ** 21
+_STREAM_SLAB = 2 ** 20
 # Safety margin between the widest cube image and the smallest image gap
 # (disjointness itself needs > 1; the excess absorbs measurement noise).
 _SEP_MARGIN = 1.25
@@ -113,11 +119,15 @@ def _min_cube_gap(anchors, lambdas, cap=_BUILD_CHECK_CAP):
 
     Exhaustive over all len(anchors)**d combinations when that count is
     within cap; returns None when it is not.  Equal sums give gap 0.
+    Above _STREAM_ABOVE sums (d >= 2) the check is streamed in value
+    slabs, with the same result.
     """
     t = len(anchors)
     d = len(lambdas)
     if t == 0 or t ** d > cap:
         return None if t ** d > cap else math.inf
+    if d > 1 and t ** d > _STREAM_ABOVE:
+        return _streamed_cube_gap(anchors, lambdas)
     sums = lambdas[0] * anchors
     for i in range(1, d):
         sums = (sums[..., None] + lambdas[i] * anchors).ravel()
@@ -125,6 +135,50 @@ def _min_cube_gap(anchors, lambdas, cap=_BUILD_CHECK_CAP):
         return math.inf
     sums.sort()
     return float(np.diff(sums).min())
+
+
+def _streamed_cube_gap(anchors, lambdas):
+    """_min_cube_gap over all d-fold sums (d >= 2) in value slabs of about
+    _STREAM_SLAB sums each, so no array holds every sum.
+
+    Every sum is head + w[k]: head one of the sorted (d-1)-fold sums,
+    added in _min_cube_gap's order, and w = lambdas[-1] * anchors, so it
+    has the same bits as there.  Rounded addition is monotone, so the sums
+    of one anchor k that fall in a slab [lo, hi) are one run of the sorted
+    heads; searchsorted finds it, widened by a rounding slack, and the
+    exact test keeps each sum in exactly one slab.  The smallest gap is
+    the least of the gaps inside each sorted slab and the gaps across slab
+    edges.
+    """
+    head = lambdas[0] * anchors
+    for lam in lambdas[1:-1]:
+        head = (head[:, None] + lam * anchors).ravel()
+    head.sort()
+    w = lambdas[-1] * anchors
+    total = len(head) * len(w)
+    # slab edges: quantiles of a strided sample of the sums, each sample
+    # sum standing for `stride` sums
+    nslab = -(-total // _STREAM_SLAB)
+    stride = max(1, total // (64 * nslab * len(w)))
+    sample = np.sort((head[::stride, None] + w).ravel())
+    edges = np.unique(sample[len(sample) * np.arange(1, nslab) // nslab])
+    bounds = np.concatenate([[-np.inf], edges, [np.inf]])
+    slack = 8.0 * np.finfo(float).eps * (np.abs(head).max()
+                                         + np.abs(w).max())
+    best, last = math.inf, -math.inf
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        start = np.searchsorted(head, lo - w - slack)
+        count = np.searchsorted(head, hi - w + slack, side="right") - start
+        first = np.cumsum(count) - count
+        idx = np.repeat(start - first, count) + np.arange(count.sum())
+        sums = head[idx] + np.repeat(w, count)
+        sums = sums[(sums >= lo) & (sums < hi)]
+        if sums.size:
+            sums.sort()
+            best = min(best, float(sums[0] - last),
+                       float(np.diff(sums).min(initial=math.inf)))
+            last = sums[-1]
+    return best
 
 
 def _run_sums(values, groups, n):
@@ -421,25 +475,40 @@ PROFILES = {
 
 
 _MAGIC = b"KSTI"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+# Version of the rules that turn (d, rank) into a family.  Part of the key
+# of a persisted family (cache.inner_family): bump it when those rules
+# change, so that old files are not served.
+ALGO_VERSION = 1
+
+
+def family_bytes(family):
+    """The family as little-endian bytes: magic, format version, d and
+    rank, the weights, each table after its node count, and last a sha256
+    of everything before it."""
+    parts = [_MAGIC,
+             struct.pack("<III", _FORMAT_VERSION, family.d, family.rank),
+             np.ascontiguousarray(family.lambdas, "<f8").tobytes()]
+    for table in family.phis:
+        parts += [struct.pack("<Q", len(table)),
+                  np.ascontiguousarray(table, "<f8").tobytes()]
+    body = b"".join(parts)
+    return body + hashlib.sha256(body).digest()
 
 
 def save_inner_family(family, path):
-    """Write the family to a little-endian binary file."""
+    """Write family_bytes(family) to path."""
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _FORMAT_VERSION, family.d, family.rank))
-        fh.write(np.ascontiguousarray(family.lambdas, "<f8").tobytes())
-        for table in family.phis:
-            fh.write(struct.pack("<Q", len(table)))
-            fh.write(np.ascontiguousarray(table, "<f8").tobytes())
+        fh.write(family_bytes(family))
 
 
 def load_inner_family(path):
     """Read a family written by save_inner_family, its tables as they are
     (they must match what build_inner_family would produce).  ValueError
     for a bad magic or version, a d or rank that build_inner_family
-    refuses, a truncated block or bytes after the last table."""
+    refuses, a truncated block, bytes after the checksum, a checksum that
+    does not match, weights that are not superposition_weights(d) bit for
+    bit, or a table that does not rise strictly from (0, 0) to (1, 1)."""
     with open(path, "rb") as fh:
         data = fh.read()
     off = 0
@@ -462,6 +531,17 @@ def load_inner_family(path):
     for _ in range(2 * d + 1):
         (m,) = struct.unpack("<Q", take(8))
         phis.append(np.frombuffer(take(16 * m), "<f8").reshape(m, 2).copy())
+    digest = take(32)
     if off != len(data):
         raise ValueError(f"{path}: {len(data) - off} trailing bytes")
+    if hashlib.sha256(data[:off - 32]).digest() != digest:
+        raise ValueError(f"{path}: checksum mismatch")
+    if lambdas.tobytes() != superposition_weights(d).tobytes():
+        raise ValueError(f"{path}: weights are not superposition_weights({d})")
+    for q, table in enumerate(phis):
+        if not (len(table) >= 2 and np.all(np.diff(table, axis=0) > 0.0)
+                and table[0].tolist() == [0.0, 0.0]
+                and table[-1].tolist() == [1.0, 1.0]):
+            raise ValueError(f"{path}: table {q} does not rise strictly "
+                             f"from (0, 0) to (1, 1)")
     return InnerFamily(d=d, rank=rank, lambdas=lambdas, phis=phis)

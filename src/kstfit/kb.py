@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg as sla
 
 from .bsplines import UniformBSplineBasis, contract_axes, design_csr
 from .inner import eval_z, forward_superpose
@@ -178,9 +177,10 @@ class DesignMatrix:
         on the first read and kept, W itself is not.  s is sigma(M),
         largest first: a factored matrix has min(W.shape) of them, and any
         missing up to min(M.shape) are zero."""
+        from scipy.linalg import svd
         # W is a new Fortran-ordered array: LAPACK factors it in place
-        factors = sla.svd(self.rank_factor(), full_matrices=False,
-                          overwrite_a=True, check_finite=False)
+        factors = svd(self.rank_factor(), full_matrices=False,
+                      overwrite_a=True, check_finite=False)
         for a in factors:
             a.flags.writeable = False
         return factors

@@ -11,8 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg.blas import dger as _dger
 
 from .fitting import FitResult, rms_seminorm, target_vector
 from .kb import DesignMatrix
@@ -68,7 +66,8 @@ def _rank_one_downdate(a, x, y, scale):
     if not (a.flags.c_contiguous and a.dtype == np.float64):
         raise ValueError("rank-one downdate needs a C-contiguous float64 "
                          "array")
-    _dger(-scale, y, x, a=a.T, overwrite_a=True)
+    from scipy.linalg.blas import dger
+    dger(-scale, y, x, a=a.T, overwrite_a=True)
 
 
 def _abs_argmax(a):
@@ -134,6 +133,7 @@ def _sweep_rows(m, rows, cols, log):
     Keeps B = M[:, J] M[I, J]^{-1} current through rank-one updates, the
     standard maxvol trick, so each swap costs O(n r) instead of a solve.
     """
+    from scipy import linalg as sla
     changed = False
     try:
         with warnings.catch_warnings():
@@ -197,6 +197,7 @@ def maxvol_select(matrix, r, with_history=False):
 
 def cross_certificate(matrix, rows, cols):
     """(Chebyshev residual, (1+r) sigma_{r+1}) of the skeleton on (I, J)."""
+    from scipy import linalg as sla
     matrix = _as_matrix(matrix)
     m, svals = matrix.values, matrix.singular_values
     core = m[np.ix_(rows, cols)]

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import shutil
 import struct
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from kstfit import bench, cli, smoothing
+from kstfit import bench, cli, inner, smoothing
 from kstfit.bench import (
     ExperimentSpec,
     estimate_convergence_slope,
@@ -22,7 +23,7 @@ from kstfit.bench import (
     run_table_experiment,
 )
 from kstfit.cache import CacheMismatch, cache_path, config_hash, \
-    read_basis_cache
+    family_path, inner_family, read_basis_cache
 from kstfit.fitting import dls_fit, omp_fit
 from kstfit.smoothing import SmoothingConfig
 from kstfit.testfuncs import get as get_function, registry
@@ -247,11 +248,13 @@ def read_cache(path, cfg):
 
 def test_default_cache_file_name_is_pinned(tmp_path):
     """A refactor that changes the hashed configuration re-keys every
-    cache; the default 2-d n=20 file keeps its name."""
+    cache; the default 2-d n=20 file keeps its name, and so does the
+    inner-family file written beside it."""
     name = "basis-d2-n20-09e8cdb41d211c1a.lkbc"
+    family = "inner-d2-r4-16e1505d9a93afca.ksti"
     assert cache_path("", basis_config(2, 20)) == name
     get_basis_set(2, 20, cache_dir=str(tmp_path))
-    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name, family]
 
 
 @pytest.mark.parametrize("stray", [{"eval_grid": 21}, {"inner_rank": 3}])
@@ -290,7 +293,7 @@ def test_configs_sharing_d_and_n_keep_their_own_files(tmp_path,
     cache = str(tmp_path)
     first = {p: get_basis_set(2, 20, cache_dir=cache, penalty=p)
              for p in (0.5, 1.0)}
-    assert len(list(tmp_path.iterdir())) == 2
+    assert len(list(tmp_path.glob("*.lkbc"))) == 2
 
     def no_build(cfg):
         raise AssertionError("cache miss: basis rebuilt")
@@ -323,14 +326,104 @@ def test_algorithm_version_bump_invalidates_cached_pivots(tmp_path,
     builds = []
     build = kstfit.bench._build
 
-    def counted_build(cfg):
+    def counted_build(cfg, *args):
         builds.append(cfg)
-        return build(cfg)
+        return build(cfg, *args)
 
     monkeypatch.setattr(kstfit.bench, "_build", counted_build)
     get_basis_set(2, 20, cache_dir=cache)
     assert builds == [cfg]
     read_cache(new_path, cfg)
+
+
+def counted_family_builds(monkeypatch):
+    """The (d, rank) of every inner-family build from here on."""
+    builds = []
+    build = inner.build_inner_family
+
+    def counted(d, rank=None):
+        builds.append((d, rank))
+        return build(d, rank)
+
+    monkeypatch.setattr(inner, "build_inner_family", counted)
+    return builds
+
+
+def test_family_file_is_built_once_per_cache_directory(tmp_path,
+                                                       monkeypatch):
+    """A miss builds the family and writes one file, with no temporary
+    left; a hit loads it, silently and without a build."""
+    cache = str(tmp_path)
+    builds = counted_family_builds(monkeypatch)
+    built = inner_family(cache, 2, 2)
+    assert builds == [(2, 2)]
+    path = family_path(cache, 2, 2)
+    assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
+    assert open(path, "rb").read() == inner.family_bytes(built)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = inner_family(cache, 2, 2)
+    assert builds == [(2, 2)]
+    assert inner.family_bytes(loaded) == inner.family_bytes(built)
+
+
+def with_weights(data, lambdas):
+    """Family file bytes data with other weights and a checksum that
+    matches them."""
+    body = data[:16] + np.asarray(lambdas, "<f8").tobytes() \
+        + data[16 + 8 * len(lambdas):-32]
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("corrupt,reason", [
+    (lambda data: data[:-40], "truncated"),
+    (lambda data: data[:200] + bytes([data[200] ^ 1]) + data[201:],
+     "checksum"),
+    (lambda data: with_weights(data, inner.superposition_weights(2)[::-1]),
+     "weights"),
+    (lambda data: inner.family_bytes(inner.build_inner_family(2, 1)),
+     "rank=1")])
+def test_bad_family_file_is_rebuilt_and_rewritten(corrupt, reason, tmp_path,
+                                                  monkeypatch):
+    cache = str(tmp_path)
+    path = family_path(cache, 2, 2)
+    good = inner.family_bytes(inner_family(cache, 2, 2))
+    with open(path, "wb") as fh:
+        fh.write(corrupt(good))
+    builds = counted_family_builds(monkeypatch)
+    with pytest.warns(UserWarning, match=reason):
+        inner_family(cache, 2, 2)
+    assert builds == [(2, 2)]
+    assert open(path, "rb").read() == good
+
+
+def test_inner_algorithm_version_bump_rekeys_the_family_file(tmp_path,
+                                                             monkeypatch):
+    cache = str(tmp_path)
+    inner_family(cache, 2, 2)
+    old_path = family_path(cache, 2, 2)
+    monkeypatch.setattr(inner, "ALGO_VERSION", inner.ALGO_VERSION + 1)
+    assert family_path(cache, 2, 2) != old_path
+    builds = counted_family_builds(monkeypatch)
+    inner_family(cache, 2, 2)
+    assert builds == [(2, 2)]
+    assert os.path.exists(family_path(cache, 2, 2))
+
+
+def test_basis_from_a_loaded_family_keeps_the_cold_bytes(tmp_path,
+                                                         monkeypatch):
+    """n=30 built on the family file that n=20 wrote gives the cache file
+    of n=30 built in a fresh directory."""
+    warm, fresh = str(tmp_path / "warm"), str(tmp_path / "fresh")
+    get_basis_set(2, 20, cache_dir=warm)
+    get_basis_set(2, 30, cache_dir=fresh)
+    builds = counted_family_builds(monkeypatch)
+    get_basis_set(2, 30, cache_dir=warm)
+    assert builds == []
+    cfg = basis_config(2, 30)
+    digests = [hashlib.sha256(open(cache_path(c, cfg), "rb").read()).digest()
+               for c in (warm, fresh)]
+    assert digests[0] == digests[1]
 
 
 def test_format_3_file_is_rebuilt_to_the_cold_bytes(tmp_path):

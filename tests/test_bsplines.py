@@ -174,6 +174,18 @@ def test_import_leaves_scipy_interpolate_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_import_and_network_rates_leave_scipy_out():
+    """SciPy is imported where it is used, so neither the import nor the
+    network-rate path (inner, knet, bsplines) pays for it."""
+    src = os.path.dirname(os.path.dirname(kstfit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, kstfit, kstfit.cli; "
+            "kstfit.bench.run_knet_rate(2, 'sin', [8, 16, 32]); "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_linear_interpolant_reproduces_linear_and_kinks():
     lin = linear_interpolant(lambda t: 3 * t - 1, np.linspace(0, 1, 7))
     t = np.linspace(0, 1, 500)

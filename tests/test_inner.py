@@ -1,9 +1,10 @@
 import hashlib
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     cube_image_overlap,
@@ -325,6 +326,41 @@ def test_build_checks_each_anchor_array_once(d, monkeypatch):
     assert hashlib.sha256(tables).hexdigest() == _PHI_SHA256[d]
 
 
+@st.composite
+def cube_gap_problems(draw):
+    """Anchors and weights for d = 2, 3.  Anchors on an eighths grid and
+    weights from a few dyadic values give exact ties, and equal sums then
+    sit on slab edges, which are sums themselves; slabs go down to one
+    sum."""
+    d = draw(st.sampled_from([2, 3]))
+    t = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        anchors = [k / 8 for k in draw(st.lists(st.integers(0, 8),
+                                                min_size=t, max_size=t))]
+        lambdas = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+                                min_size=d, max_size=d))
+    else:
+        anchors = draw(st.lists(st.floats(0.0, 1.0), min_size=t,
+                                max_size=t))
+        lambdas = draw(st.lists(st.floats(0.01, 1.0), min_size=d,
+                                max_size=d))
+    slab = draw(st.sampled_from([1, 2, 3, 7, 64, 2 ** 20]))
+    return np.array(anchors), np.array(lambdas), slab
+
+
+@settings(max_examples=300, deadline=None)
+@given(cube_gap_problems())
+@example((np.array([0.0, 0.25, 0.5, 0.75]), np.array([1.0, 1.0]), 1))
+@example((np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.5, 0.5]), 2))
+def test_streamed_cube_gap_matches_the_plain_check(problem):
+    anchors, lambdas, slab = problem
+    plain = inner._min_cube_gap(anchors, lambdas)
+    with mock.patch.object(inner, "_STREAM_ABOVE", 0), \
+            mock.patch.object(inner, "_STREAM_SLAB", slab):
+        streamed = inner._min_cube_gap(anchors, lambdas)
+    assert streamed == plain
+
+
 def test_serialization_roundtrip(tmp_path):
     fam = build_inner_family(2, 2)
     path = tmp_path / "family.ksti"
@@ -357,7 +393,25 @@ def test_serialization_rejects_corruption(tmp_path):
     # a d or rank that build_inner_family refuses, the rest intact
     for d, rank, word in ((0, 1, "dimension"), (6, 1, "dimension"),
                           (2, 0, "rank"), (2, 40, "narrower")):
-        header = struct.pack("<III", 1, d, rank)
+        header = struct.pack("<III", inner._FORMAT_VERSION, d, rank)
         (tmp_path / "bad.ksti").write_bytes(raw[:4] + header + raw[16:])
+        with pytest.raises(ValueError, match=word):
+            load_inner_family(tmp_path / "bad.ksti")
+
+
+def test_load_checks_the_checksum_weights_and_tables(tmp_path):
+    raw = inner.family_bytes(build_inner_family(2, 1))
+
+    def resummed(body):
+        return body + hashlib.sha256(body).digest()
+
+    cases = {
+        "checksum mismatch": raw[:-1] + bytes([raw[-1] ^ 1]),
+        "weights": resummed(raw[:16] + struct.pack("<d", 0.5) + raw[24:-32]),
+        # phi_4(1) = 2: still rising, but past 1
+        "table 4": resummed(raw[:-40] + struct.pack("<d", 2.0)),
+    }
+    for word, data in cases.items():
+        (tmp_path / "bad.ksti").write_bytes(data)
         with pytest.raises(ValueError, match=word):
             load_inner_family(tmp_path / "bad.ksti")
