@@ -14,8 +14,8 @@ truncated or overlong files are detected by length checks while parsing.
 
 Beside the basis files lives one inner-family file per (d, rank), in the
 format of inner.family_bytes, so a directory builds and verifies each
-family once.  It is named by a hash of (d, rank, inner.ALGO_VERSION); a
-version bump therefore re-keys it.  A file that fails load_inner_family's
+family once.  It is named by a hash of (d, rank, ALGO_VERSION), the
+version that also keys the basis files, so one bump re-keys both.  A file that fails load_inner_family's
 checks (checksum, weights, monotone tables from (0, 0) to (1, 1)) is a
 miss: it is rebuilt and rewritten with a warning.  Both kinds of file are
 written to a temporary file, fsynced and renamed into place.
@@ -35,8 +35,9 @@ from .smoothing import LKBBasis
 MAGIC = b"LKBC"
 FORMAT_VERSION = 4
 # Version of the rules that turn a configuration into a basis and its
-# pivots (numerical rank, maxvol search).  Part of the configuration hash:
-# bump it when those rules change, so that old files are not served.
+# pivots (inner family, numerical rank, maxvol search).  Part of the
+# configuration hash and of the family file's key: bump it when those
+# rules change, so that old files are not served.
 ALGO_VERSION = 3
 
 
@@ -149,8 +150,8 @@ def read_basis_cache(path, build_config, smoothing):
 
 def family_path(cache_dir, d, rank):
     """File name of the (d, rank) inner family, keyed by a hash of (d,
-    rank, inner.ALGO_VERSION)."""
-    key = hashlib.sha256(repr((d, rank, inner.ALGO_VERSION)).encode())
+    rank, ALGO_VERSION)."""
+    key = hashlib.sha256(repr((d, rank, ALGO_VERSION)).encode())
     return os.path.join(cache_dir,
                         f"inner-d{d}-r{rank}-{key.hexdigest()[:16]}.ksti")
 

@@ -33,8 +33,6 @@ from .kb import DesignMatrix, assemble_design_matrix, prune_near_zero_columns
 _QUAD_POINTS = 4
 # Points per block of scattered surface evaluation.
 _EVAL_CHUNK = 65536
-# Rows per block when the normal matrix's upper triangle is mirrored.
-_MIRROR_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -169,36 +167,6 @@ def _kron_csr(x, y):
                             shape=(nrow, ncol))
 
 
-def _normal_matrix(designs, cfg, npts):
-    """penalty * E + A^T A / npts for A = B_1 x ... x B_d, the axis
-    designs, summed in place: at most two arrays of its size are alive at
-    once."""
-    normal = energy_matrix(len(designs), cfg)
-    normal *= cfg.penalty
-    ata = np.array([[1.0]])
-    for b in designs:
-        ata = np.kron(ata, b.T @ b)
-    ata /= npts
-    normal += ata
-    return normal
-
-
-def _cho_factor_in_place(a):
-    """cho_factor(a) for a C-ordered a, in a's memory.  LAPACK reads the
-    upper triangle of the Fortran-ordered a.T, which is a's lower one, so
-    a's upper triangle is first copied there, block rows at a time.  The
-    upper factor then has the bits of cho_factor(a)'s, which reads a's
-    upper triangle from a copy."""
-    from scipy.linalg import cho_factor
-    for lo in range(0, len(a), _MIRROR_ROWS):
-        hi = min(lo + _MIRROR_ROWS, len(a))
-        a[lo:hi, :lo] = a[:lo, lo:hi].T
-        diag = a[lo:hi, lo:hi]
-        below = np.tril_indices(hi - lo, -1)
-        diag[below] = diag.T[below]
-    return cho_factor(a.T, overwrite_a=True)
-
-
 class GridSmoother:
     """Factored penalized normal equations for one (grid, config) pair.
 
@@ -209,6 +177,7 @@ class GridSmoother:
 
     def __init__(self, grid, cfg):
         from scipy import sparse
+        from scipy.linalg import cho_factor
         designs = _grid_designs(cfg, grid)
         self.grid = grid
         self.d = grid.d
@@ -217,11 +186,21 @@ class GridSmoother:
             raise ValueError(
                 f"{len(grid)} grid points cannot determine {ncf ** self.d} "
                 f"coefficients")
+        # penalty * E + A^T A / N, summed in place: with LAPACK's copy at
+        # most two arrays of the normal matrix's size are alive at once
+        normal = energy_matrix(self.d, cfg)
+        normal *= cfg.penalty
+        ata = np.array([[1.0]])
+        for b in designs:
+            ata = np.kron(ata, b.T @ b)
+        ata /= len(grid)
+        normal += ata
+        del ata
         try:
-            self._cho = _cho_factor_in_place(_normal_matrix(designs, cfg,
-                                                            len(grid)))
+            self._cho = cho_factor(normal)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"singular penalized normal system: {exc}")
+        del normal
         self._ncf = ncf
         # A^T = B_1^T x ... x B_d^T for A = B_1 x ... x B_d: rows in the
         # C order of the coefficient tensor, columns in grid order

@@ -251,7 +251,7 @@ def test_default_cache_file_name_is_pinned(tmp_path):
     cache; the default 2-d n=20 file keeps its name, and so does the
     inner-family file written beside it."""
     name = "basis-d2-n20-09e8cdb41d211c1a.lkbc"
-    family = "inner-d2-r4-16e1505d9a93afca.ksti"
+    family = "inner-d2-r4-d4f2fa7941a9fcc3.ksti"
     assert cache_path("", basis_config(2, 20)) == name
     get_basis_set(2, 20, cache_dir=str(tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == [name, family]
@@ -397,17 +397,25 @@ def test_bad_family_file_is_rebuilt_and_rewritten(corrupt, reason, tmp_path,
     assert open(path, "rb").read() == good
 
 
-def test_inner_algorithm_version_bump_rekeys_the_family_file(tmp_path,
-                                                             monkeypatch):
-    cache = str(tmp_path)
-    inner_family(cache, 2, 2)
-    old_path = family_path(cache, 2, 2)
-    monkeypatch.setattr(inner, "ALGO_VERSION", inner.ALGO_VERSION + 1)
-    assert family_path(cache, 2, 2) != old_path
+def test_algorithm_version_bump_rekeys_the_family_file(tmp_path,
+                                                       monkeypatch):
+    """One version keys both kinds of file: a bump rebuilds the family as
+    well as the basis that is built from it."""
+    import kstfit.cache
+
+    cache, rank = str(tmp_path), inner.default_rank(2)
+    cfg = basis_config(2, 20)
+    get_basis_set(2, 20, cache_dir=cache)
+    old_paths = (family_path(cache, 2, rank), cache_path(cache, cfg))
+    assert all(os.path.exists(p) for p in old_paths)
+    monkeypatch.setattr(kstfit.cache, "ALGO_VERSION",
+                        kstfit.cache.ALGO_VERSION + 1)
+    new_paths = (family_path(cache, 2, rank), cache_path(cache, cfg))
+    assert all(new != old for new, old in zip(new_paths, old_paths))
     builds = counted_family_builds(monkeypatch)
-    inner_family(cache, 2, 2)
-    assert builds == [(2, 2)]
-    assert os.path.exists(family_path(cache, 2, 2))
+    get_basis_set(2, 20, cache_dir=cache)
+    assert builds == [(2, rank)]
+    assert all(os.path.exists(p) for p in new_paths)
 
 
 def test_basis_from_a_loaded_family_keeps_the_cold_bytes(tmp_path,

@@ -355,9 +355,8 @@ def cube_gap_problems(draw):
 def test_streamed_cube_gap_matches_the_plain_check(problem):
     anchors, lambdas, slab = problem
     plain = inner._min_cube_gap(anchors, lambdas)
-    with mock.patch.object(inner, "_STREAM_ABOVE", 0), \
-            mock.patch.object(inner, "_STREAM_SLAB", slab):
-        streamed = inner._min_cube_gap(anchors, lambdas)
+    with mock.patch.object(inner, "_STREAM_SLAB", slab):
+        streamed = inner._streamed_cube_gap(anchors, lambdas)
     assert streamed == plain
 
 

@@ -423,29 +423,3 @@ def test_smoother_forms_its_normal_matrix_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * cfg.coeffs_per_axis ** 6 * 8
-
-
-@pytest.mark.parametrize("d,segments", [(2, 24), (3, 8)])
-def test_smoother_factors_its_normal_matrix_in_place(d, segments):
-    """The upper Cholesky factor keeps the bytes of cho_factor on a copy
-    of the normal matrix, whose triangles differ in the last bits, and the
-    factor step allocates no second matrix (a copy is 1.0 x; the row
-    blocks and the finiteness check take 0.26 x at 729^2, 0.13 x at
-    1331^2)."""
-    cfg = SmoothingConfig(segments=segments)
-    grid = PointSet.grid(d, 41)
-    normal = smoothing._normal_matrix(smoothing._grid_designs(cfg, grid),
-                                      cfg, len(grid))
-    assert not np.array_equal(normal, normal.T)
-    want, want_lower = cho_factor(normal.copy())
-    tracemalloc.start()
-    try:
-        got, lower = smoothing._cho_factor_in_place(normal)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.shares_memory(got, normal) and lower == want_lower
-    assert np.triu(got).tobytes() == np.triu(want).tobytes()
-    assert peak < 0.5 * normal.nbytes
-    assert (np.triu(GridSmoother(grid, cfg)._cho[0]).tobytes()
-            == np.triu(want).tobytes())
