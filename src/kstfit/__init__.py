@@ -8,14 +8,13 @@ from .bsplines import (
     linear_interpolant,
     linear_spline_to_relu,
 )
+from .cache import load_inner_family, save_inner_family
 from .fitting import FitResult, dls_fit, evaluate_fit, omp_fit, rms_seminorm
 from .inner import (
     InnerFamily,
     build_inner_family,
     eval_z,
     forward_superpose,
-    load_inner_family,
-    save_inner_family,
 )
 from .kb import (
     DesignMatrix,

@@ -2,6 +2,7 @@
 its pivotal point set, fit the benchmark functions, and emit the result
 tables, convergence slopes and pivotal counts as CSV."""
 
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -30,11 +31,20 @@ _DEFAULT_SEGMENTS = {1: 24, 2: 24, 3: 12}
 _DEFAULT_EVAL_GRID = {1: 1001, 2: 101, 3: 101}
 
 
+def _size(name, value):
+    """value as an int; ValueError for a float or other non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a table/slope/count experiment needs; the one place
     where segments and eval_grid of 0 take their defaults and sizes, grids
-    and smoothing settings are checked, before anything is built."""
+    and smoothing settings are checked, before anything is built.  Sizes
+    are kept as int, the penalty as float: equal inputs, one cache file."""
 
     d: int
     n_list: tuple
@@ -46,6 +56,11 @@ class ExperimentSpec:
     cache_dir: str = None
 
     def __post_init__(self):
+        for name in ("d", "fit_grid", "eval_grid", "degree", "segments"):
+            object.__setattr__(self, name, _size(name, getattr(self, name)))
+        object.__setattr__(self, "n_list",
+                           tuple(_size("n", n) for n in self.n_list))
+        object.__setattr__(self, "penalty", float(self.penalty))
         if self.d not in _DEFAULT_SEGMENTS:
             raise ValueError(f"no basis settings for d={self.d}; choose d "
                              f"in {tuple(_DEFAULT_SEGMENTS)}")
@@ -68,7 +83,7 @@ class ExperimentSpec:
         """Every input of the size-n build, the dict the cache hashes and
         names the file by; the build reads its settings from it, and
         prune_tol names the fixed cut of build_lkb_basis."""
-        return {"d": self.d, "n": n, "fit_grid": self.fit_grid,
+        return {"d": self.d, "n": _size("n", n), "fit_grid": self.fit_grid,
                 "degree": self.degree, "penalty": self.penalty,
                 "segments": self.segments, "inner_rank": default_rank(self.d),
                 "rank_tol": PIPELINE_RANK_TOL, "prune_tol": kb.PRUNE_TOL}
@@ -155,8 +170,8 @@ def get_basis_set(d, n, cache_dir=None, **settings):
         except cache_io.CacheMismatch as exc:
             warnings.warn(f"rebuilding stale basis cache: {exc}")
         else:
-            return BasisSet(d=d, n=n, grid=grid, lkb=blob["lkb"],
-                            matrix=blob["lkb"].sample(grid),
+            return BasisSet(d=config["d"], n=config["n"], grid=grid,
+                            lkb=blob["lkb"], matrix=blob["lkb"].sample(grid),
                             rows=blob["rows"], cols=blob["cols"])
     basis = _build(config, cache_dir)
     cache_io.write_basis_cache(path, basis, config)

@@ -1,24 +1,28 @@
-"""Binary cache of built basis sets, one file per build configuration.
+"""Binary cache of built basis sets and of the inner families they are
+built from: the one module that knows their layout on disk.
 
-Layout: magic "LKBC", format version (uint32), a sha256 of the full build
-configuration, the kept-column map and the pivotal row and column sets
-(each a uint64 length and int64 entries), and finally the coefficient
-tensors of the denoised columns as one float64 block, column after
-column.  All numbers are little-endian.  The file stores no setting: the
-build configuration that its hash covers gives the block's shape and the
-smoothing settings, so the reader takes them from its caller.  The
-sampled matrix is not stored either: it is one contraction of the
-coefficients, recomputed on load.  A bad magic, version or hash
-invalidates the file, as do index sets out of order or out of range;
-truncated or overlong files are detected by length checks while parsing.
+Both kinds of file are records of one framing: a magic (b"LKBC" for a
+basis, b"KSTI" for a family), FORMAT_VERSION (uint32), the block count
+and each block after its byte length (uint64), and a sha256 of all that
+last; every number is little-endian, and every block a multiple of 8
+bytes, so each starts 8-byte aligned.  A record is hashed while it streams
+into a temporary file, which is fsynced and renamed into place.  A read
+checks magic and version first, so a file of an older layout is refused
+by its version, then the length and the checksum, and hands out
+read-only views of the one buffer it read.  A file that fails a check
+raises CacheMismatch, and get_basis_set or inner_family rebuild and
+rewrite it with a warning.
 
-Beside the basis files lives one inner-family file per (d, rank), in the
-format of inner.family_bytes, so a directory builds and verifies each
-family once.  It is named by a hash of (d, rank, ALGO_VERSION), the
-version that also keys the basis files, so one bump re-keys both.  A file that fails load_inner_family's
-checks (checksum, weights, monotone tables from (0, 0) to (1, 1)) is a
-miss: it is rebuilt and rewritten with a warning.  Both kinds of file are
-written to a temporary file, fsynced and renamed into place.
+A basis file holds [configuration hash, kept-column map, pivotal rows,
+pivotal columns, coefficients], the coefficient tensors of the kept
+columns as one float64 block, column after column.  It stores no
+setting: the build configuration that its hash covers gives the block's
+shape and the smoothing settings.  The sampled matrix is not stored
+either; a load resamples it.  Beside the basis files lives one
+inner-family file per (d, rank), holding [d and rank, the weights,
+phi_0 ... phi_2d], so a directory builds and verifies each family once.
+It is named by a hash of (d, rank, ALGO_VERSION), the version that also
+keys the basis files, so one bump re-keys both.
 """
 
 import hashlib
@@ -32,8 +36,9 @@ import numpy as np
 from . import inner
 from .smoothing import LKBBasis
 
-MAGIC = b"LKBC"
-FORMAT_VERSION = 4
+BASIS_MAGIC = b"LKBC"
+FAMILY_MAGIC = b"KSTI"
+FORMAT_VERSION = 5
 # Version of the rules that turn a configuration into a basis and its
 # pivots (inner family, numerical rank, maxvol search).  Part of the
 # configuration hash and of the family file's key: bump it when those
@@ -41,7 +46,7 @@ FORMAT_VERSION = 4
 ALGO_VERSION = 3
 
 
-class CacheMismatch(Exception):
+class CacheMismatch(ValueError):
     """Raised when a cache file exists but cannot serve this build."""
 
 
@@ -60,16 +65,22 @@ def cache_path(cache_dir, build_config):
                         f"-{config_hash(build_config).hex()[:16]}.lkbc")
 
 
-def _write_atomic(path, chunks):
-    """Write the byte chunks to a temporary file beside path, fsync it,
-    then rename it into place, so a crash or a concurrent writer never
-    leaves a partial file at path."""
+def _write_record(path, magic, blocks):
+    """Write the blocks (C-contiguous buffers) as one record at path,
+    through a temporary file beside it that is fsynced and renamed into
+    place; on any failure the temporary file is removed."""
+    digest = hashlib.sha256()
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            parts = [magic, struct.pack("<IQ", FORMAT_VERSION, len(blocks))]
+            for block in blocks:
+                parts += [struct.pack("<Q", memoryview(block).nbytes), block]
+            for part in parts:
+                digest.update(part)
+                fh.write(part)
+            fh.write(digest.digest())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -78,55 +89,57 @@ def _write_atomic(path, chunks):
         raise
 
 
-def write_basis_cache(path, basis_set, build_config):
-    """Write the basis set's file through _write_atomic."""
-    bs = basis_set
-
-    def chunks():
-        yield MAGIC
-        yield struct.pack("<I", FORMAT_VERSION)
-        yield config_hash(build_config)
-        for idx in (bs.lkb.kept, bs.rows, bs.cols):
-            blob = np.asarray(idx).astype("<i8").tobytes()
-            yield struct.pack("<Q", len(blob))
-            yield blob
-        # column after column: no copy for a built or loaded basis
-        yield np.ascontiguousarray(bs.lkb.coeffs, "<f8")
-
-    _write_atomic(path, chunks())
-
-
-def read_basis_cache(path, build_config, smoothing):
-    """Parse a cache file, validating magic, version and configuration
-    hash, and that the kept map and the pivots are strictly increasing
-    indices in range, with as many rows as columns, and that nothing
-    follows the block.  The block holds one (ncf,)*d tensor of smoothing's
-    coefficients per kept column, d = build_config["d"]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    off = 0
+def _read_record(path, magic):
+    """The blocks of the record at path, as read-only memoryviews of one
+    aligned buffer; CacheMismatch for a bad magic, version, length or
+    checksum."""
+    data = np.fromfile(path, np.uint8)
+    data.flags.writeable = False
+    data, off = memoryview(data), 0
 
     def take(count):
         nonlocal off
         if off + count > len(data):
-            raise CacheMismatch(f"{path}: truncated (need {off + count} "
-                                f"bytes, file has {len(data)})")
+            raise CacheMismatch(f"{path}: truncated at {len(data)} bytes")
         off += count
         return data[off - count:off]
 
-    def sized():
-        (count,) = struct.unpack("<Q", take(8))
-        return take(count)
-
-    if take(4) != MAGIC:
-        raise CacheMismatch(f"{path}: bad magic")
+    if take(4) != magic:
+        raise CacheMismatch(f"{path}: bad magic, not a {magic.decode()} "
+                            f"file")
     (version,) = struct.unpack("<I", take(4))
     if version != FORMAT_VERSION:
-        raise CacheMismatch(f"{path}: format version {version}")
-    if take(32) != config_hash(build_config):
+        raise CacheMismatch(f"{path}: format version {version}, this "
+                            f"reader takes {FORMAT_VERSION}")
+    (count,) = struct.unpack("<Q", take(8))
+    blocks = [take(struct.unpack("<Q", take(8))[0]) for _ in range(count)]
+    digest = take(32)
+    if off != len(data):
+        raise CacheMismatch(f"{path}: {len(data) - off} trailing bytes")
+    if hashlib.sha256(data[:-32]).digest() != digest:
+        raise CacheMismatch(f"{path}: checksum mismatch")
+    return blocks
+
+
+def write_basis_cache(path, basis_set, build_config):
+    """Write the basis set's record; the coefficient block is the
+    basis's own array, not a copy, for a built or loaded basis."""
+    bs = basis_set
+    _write_record(path, BASIS_MAGIC, [config_hash(build_config)] + [
+        np.asarray(idx).astype("<i8") for idx in (bs.lkb.kept, bs.rows,
+                                                   bs.cols)]
+        + [np.ascontiguousarray(bs.lkb.coeffs, "<f8")])
+
+
+def read_basis_cache(path, build_config, smoothing):
+    """Read a basis record, checking that its hash is build_config's, the
+    kept map and the pivots strictly increasing indices in range, with as
+    many rows as columns, and the last block one (ncf,)*d tensor of
+    smoothing's coefficients per kept column, d = build_config["d"]."""
+    digest, kept, rows, cols, coeffs = _read_record(path, BASIS_MAGIC)
+    if digest != config_hash(build_config):
         raise CacheMismatch(f"{path}: configuration hash mismatch")
-    kept, rows, cols = [np.frombuffer(sized(), "<i8").copy()
-                        for _ in range(3)]
+    kept, rows, cols = [np.frombuffer(b, "<i8") for b in (kept, rows, cols)]
     d = build_config["d"]
     for name, idx, bound in (("kept", kept, d * build_config["n"]),
                              ("rows", rows, build_config["fit_grid"] ** d),
@@ -139,13 +152,48 @@ def read_basis_cache(path, build_config, smoothing):
         raise CacheMismatch(f"{path}: {len(rows)} pivot rows but "
                             f"{len(cols)} columns")
     shape = (len(kept),) + (smoothing.coeffs_per_axis,) * d
-    block = np.frombuffer(take(8 * int(np.prod(shape))), "<f8").copy()
-    if off != len(data):
-        raise CacheMismatch(f"{path}: {len(data) - off} bytes after the "
-                            f"coefficient block")
-    block.flags.writeable = False  # fresh: sample() hands it on uncopied
-    lkb = LKBBasis(coeffs=block.reshape(shape), kept=kept, config=smoothing)
+    if len(coeffs) != 8 * int(np.prod(shape)):
+        raise CacheMismatch(f"{path}: a coefficient block of {len(coeffs)} "
+                            f"bytes, not of shape {shape}")
+    coeffs = np.frombuffer(coeffs, "<f8").reshape(shape)
+    lkb = LKBBasis(coeffs=coeffs, kept=kept, config=smoothing)
     return {"lkb": lkb, "rows": rows, "cols": cols}
+
+
+def save_inner_family(family, path):
+    """Write the family's record to path."""
+    _write_record(path, FAMILY_MAGIC, [
+        struct.pack("<II", family.d, family.rank),
+        np.ascontiguousarray(family.lambdas, "<f8")]
+        + [np.ascontiguousarray(t, "<f8") for t in family.phis])
+
+
+def load_inner_family(path):
+    """Read a family written by save_inner_family, its tables as they are
+    (they must match what build_inner_family would produce), as read-only
+    arrays.  Besides the record's own checks, CacheMismatch for a d or
+    rank that build_inner_family refuses, weights that are not
+    superposition_weights(d) bit for bit, or a table that does not rise
+    strictly from (0, 0) to (1, 1)."""
+    blocks = _read_record(path, FAMILY_MAGIC)
+    d, rank = struct.unpack("<II", blocks[0])
+    try:
+        inner.check_construction(d, rank)
+    except ValueError as exc:
+        raise CacheMismatch(f"{path}: {exc}") from None
+    if blocks[1] != inner.superposition_weights(d).astype("<f8").tobytes():
+        raise CacheMismatch(f"{path}: weights are not "
+                            f"superposition_weights({d})")
+    phis = [np.frombuffer(b, "<f8").reshape(-1, 2) for b in blocks[2:]]
+    for q, table in enumerate(phis):
+        if not (len(table) >= 2 and np.all(np.diff(table, axis=0) > 0.0)
+                and table[0].tolist() == [0.0, 0.0]
+                and table[-1].tolist() == [1.0, 1.0]):
+            raise CacheMismatch(f"{path}: table {q} does not rise strictly "
+                                f"from (0, 0) to (1, 1)")
+    return inner.InnerFamily(d=d, rank=rank,
+                             lambdas=np.frombuffer(blocks[1], "<f8"),
+                             phis=phis)
 
 
 def family_path(cache_dir, d, rank):
@@ -163,14 +211,13 @@ def inner_family(cache_dir, d, rank):
     path = family_path(cache_dir, d, rank)
     if os.path.exists(path):
         try:
-            family = inner.load_inner_family(path)
-            if (family.d, family.rank) != (d, rank):
-                raise ValueError(f"{path}: holds d={family.d}, "
-                                 f"rank={family.rank}")
-        except ValueError as exc:
+            family = load_inner_family(path)
+            if (family.d, family.rank) == (d, rank):
+                return family
+            raise CacheMismatch(f"{path}: holds d={family.d}, "
+                                f"rank={family.rank}")
+        except CacheMismatch as exc:
             warnings.warn(f"rebuilding inner-family file: {exc}")
-        else:
-            return family
     family = inner.build_inner_family(d, rank)
-    _write_atomic(path, [inner.family_bytes(family)])
+    save_inner_family(family, path)
     return family

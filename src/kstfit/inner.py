@@ -17,9 +17,7 @@ constructed tables (exhaustively up to a size cap, extrapolated beyond)
 and the windows are re-tightened until the margin holds.
 """
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -422,11 +420,11 @@ def build_inner_family(d, rank=None):
     """
     if rank is None:
         rank = default_rank(d)
-    _check_construction(d, rank)
+    check_construction(d, rank)
     return _build_cached(d, rank)
 
 
-def _check_construction(d, rank):
+def check_construction(d, rank):
     """ValueError for a (d, rank) that build_inner_family refuses."""
     superposition_weights(d)  # refuses a d outside 1..5
     if rank < 1:
@@ -472,72 +470,3 @@ PROFILES = {
     "exp": lambda t: np.exp(-t),
     "chirp": lambda t: np.sin(t * t / 2.0),
 }
-
-
-_MAGIC = b"KSTI"
-_FORMAT_VERSION = 2
-
-
-def family_bytes(family):
-    """The family as little-endian bytes: magic, format version, d and
-    rank, the weights, each table after its node count, and last a sha256
-    of everything before it."""
-    parts = [_MAGIC,
-             struct.pack("<III", _FORMAT_VERSION, family.d, family.rank),
-             np.ascontiguousarray(family.lambdas, "<f8").tobytes()]
-    for table in family.phis:
-        parts += [struct.pack("<Q", len(table)),
-                  np.ascontiguousarray(table, "<f8").tobytes()]
-    body = b"".join(parts)
-    return body + hashlib.sha256(body).digest()
-
-
-def save_inner_family(family, path):
-    """Write family_bytes(family) to path."""
-    with open(path, "wb") as fh:
-        fh.write(family_bytes(family))
-
-
-def load_inner_family(path):
-    """Read a family written by save_inner_family, its tables as they are
-    (they must match what build_inner_family would produce).  ValueError
-    for a bad magic or version, a d or rank that build_inner_family
-    refuses, a truncated block, bytes after the checksum, a checksum that
-    does not match, weights that are not superposition_weights(d) bit for
-    bit, or a table that does not rise strictly from (0, 0) to (1, 1)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    off = 0
-
-    def take(count):
-        nonlocal off
-        if off + count > len(data):
-            raise ValueError(f"{path}: truncated at {len(data)} bytes")
-        off += count
-        return data[off - count:off]
-
-    if take(4) != _MAGIC:
-        raise ValueError(f"{path}: not an inner-family file (bad magic)")
-    version, d, rank = struct.unpack("<III", take(12))
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    _check_construction(d, rank)
-    lambdas = np.frombuffer(take(8 * d), "<f8").copy()
-    phis = []
-    for _ in range(2 * d + 1):
-        (m,) = struct.unpack("<Q", take(8))
-        phis.append(np.frombuffer(take(16 * m), "<f8").reshape(m, 2).copy())
-    digest = take(32)
-    if off != len(data):
-        raise ValueError(f"{path}: {len(data) - off} trailing bytes")
-    if hashlib.sha256(data[:off - 32]).digest() != digest:
-        raise ValueError(f"{path}: checksum mismatch")
-    if lambdas.tobytes() != superposition_weights(d).tobytes():
-        raise ValueError(f"{path}: weights are not superposition_weights({d})")
-    for q, table in enumerate(phis):
-        if not (len(table) >= 2 and np.all(np.diff(table, axis=0) > 0.0)
-                and table[0].tolist() == [0.0, 0.0]
-                and table[-1].tolist() == [1.0, 1.0]):
-            raise ValueError(f"{path}: table {q} does not rise strictly "
-                             f"from (0, 0) to (1, 1)")
-    return InnerFamily(d=d, rank=rank, lambdas=lambdas, phis=phis)

@@ -2,9 +2,11 @@
 
 These helpers deliberately avoid the library's own verification paths:
 they read the public tables and town intervals and check properties from
-scratch.
+scratch, and they parse and frame cache files by their documented layout.
 """
 
+import hashlib
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -113,3 +115,26 @@ def in_town_cube_count(family, k, grid_1d):
             cube_in = cube_in[..., None] & coord_in
         counts = cube_in.astype(int) if counts is None else counts + cube_in
     return counts
+
+
+def record_blocks(data):
+    """The blocks of the cache file bytes data: magic and format version
+    come first, then the block count and each block after its length
+    (uint64 each), and a sha256 of all that last."""
+    (count,) = struct.unpack("<Q", data[8:16])
+    off, blocks = 16, []
+    for _ in range(count):
+        (size,) = struct.unpack("<Q", data[off:off + 8])
+        blocks.append(data[off + 8:off + 8 + size])
+        off += 8 + size
+    return blocks
+
+
+def reframed(data, edit):
+    """The cache file bytes data with its blocks replaced by
+    edit(blocks), under the same magic and version and with the checksum
+    of the edited blocks, so that a reader's own checks see the edit."""
+    blocks = edit(record_blocks(data))
+    body = data[:8] + struct.pack("<Q", len(blocks)) + b"".join(
+        struct.pack("<Q", len(b)) + b for b in blocks)
+    return body + hashlib.sha256(body).digest()

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
+from conftest import record_blocks, reframed
 from kstfit import bench, cli, inner, smoothing
 from kstfit.bench import (
     ExperimentSpec,
@@ -23,7 +25,8 @@ from kstfit.bench import (
     run_table_experiment,
 )
 from kstfit.cache import CacheMismatch, cache_path, config_hash, \
-    family_path, inner_family, read_basis_cache
+    family_path, inner_family, read_basis_cache, save_inner_family, \
+    write_basis_cache
 from kstfit.fitting import dls_fit, omp_fit
 from kstfit.smoothing import SmoothingConfig
 from kstfit.testfuncs import get as get_function, registry
@@ -195,6 +198,10 @@ def test_cache_roundtrip_bit_identical(cache_dir):
     assert loaded.lkb.coeffs.flags.c_contiguous
     # the file stores no setting: the load takes them from the config
     assert loaded.lkb.config == built.lkb.config
+    # read-only views of the one buffer the file was read into, aligned
+    # so that the kernels on them take their fast paths
+    for arr in (loaded.lkb.coeffs, loaded.lkb.kept, loaded.rows, loaded.cols):
+        assert arr.flags.aligned and not arr.flags.writeable
 
 
 def test_cache_cold_and_warm_fit_json_identical(tmp_path):
@@ -214,25 +221,24 @@ def test_cache_cold_and_warm_fit_json_identical(tmp_path):
         assert json.loads(texts[0])["basis"] == basis_config(2, 20)
 
 
-def test_failed_cache_write_leaves_no_file(tmp_path):
-    from dataclasses import replace
+@pytest.mark.parametrize("kind", ["basis", "family"])
+def test_failed_cache_write_leaves_no_file(kind, tmp_path, monkeypatch):
+    """A write that fails after its blocks went out, as on a full disk,
+    leaves neither the file nor its temporary; both kinds of file go
+    through the one atomic writer."""
+    path = str(tmp_path / f"{kind}.file")
+    basis = get_basis_set(2, 20) if kind == "basis" else None
+    family = inner.build_inner_family(2, 1)
 
-    from kstfit.cache import write_basis_cache
+    def full_disk(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
 
-    basis = get_basis_set(2, 20)
-
-    class Unwritable:
-        """Stands in for the coefficient block, which is written last,
-        after the header; reading its values fails like a full disk."""
-        shape = basis.lkb.coeffs.shape
-
-        def __array__(self, *args, **kwargs):
-            raise RuntimeError("disk full")
-
-    lkb = replace(basis.lkb, coeffs=Unwritable())
-    path = tmp_path / "basis.lkbc"
-    with pytest.raises(RuntimeError, match="disk full"):
-        write_basis_cache(str(path), replace(basis, lkb=lkb), {})
+    monkeypatch.setattr(os, "fsync", full_disk)
+    with pytest.raises(OSError, match="No space"):
+        if basis is not None:
+            write_basis_cache(path, basis, {})
+        else:
+            save_inner_family(family, path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -255,6 +261,34 @@ def test_default_cache_file_name_is_pinned(tmp_path):
     assert cache_path("", basis_config(2, 20)) == name
     get_basis_set(2, 20, cache_dir=str(tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == [name, family]
+
+
+def test_equal_inputs_key_one_cache_file(tmp_path, monkeypatch):
+    """Sizes are stored as int and the penalty as float, so an integer
+    penalty or NumPy sizes name the default file and hit it; a size that
+    is not an integer is refused before any build."""
+    name = "basis-d2-n100-2e4c20f722e8940f.lkbc"
+    for d, n, settings in ((2, 100, {}), (2, 100, {"penalty": 1}),
+                           (np.int64(2), np.int64(100),
+                            {"fit_grid": np.int32(41),
+                             "degree": np.int64(3), "segments": 24})):
+        spec = ExperimentSpec(d=d, n_list=(n,), **settings)
+        assert cache_path("", spec.build_config(spec.n_list[0])) == name
+    cache = str(tmp_path)
+    get_basis_set(2, np.int64(20), cache_dir=cache, penalty=1)
+
+    def no_build(cfg, *args):
+        raise AssertionError("basis built")
+
+    monkeypatch.setattr(bench, "_build", no_build)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert get_basis_set(2, 20, cache_dir=cache).n == 20
+    assert len(list(tmp_path.glob("*.lkbc"))) == 1
+    for n, settings in ((1.5, {}), (20, {"fit_grid": 41.0}),
+                        (20, {"segments": 24.0}), (20, {"degree": 3.0})):
+        with pytest.raises(ValueError, match="must be an integer"):
+            get_basis_set(2, n, cache_dir=cache, **settings)
 
 
 @pytest.mark.parametrize("stray", [{"eval_grid": 21}, {"inner_rank": 3}])
@@ -359,19 +393,35 @@ def test_family_file_is_built_once_per_cache_directory(tmp_path,
     assert builds == [(2, 2)]
     path = family_path(cache, 2, 2)
     assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
-    assert open(path, "rb").read() == inner.family_bytes(built)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         loaded = inner_family(cache, 2, 2)
     assert builds == [(2, 2)]
-    assert inner.family_bytes(loaded) == inner.family_bytes(built)
+    assert family_arrays(loaded) == family_arrays(built)
+
+
+def family_arrays(family):
+    """d, rank and the bytes of the weights and of every table."""
+    return (family.d, family.rank, family.lambdas.tobytes(),
+            [table.tobytes() for table in family.phis])
 
 
 def with_weights(data, lambdas):
     """Family file bytes data with other weights and a checksum that
     matches them."""
-    body = data[:16] + np.asarray(lambdas, "<f8").tobytes() \
-        + data[16 + 8 * len(lambdas):-32]
+    return reframed(data, lambda blocks: [
+        blocks[0], np.asarray(lambdas, "<f8").tobytes(), *blocks[2:]])
+
+
+def format_2_family(family):
+    """The family in the layout of format version 2: magic, version, d and
+    rank as uint32, the weights, each table after its node count, and a
+    sha256 of everything before it."""
+    parts = [b"KSTI", struct.pack("<III", 2, family.d, family.rank),
+             family.lambdas.tobytes()]
+    for table in family.phis:
+        parts += [struct.pack("<Q", len(table)), table.tobytes()]
+    body = b"".join(parts)
     return body + hashlib.sha256(body).digest()
 
 
@@ -381,13 +431,17 @@ def with_weights(data, lambdas):
      "checksum"),
     (lambda data: with_weights(data, inner.superposition_weights(2)[::-1]),
      "weights"),
-    (lambda data: inner.family_bytes(inner.build_inner_family(2, 1)),
-     "rank=1")])
+    (lambda data: reframed(data, lambda blocks: [struct.pack("<II", 2, 1),
+                                                 *blocks[1:]]),
+     "rank=1"),
+    (lambda data: format_2_family(inner.build_inner_family(2, 2)),
+     "format version 2")])
 def test_bad_family_file_is_rebuilt_and_rewritten(corrupt, reason, tmp_path,
                                                   monkeypatch):
     cache = str(tmp_path)
     path = family_path(cache, 2, 2)
-    good = inner.family_bytes(inner_family(cache, 2, 2))
+    inner_family(cache, 2, 2)
+    good = open(path, "rb").read()
     with open(path, "wb") as fh:
         fh.write(corrupt(good))
     builds = counted_family_builds(monkeypatch)
@@ -434,29 +488,47 @@ def test_basis_from_a_loaded_family_keeps_the_cold_bytes(tmp_path,
     assert digests[0] == digests[1]
 
 
-def test_format_3_file_is_rebuilt_to_the_cold_bytes(tmp_path):
-    """A file of the previous layout (shape settings and ids in the header)
-    at this configuration's path is refused by its version, then
-    replaced by the bytes of a cold build."""
+def test_format_4_file_is_rebuilt_to_the_cold_bytes(tmp_path):
+    """A file of the previous layout (no block count and no checksum) at
+    this configuration's path is refused by its version, then replaced by
+    the bytes of a cold build."""
     cache = str(tmp_path)
     cfg = basis_config(2, 20)
     cold = get_basis_set(2, 20, cache_dir=cache)
     path = cache_path(cache, cfg)
     want = open(path, "rb").read()
-    blobs = [np.asarray(a).astype("<i8").tobytes()
-             for a in (cold.lkb.kept, cold.rows, cold.cols)]
-    blobs += [b"kb-d2-n20-deg3-rank3", b"grid-41x41"]
     with open(path, "wb") as fh:
-        fh.write(b"LKBC" + struct.pack("<IIIII", 3, 2, 20, 3, 41))
-        fh.write(config_hash(cfg))
-        for blob in blobs:
+        fh.write(b"LKBC" + struct.pack("<I", 4) + config_hash(cfg))
+        for idx in (cold.lkb.kept, cold.rows, cold.cols):
+            blob = np.asarray(idx).astype("<i8").tobytes()
             fh.write(struct.pack("<Q", len(blob)) + blob)
-        fh.write(struct.pack("<QIId", cold.lkb.n_columns, 24, 4, 1.0))
         fh.write(cold.lkb.coeffs)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         warm = get_basis_set(2, 20, cache_dir=cache)
-    assert any("format version 3" in str(w.message) for w in caught)
+    assert any("format version 4" in str(w.message) for w in caught)
+    assert open(path, "rb").read() == want
+    assert np.array_equal(warm.matrix.values, cold.matrix.values)
+
+
+def test_flipped_coefficient_byte_is_refused_and_rebuilt(tmp_path):
+    """One flipped exponent bit in the coefficient block, which would
+    change every fit on the basis, is refused by the checksum, and the
+    rebuild writes the cold bytes back."""
+    cache = str(tmp_path)
+    cfg = basis_config(2, 20)
+    cold = get_basis_set(2, 20, cache_dir=cache)
+    path = cache_path(cache, cfg)
+    want = open(path, "rb").read()
+    bad = bytearray(want)
+    bad[-33] ^= 0x40  # sign and exponent byte of the last coefficient
+    open(path, "wb").write(bad)
+    with pytest.raises(CacheMismatch, match="checksum"):
+        read_cache(path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warm = get_basis_set(2, 20, cache_dir=cache)
+    assert any("checksum" in str(w.message) for w in caught)
     assert open(path, "rb").read() == want
     assert np.array_equal(warm.matrix.values, cold.matrix.values)
 
@@ -473,21 +545,21 @@ def test_cache_detects_corruption(cache_dir, tmp_path):
     short.write_bytes(raw[: len(raw) - 200])
     with pytest.raises(CacheMismatch, match="truncated"):
         read_cache(str(short), cfg)
+    # a coefficient block one value short, under a matching checksum
+    cut = tmp_path / "cut.lkbc"
+    cut.write_bytes(reframed(raw, lambda b: [*b[:4], b[4][:-8]]))
+    with pytest.raises(CacheMismatch, match="coefficient block"):
+        read_cache(str(cut), cfg)
 
 
 def with_indices(data, edit):
     """The cache file bytes data with its kept map, pivot rows and pivot
     columns replaced by edit(kept, rows, cols) -> (kept, rows, cols,
-    trailing bytes)."""
-    off, sets = 40, []  # magic, version and hash come first
-    for _ in range(3):
-        (count,) = struct.unpack("<Q", data[off:off + 8])
-        sets.append(np.frombuffer(data[off + 8:off + 8 + count], "<i8"))
-        off += 8 + count
-    *sets, tail = edit(*(s.copy() for s in sets))
-    blobs = [np.asarray(s, "<i8").tobytes() for s in sets]
-    return (data[:40] + b"".join(struct.pack("<Q", len(b)) + b for b in blobs)
-            + data[off:] + tail)
+    trailing bytes), under the checksum of the edited blocks."""
+    blocks = record_blocks(data)
+    *sets, tail = edit(*(np.frombuffer(b, "<i8").copy() for b in blocks[1:4]))
+    return reframed(data, lambda b: [
+        b[0], *(np.asarray(s, "<i8").tobytes() for s in sets), b[4]]) + tail
 
 
 def swapped(a, i, j):
@@ -508,7 +580,7 @@ CORRUPTIONS = {
     "cols out of order": lambda k, r, c: (k, r, swapped(c, 0, 1), b""),
     "fewer rows than cols": lambda k, r, c: (k, r[:-1], c, b""),
 }
-REASONS = {"trailing bytes": "after the coefficient block",
+REASONS = {"trailing bytes": "8 trailing bytes",
            "fewer rows than cols": "pivot rows but"}
 
 

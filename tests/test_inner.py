@@ -10,9 +10,11 @@ from conftest import (
     cube_image_overlap,
     families_missing_at,
     in_town_cube_count,
+    reframed,
 )
 from kstfit import inner
 from kstfit.bench import run_knet_rate
+from kstfit.cache import CacheMismatch, load_inner_family, save_inner_family
 from kstfit.inner import (
     PROFILES,
     build_inner_family,
@@ -20,8 +22,6 @@ from kstfit.inner import (
     eval_z,
     forward_superpose,
     gap_width,
-    load_inner_family,
-    save_inner_family,
     superposition_weights,
     _build_cached,
 )
@@ -377,40 +377,41 @@ def test_serialization_rejects_corruption(tmp_path):
     save_inner_family(fam, path)
     raw = path.read_bytes()
     (tmp_path / "bad_magic.ksti").write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(CacheMismatch, match="magic"):
         load_inner_family(tmp_path / "bad_magic.ksti")
     (tmp_path / "short.ksti").write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(CacheMismatch, match="truncated"):
         load_inner_family(tmp_path / "short.ksti")
     for cut in (2, 10):  # inside the magic, inside the header
         (tmp_path / "stub.ksti").write_bytes(raw[:cut])
-        with pytest.raises(ValueError):
+        with pytest.raises(CacheMismatch):
             load_inner_family(tmp_path / "stub.ksti")
     (tmp_path / "long.ksti").write_bytes(raw + bytes(8))
-    with pytest.raises(ValueError, match="8 trailing bytes"):
+    with pytest.raises(CacheMismatch, match="8 trailing bytes"):
         load_inner_family(tmp_path / "long.ksti")
     # a d or rank that build_inner_family refuses, the rest intact
     for d, rank, word in ((0, 1, "dimension"), (6, 1, "dimension"),
                           (2, 0, "rank"), (2, 40, "narrower")):
-        header = struct.pack("<III", inner._FORMAT_VERSION, d, rank)
-        (tmp_path / "bad.ksti").write_bytes(raw[:4] + header + raw[16:])
-        with pytest.raises(ValueError, match=word):
+        (tmp_path / "bad.ksti").write_bytes(reframed(raw, lambda b: [
+            struct.pack("<II", d, rank), *b[1:]]))
+        with pytest.raises(CacheMismatch, match=word):
             load_inner_family(tmp_path / "bad.ksti")
 
 
 def test_load_checks_the_checksum_weights_and_tables(tmp_path):
-    raw = inner.family_bytes(build_inner_family(2, 1))
-
-    def resummed(body):
-        return body + hashlib.sha256(body).digest()
-
+    path = tmp_path / "family.ksti"
+    save_inner_family(build_inner_family(2, 1), path)
+    raw = path.read_bytes()
+    assert reframed(raw, lambda b: b) == raw
     cases = {
         "checksum mismatch": raw[:-1] + bytes([raw[-1] ^ 1]),
-        "weights": resummed(raw[:16] + struct.pack("<d", 0.5) + raw[24:-32]),
+        "weights": reframed(raw, lambda b: [
+            b[0], struct.pack("<d", 0.5) + b[1][8:], *b[2:]]),
         # phi_4(1) = 2: still rising, but past 1
-        "table 4": resummed(raw[:-40] + struct.pack("<d", 2.0)),
+        "table 4": reframed(raw, lambda b: [
+            *b[:-1], b[-1][:-8] + struct.pack("<d", 2.0)]),
     }
     for word, data in cases.items():
         (tmp_path / "bad.ksti").write_bytes(data)
-        with pytest.raises(ValueError, match=word):
+        with pytest.raises(CacheMismatch, match=word):
             load_inner_family(tmp_path / "bad.ksti")
