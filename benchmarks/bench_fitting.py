@@ -11,10 +11,12 @@ Xeon x86-64 VM one factored fit takes 12-15 ms (median), where scoring
 every column afresh at every step took 33-36 ms and rebuilding W for
 every fit 46-57 ms.  The pivotal fit solves on the 71 x 71 block at the
 pivots that maxvol_select picks (a one-off ~4 s search); the warm fit
-reuses the SVD of that block.  The warm evaluation collapses a DLS fit
-into one surface and evaluates it on the 101^2 evaluation grid.  The
-file name keeps it out of the default test collection; run it on its
-own:
+reuses the SVD of that block.  The warm evaluation evaluates a DLS fit
+on the 101^2 evaluation grid as one surface, from the coefficient
+tensor T = C^T x that the fit formed for its training RMSE; the "DLS +
+evaluate" round times the two together, as one table cell runs them.
+The file name keeps it out of the default test collection; run it on
+its own:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_fitting.py
 """
@@ -97,4 +99,18 @@ def test_warm_evaluate_fit(benchmark, basis):
     evaluate_fit(fit, lkb, eval_pts, func)  # fills the axis-design cache
     err = benchmark.pedantic(evaluate_fit, args=(fit, lkb, eval_pts, func),
                              rounds=20)
+    assert err < 1e-3
+
+
+def test_warm_dls_fit_and_evaluate(benchmark, basis):
+    lkb, grid, _ = basis
+    func = get_function(D, "f7")
+    matrix, target = lkb.sample(grid), func(grid.points)
+    eval_pts = ExperimentSpec(d=D, n_list=(N,)).eval_points()
+
+    def fit_and_evaluate():
+        return evaluate_fit(dls_fit(matrix, target), lkb, eval_pts, func)
+
+    fit_and_evaluate()  # factors W, fills the axis-design cache
+    err = benchmark.pedantic(fit_and_evaluate, rounds=20)
     assert err < 1e-3

@@ -181,7 +181,11 @@ def get_basis_set(d, n, cache_dir=None, **settings):
 def fit_by_method(basis, func, method, eval_pts, sparsity=None):
     """Fit func's samples on the basis grid by 'dls' (all samples),
     'pivotal' (the pivotal rows only) or 'omp' (sparsity columns, default
-    the pivotal rank), then record the RMSE over eval_pts on the fit."""
+    the pivotal rank), then record the RMSE over eval_pts on the fit.  A
+    sparsity with any other method is refused, not dropped."""
+    if sparsity and method != "omp":
+        raise ValueError(f"sparsity applies to method 'omp' only, "
+                         f"not {method!r}")
     target = func(basis.grid.points)
     if method == "dls":
         fit = dls_fit(basis.matrix, target)

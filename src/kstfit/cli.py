@@ -76,7 +76,8 @@ def _make_parser(defaults=None):
     p.add_argument("--method", choices=("dls", "pivotal", "omp"),
                    default="dls")
     p.add_argument("--sparsity", type=int, default=0,
-                   help="OMP column count (0 = the pivotal rank)")
+                   help="OMP column count (0 = the pivotal rank); "
+                        "refused for the other methods")
     common(p)
 
     p = sub.add_parser("table", help="RMSE table over all functions")
@@ -160,6 +161,9 @@ def main(argv=None):
             registry(args.d)
         if args.command == "fit" and args.sparsity < 0:
             raise ValueError(f"need --sparsity >= 0, got {args.sparsity}")
+        if args.command == "fit" and args.sparsity and args.method != "omp":
+            raise ValueError(f"--sparsity applies to --method omp only, "
+                             f"not {args.method}")
         if args.command == "knet-rate":
             superposition_weights(args.d)  # refuses a d it has no weights for
         else:

@@ -1,11 +1,14 @@
 """Discrete least-squares fitting over sampled basis columns, plus greedy
 sparse fitting by orthogonal matching pursuit."""
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .smoothing import eval_surface_on_grid
+from .bsplines import contract_axes
+from .kb import combine_columns
+from .smoothing import SmoothSurface, eval_surface_on_grid
 
 # Relative singular-value threshold of the rank-revealing solve.
 LSTSQ_RCOND = 1e-10
@@ -43,6 +46,9 @@ class FitResult:
 
     method is 'dls', 'omp' or 'pivotal'; support lists the active local
     column indices for sparse fits; eval_rmse is filled by evaluate_fit.
+    tensor is (a weak reference to C, T = C^T coefficients) when the fit
+    formed T from a factored matrix's C, for evaluate_fit to reuse; it is
+    not part of to_dict.
     """
 
     coefficients: np.ndarray
@@ -51,6 +57,11 @@ class FitResult:
     eval_rmse: float = None
     support: np.ndarray = None
     stagnated: bool = False
+    tensor: tuple = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        # a weak reference does not pickle; evaluate_fit recombines
+        return {**self.__dict__, "tensor": None}
 
     def to_dict(self):
         return {
@@ -64,6 +75,25 @@ class FitResult:
         }
 
 
+def _training_rmse(matrix, coef, f, g, support=None):
+    """(rms(M coef - f), tensor) for coefficients coef that are zero off
+    support (None: every column), samples f and g = matrix.project(f).  A
+    factored matrix never reads M: T = C^T coef over the support gives
+    W coef = (R_1 x ... x R_d) T, and M coef - f = Q (W coef - g) +
+    (Q g - f) splits into two orthogonal parts, so ||M coef - f||^2 =
+    ||W coef - g||^2 + ||f - Q g||^2; tensor keeps T for evaluate_fit.
+    A plain matrix (W = M) reads values and keeps no tensor."""
+    if not matrix.qs:
+        return rms_seminorm(matrix.values @ coef - f), None
+    t = combine_columns(matrix.coeffs, coef, support)
+    # the residual's parts inside and outside range(Q)
+    inside = contract_axes(matrix.rs, t).reshape(-1) - g
+    outside = contract_axes(matrix.qs, g.reshape(
+        [q.shape[1] for q in matrix.qs])).reshape(-1) - f
+    rms = np.sqrt((inside @ inside + outside @ outside) / len(f))
+    return float(rms), (weakref.ref(matrix.coeffs), t)
+
+
 def dls_fit(matrix, f_values):
     """Minimum-norm least-squares fit of the samples by the columns.
 
@@ -75,14 +105,18 @@ def dls_fit(matrix, f_values):
     applied one at a time; a formed pseudo-inverse V_k S_k^-1 U_k^T would
     carry rounding of eps / sigma_k into every direction, so fitted values
     of an ill-conditioned M would be off by ~eps * cond(M).  Repeated runs
-    are bit-identical.
+    are bit-identical.  The training RMSE is that of the returned x, taken
+    from the factors with T = C^T x over every column, so a factored M is
+    never read; the fit keeps T for evaluate_fit.
     """
-    f = target_vector(f_values, matrix.values.shape[0])
+    f = target_vector(f_values, matrix.shape[0])
     u, s, vt = matrix.svd
     k = matrix.rank(LSTSQ_RCOND)
-    coef = vt[:k].T @ ((u[:, :k].T @ matrix.project(f)) / s[:k])
-    resid = rms_seminorm(matrix.values @ coef - f)
-    return FitResult(coefficients=coef, training_rmse=resid, method="dls")
+    g = matrix.project(f)
+    coef = vt[:k].T @ ((u[:, :k].T @ g) / s[:k])
+    resid, tensor = _training_rmse(matrix, coef, f, g)
+    return FitResult(coefficients=coef, training_rmse=resid, method="dls",
+                     tensor=tensor)
 
 
 def evaluate_fit(fit, lkb_basis, pts, f):
@@ -90,9 +124,15 @@ def evaluate_fit(fit, lkb_basis, pts, f):
 
     The fitted function is collapsed into a single tensor-product surface
     (linear combinations stay in the space), so evaluation never builds a
-    design matrix over the evaluation grid.
+    design matrix over the evaluation grid.  A fit that kept T = C^T x
+    from the basis's own C reuses it; any other contracts C over the
+    fit's support.
     """
-    surface = lkb_basis.combine(fit.coefficients)
+    kept = fit.tensor
+    if kept is not None and kept[0]() is lkb_basis.coeffs:
+        surface = SmoothSurface(coeffs=kept[1], config=lkb_basis.config)
+    else:
+        surface = lkb_basis.combine(fit.coefficients, fit.support)
     approx = eval_surface_on_grid(surface, pts)
     target = np.asarray(f(pts.points), dtype=float)
     err = rms_seminorm(approx - target)
@@ -137,7 +177,9 @@ def omp_fit(matrix, f_values, sparsity):
     G = Z^T Z that the matrix keeps and the earlier w's (rows of W_A), then
     r -= c u_k and z -= c w_k for c = u_k . r.  So a step costs
     O(m k + p k) for p = min(s, m) rows of Z and m columns, and no step
-    forms W or Z.
+    forms W or Z.  The training RMSE of the returned coefficients comes
+    from the factors as in dls_fit, with T = C^T x over the active columns
+    only, and the fit keeps T for evaluate_fit.
     """
     from scipy.linalg import solve_triangular
     if sparsity < 1:
@@ -145,7 +187,8 @@ def omp_fit(matrix, f_values, sparsity):
     n_rows, n_cols = matrix.shape
     f = target_vector(f_values, n_rows)
     u_w, s, vt = matrix.svd
-    h = u_w.T @ matrix.project(f)
+    g = matrix.project(f)
+    h = u_w.T @ g
     norms = matrix.column_norms
     gram = matrix.gram
     # a zero or chosen column scores |z_j| / inf = 0
@@ -187,7 +230,7 @@ def omp_fit(matrix, f_values, sparsity):
     k = len(active)
     coef = np.zeros(n_cols)
     coef[active] = solve_triangular(r[:k, :k], u[:k] @ h)
-    return FitResult(coefficients=coef,
-                     training_rmse=rms_seminorm(matrix.values @ coef - f),
-                     method="omp", support=np.array(sorted(active), dtype=int),
-                     stagnated=stagnated)
+    support = np.array(sorted(active), dtype=int)
+    resid, tensor = _training_rmse(matrix, coef, f, g, support)
+    return FitResult(coefficients=coef, training_rmse=resid, method="omp",
+                     support=support, stagnated=stagnated, tensor=tensor)

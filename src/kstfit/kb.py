@@ -187,9 +187,16 @@ class DesignMatrix:
 
     @cached_property
     def column_norms(self):
-        """Euclidean norms of the columns of M (those of W too), read-only;
-        taken on the first read and kept."""
-        norms = np.sqrt(np.einsum("ij,ij->j", self.values, self.values))
+        """Euclidean norms of the columns of M, read-only; taken on the
+        first read and kept.  A factored matrix takes them from Z = S V^T
+        of svd (Z^T Z = M^T M), so it never reads values; a plain one
+        from values."""
+        if self.qs:
+            _, s, vt = self.svd
+            a = s[:, None] * vt
+        else:
+            a = self.values
+        norms = np.sqrt(np.einsum("ij,ij->j", a, a))
         norms.flags.writeable = False
         return norms
 
@@ -232,6 +239,16 @@ class DesignMatrix:
         matrix): the one rank rule of the package."""
         s = self.singular_values
         return int(np.sum(s > tol * s[0])) if s.size else 0
+
+
+def combine_columns(coeffs, x, support=None):
+    """T = C^T x: sum_j x[j] * coeffs[j] over the columns in support, for
+    coefficients x that are zero off it; every column when support is
+    None.  One contraction, over the support's columns of C only."""
+    if support is None:
+        return np.tensordot(x, coeffs, 1)
+    support = np.asarray(support, dtype=np.intp)
+    return np.tensordot(x[support], coeffs[support], 1)
 
 
 def assemble_design_matrix(basis, pts):

@@ -26,7 +26,8 @@ from .bsplines import (
     eval_spline,
     spline_derivative,
 )
-from .kb import DesignMatrix, assemble_design_matrix, prune_near_zero_columns
+from .kb import (DesignMatrix, assemble_design_matrix, combine_columns,
+                 prune_near_zero_columns)
 
 # Gauss-Legendre points per interval of the energy quadrature, exact for
 # the products of two splines of degree <= 3 that fill the Gram matrices.
@@ -294,13 +295,16 @@ class LKBBasis:
                 f"column {j} out of range 0..{self.n_columns - 1}")
         return SmoothSurface(coeffs=self.coeffs[j], config=self.config)
 
-    def combine(self, coefficients):
+    def combine(self, coefficients, support=None):
         """The surface sum_j coefficients[j] * column_j; linear combos of
-        tensor splines stay in the space, so this is exact."""
+        tensor splines stay in the space, so this is exact.  For
+        coefficients that are zero off support (a sparse or pivotal fit's
+        recorded columns) only those columns are contracted; None
+        contracts every column."""
         c = np.asarray(coefficients, dtype=float)
         if c.shape != (self.n_columns,):
             raise ValueError("coefficient length must match column count")
-        return SmoothSurface(coeffs=np.tensordot(c, self.coeffs, 1),
+        return SmoothSurface(coeffs=combine_columns(self.coeffs, c, support),
                              config=self.config)
 
     def design_matrix(self, grid):

@@ -646,6 +646,14 @@ def test_fit_by_method_rejects_unknown_method(cache_dir):
                       spec.eval_points())
 
 
+@pytest.mark.parametrize("method", ["dls", "pivotal"])
+def test_fit_by_method_refuses_a_sparsity_outside_omp(method, cache_dir):
+    spec = ExperimentSpec(d=2, n_list=(20,), cache_dir=cache_dir)
+    with pytest.raises(ValueError, match="sparsity"):
+        fit_by_method(spec.basis(20), get_function(2, "f3"), method,
+                      spec.eval_points(), sparsity=5)
+
+
 def _refuse_builds(monkeypatch):
     def no_build(*args):
         raise AssertionError("basis or inner family built for a bad input")
@@ -757,6 +765,18 @@ def test_cli_refuses_a_negative_sparsity(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fit", "--n", "20", "--function", "f5", "--method", "omp",
                   "--sparsity", "-3"])
+    assert exc.value.code == 2
+    assert "--sparsity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["dls", "pivotal"])
+def test_cli_refuses_a_sparsity_outside_omp(method, monkeypatch, capsys):
+    """fit --sparsity 5 --method dls or pivotal used to drop the 5
+    silently and fit as if it had not been given."""
+    _refuse_builds(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--n", "20", "--function", "f5", "--method", method,
+                  "--sparsity", "5"])
     assert exc.value.code == 2
     assert "--sparsity" in capsys.readouterr().err
 

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 from functools import cached_property
 
@@ -9,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
 
 from kstfit import fitting
+from kstfit.bench import PIPELINE_RANK_TOL, ExperimentSpec
 from kstfit.fitting import LSTSQ_RCOND, OMP_STAGNATION, OMP_TIE, \
     FitResult, dls_fit, evaluate_fit, omp_fit, rms_seminorm
 from kstfit.inner import build_inner_family
 from kstfit.kb import DesignMatrix, KBBasis, PointSet
 from kstfit.pivotal import maxvol_select, pivotal_fit
 from kstfit.smoothing import LKBBasis, SmoothingConfig, build_lkb_basis
+from kstfit.testfuncs import registry
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +373,19 @@ def test_fit_result_json_roundtrip(pipeline):
     assert back["training_rmse"] == fit.training_rmse
 
 
+def test_fit_result_pickles_without_its_tensor(pipeline):
+    lkb, matrix, grid = pipeline
+
+    def f(pts):
+        return pts[:, 0] * pts[:, 1]
+
+    fit = dls_fit(matrix, f(grid.points))
+    back = pickle.loads(pickle.dumps(fit))
+    assert back.tensor is None
+    assert np.array_equal(back.coefficients, fit.coefficients)
+    assert evaluate_fit(back, lkb, grid, f) == evaluate_fit(fit, lkb, grid, f)
+
+
 def omp_lstsq_oracle(values, f, sparsity):
     """Reference OMP on the whole matrix: each step adds the column most
     correlated with the residual (after normalization, first index on
@@ -643,3 +660,108 @@ def test_dls_and_pivotal_fits_never_build_the_gram(pipeline):
     rows, cols = maxvol_select(matrix, matrix.rank(1e-8))
     pivotal_fit(matrix, rows, cols, f[rows])
     assert "gram" not in matrix.__dict__
+
+
+@pytest.fixture(scope="module")
+def pipeline_2d():
+    """The pipeline's 2-d LKB bases for n = 100 and 1000 on its fit grid
+    (no pivot search), each with the sampled matrix and the samples of
+    f1..f10."""
+    spec = ExperimentSpec(d=2, n_list=(100, 1000))
+    family = build_inner_family(2, spec.build_config(100)["inner_rank"])
+    bases = {}
+    for n in spec.n_list:
+        cfg = spec.build_config(n)
+        grid = PointSet.grid(2, cfg["fit_grid"])
+        lkb = build_lkb_basis(
+            KBBasis(family, n=n, degree=cfg["degree"]), grid,
+            SmoothingConfig(penalty=cfg["penalty"], degree=cfg["degree"],
+                            segments=cfg["segments"]))
+        bases[n] = lkb, lkb.sample(grid), \
+            [f(grid.points) for f in registry(2)]
+    return bases
+
+
+def test_no_fit_reads_the_sampled_matrix(pipeline_2d):
+    """DLS, OMP and the column norms run on the factors alone: with every
+    entry of values NaN they give the bits of the intact matrix."""
+    lkb, intact, targets = pipeline_2d[100]
+    grid = PointSet.grid(2, 41)
+    blind = lkb.sample(grid)
+    object.__setattr__(blind, "values",
+                       np.broadcast_to(np.nan, intact.shape))
+    sparsity = intact.rank(PIPELINE_RANK_TOL)
+    for f in targets[:3]:
+        for fit in (lambda m: dls_fit(m, f),
+                    lambda m: omp_fit(m, f, sparsity=sparsity)):
+            a, b = fit(blind), fit(intact)
+            assert np.array_equal(a.coefficients, b.coefficients)
+            assert np.isfinite(a.training_rmse)
+    assert np.array_equal(blind.column_norms, intact.column_norms)
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_factored_training_rmse_matches_the_sampled_matrix(pipeline_2d, n):
+    """The training RMSE from the factors is rms(M x - f) of the returned
+    x; combine over a fit's support is the dense contraction, and an
+    evaluation from the T a fit kept gives the bits of a fresh combine."""
+    lkb, matrix, targets = pipeline_2d[n]
+    eval_pts = PointSet.grid(2, 21)
+    sparsity = matrix.rank(PIPELINE_RANK_TOL)
+    for func, f in zip(registry(2), targets):
+        for fit in (dls_fit(matrix, f), omp_fit(matrix, f, sparsity)):
+            want = rms_seminorm(matrix.values @ fit.coefficients - f)
+            assert fit.training_rmse == pytest.approx(
+                want, rel=1e-8, abs=1e-12 * rms_seminorm(f)), func.fid
+            dense = np.tensordot(fit.coefficients, lkb.coeffs, 1)
+            sparse = lkb.combine(fit.coefficients, fit.support).coeffs
+            # only the summation order differs: relative to the summands
+            scale = np.tensordot(np.abs(fit.coefficients),
+                                 np.abs(lkb.coeffs), 1).max()
+            assert np.abs(sparse - dense).max() <= 1e-13 * scale, func.fid
+            assert fit.tensor[0]() is lkb.coeffs
+            assert "tensor" not in fit.to_dict()
+            kept = evaluate_fit(fit, lkb, eval_pts, func)
+            fresh = evaluate_fit(dataclasses.replace(fit, tensor=None), lkb,
+                                 eval_pts, func)
+            assert kept == fresh, func.fid
+
+
+def test_combine_of_zero_coefficients_is_the_zero_surface(pipeline):
+    lkb, _, _ = pipeline
+    zero = np.zeros(lkb.n_columns)
+    for support in (None, [], [0, 3, 7]):
+        surface = lkb.combine(zero, support)
+        assert surface.coeffs.shape == lkb.coeffs.shape[1:]
+        assert not np.any(surface.coeffs)
+
+
+def test_evaluate_fit_reuses_the_kept_tensor(pipeline, monkeypatch):
+    """A DLS or OMP fit on the basis's own matrix is evaluated from the T
+    it formed, without reading C again; a basis with a copy of C, or a
+    fit without T, contracts C afresh."""
+    lkb, matrix, grid = pipeline
+
+    def f(pts):
+        return np.sin(2 * pts[:, 0]) * pts[:, 1]
+
+    fits = [dls_fit(matrix, f(grid.points)),
+            omp_fit(matrix, f(grid.points), sparsity=10)]
+    calls = []
+    combine = LKBBasis.combine
+
+    def counted(self, *args):
+        calls.append(args)
+        return combine(self, *args)
+
+    monkeypatch.setattr(LKBBasis, "combine", counted)
+    for fit in fits:
+        evaluate_fit(fit, lkb, grid, f)
+    assert calls == []
+    copy = LKBBasis(coeffs=lkb.coeffs.copy(), kept=lkb.kept,
+                    config=lkb.config)
+    for fit in fits:
+        assert evaluate_fit(fit, copy, grid, f) \
+            == evaluate_fit(fit, lkb, grid, f)
+    assert len(calls) == 2
+    assert calls[1][1] is fits[1].support
