@@ -435,31 +435,62 @@ def check_construction(d, rank):
             f"would underflow double precision")
 
 
-def eval_z(family, q, x):
-    """z_q(x) = sum_i lambda_i phi_q(x_i) for x in [0,1]^d.
+def coordinate_terms(x, d, f):
+    """The terms f(i, t) of an inner sum over the coordinates i of the
+    points x, each laid out to broadcast to the points, and the shape of
+    one value per point.
 
-    x has shape (d,) or (..., d); the result drops the last axis.
+    x is a (..., d) array, or a PointSet.  For an array (and a PointSet
+    off a grid) t is x[..., i] and the values have shape x.shape[:-1].
+    On a grid (grid_axes set) t is the i-th axis, so f runs once per axis
+    coordinate, not once per point; its result lies along axis i of the
+    grid's (n_1, ..., n_d) shape, which ravels to the (N,) values in the
+    grid's point order.  ValueError for a point that is not d-dimensional
+    or not in the unit cube, NaN included.
     """
-    xa = np.asarray(x, dtype=float)
-    if xa.shape[-1] != family.d:
-        raise ValueError(f"expected last axis of size {family.d}")
-    if not np.all((xa >= 0.0) & (xa <= 1.0)):  # NaN fails too
-        raise ValueError("point outside the unit cube")
+    axes = getattr(x, "grid_axes", None)
+    if axes is None:
+        xa = np.asarray(getattr(x, "points", x), dtype=float)
+        coords = [xa[..., i] for i in range(xa.shape[-1])]
+        shape = xa.shape[:-1]
+    else:
+        coords = [np.asarray(a, dtype=float) for a in axes]
+        shape = (math.prod(len(a) for a in coords),)
+    if len(coords) != d:
+        raise ValueError(f"expected last axis of size {d}")
+    for t in coords:
+        if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
+            raise ValueError("point outside the unit cube")
+    terms = [f(i, t) for i, t in enumerate(coords)]
+    if axes is not None:
+        terms = [np.reshape(v, (-1,) + (1,) * (d - 1 - i))
+                 for i, v in enumerate(terms)]
+    return terms, shape
+
+
+def eval_z(family, q, x):
+    """z_q(x) = sum_i lambda_i phi_q(x_i) at the points x of
+    coordinate_terms: shape (d,), (..., d) or a PointSet, evaluated axis
+    by axis on a grid.  The result drops the last axis, and is (N,) for a
+    PointSet.
+    """
     table = family.phis[q]
-    vals = np.interp(xa, table[:, 0], table[:, 1])
-    out = vals @ family.lambdas
-    return float(out) if xa.ndim == 1 else out
+    terms, shape = coordinate_terms(
+        x, family.d, lambda i, t: np.interp(t, table[:, 0], table[:, 1]))
+    # the phi values gathered per point, so the weighted sum is one product
+    vals = np.stack(np.broadcast_arrays(*terms), axis=-1)
+    out = vals.reshape(shape + (family.d,)) @ family.lambdas
+    return float(out) if out.ndim == 0 else out
 
 
 def forward_superpose(family, g, x):
-    """sum_q g(z_q(x)); g must accept float arrays on [0, d]."""
-    xa = np.asarray(x, dtype=float)
-    single = xa.ndim == 1
+    """sum_q g(z_q(x)) at the points x of eval_z; g must accept float
+    arrays on [0, d]."""
     acc = None
     for q in range(family.n_phi):
-        term = np.asarray(g(eval_z(family, q, xa)), dtype=float)
+        term = np.asarray(g(eval_z(family, q, x)), dtype=float)
         acc = term if acc is None else acc + term
-    return float(acc) if single else acc
+    return float(acc) if acc.ndim == 0 else acc
 
 
 # Univariate outer profiles g(t) on [0, d], by name.

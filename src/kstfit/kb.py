@@ -100,6 +100,10 @@ def eval_kb(basis, j, x):
     return float(col[0]) if xa.ndim == 1 else col
 
 
+def _column_norms(a):
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
+
+
 def _read_only(a):
     """a as a read-only float array.  An array already marked read-only is
     taken as handed over and kept; any other is copied (same layout), so
@@ -178,9 +182,13 @@ class DesignMatrix:
         largest first: a factored matrix has min(W.shape) of them, and any
         missing up to min(M.shape) are zero."""
         from scipy.linalg import svd
-        # W is a new Fortran-ordered array: LAPACK factors it in place
-        factors = svd(self.rank_factor(), full_matrices=False,
-                      overwrite_a=True, check_finite=False)
+        w = self.rank_factor()
+        if self.qs:
+            # W^T W = M^T M: the column norms of M, read off W before
+            # LAPACK factors this new Fortran-ordered array in place
+            self.__dict__["_w_norms"] = _column_norms(w)
+        factors = svd(w, full_matrices=False, overwrite_a=True,
+                      check_finite=False)
         for a in factors:
             a.flags.writeable = False
         return factors
@@ -188,15 +196,14 @@ class DesignMatrix:
     @cached_property
     def column_norms(self):
         """Euclidean norms of the columns of M, read-only; taken on the
-        first read and kept.  A factored matrix takes them from Z = S V^T
-        of svd (Z^T Z = M^T M), so it never reads values; a plain one
-        from values."""
+        first read and kept.  A factored matrix has those of its rank
+        factor W, which svd takes before it factors W, so it never reads
+        values; a plain one takes them from values."""
         if self.qs:
-            _, s, vt = self.svd
-            a = s[:, None] * vt
+            self.svd
+            norms = self.__dict__["_w_norms"]
         else:
-            a = self.values
-        norms = np.sqrt(np.einsum("ij,ij->j", a, a))
+            norms = _column_norms(self.values)
         norms.flags.writeable = False
         return norms
 
@@ -258,7 +265,7 @@ def assemble_design_matrix(basis, pts):
     uni = basis.univariate
     acc = None
     for q in range(basis.family.n_phi):
-        z = eval_z(basis.family, q, pts.points)
+        z = eval_z(basis.family, q, pts)
         dm = design_csr(np.clip(z, 0.0, uni.upper), uni.knots, uni.degree)
         acc = dm if acc is None else acc + dm
     return acc

@@ -7,7 +7,7 @@ import numpy as np
 
 from .bsplines import LinearSpline, linear_interpolant, \
     linear_spline_to_relu
-from .inner import forward_superpose
+from .inner import coordinate_terms, forward_superpose
 from .kb import PointSet
 
 
@@ -54,21 +54,16 @@ def build_knetwork(family, g, m, n):
 
 
 def eval_knetwork(net, x):
-    """Evaluate the network at x of shape (d,) or (..., d)."""
-    xa = np.asarray(x, dtype=float)
-    if xa.shape[-1] != net.d:
-        raise ValueError(f"expected last axis of size {net.d}")
-    single = xa.ndim == 1
-    pts = xa.reshape(-1, net.d)
-    out = np.zeros(len(pts))
+    """Evaluate the network at the points x of inner.coordinate_terms:
+    shape (d,), (..., d) or a PointSet, whose inner layer runs axis by
+    axis on a grid.  Like eval_z it refuses a point outside the unit
+    cube, where the ReLU form would extrapolate."""
+    out = 0.0
     for q in range(2 * net.d + 1):
-        u = np.zeros(len(pts))
-        for i in range(net.d):
-            u += net.lambdas[i] * net.inner[q](pts[:, i])
-        out += net.outer(np.clip(u, 0.0, net.d))
-    if single:
-        return float(out[0])
-    return out.reshape(xa.shape[:-1])
+        terms, shape = coordinate_terms(
+            x, net.d, lambda i, t: net.lambdas[i] * net.inner[q](t))
+        out = out + net.outer(np.clip(sum(terms), 0.0, net.d))
+    return float(out) if np.ndim(out) == 0 else out.reshape(shape)
 
 
 def rate_experiment(family, g, n_list, grid_per_axis=None):
@@ -84,12 +79,12 @@ def rate_experiment(family, g, n_list, grid_per_axis=None):
     d = family.d
     if grid_per_axis is None:
         grid_per_axis = {1: 2001, 2: 201, 3: 61}.get(d, 21)
-    pts = PointSet.grid(d, grid_per_axis).points
-    reference = forward_superpose(family, g, pts)
+    grid = PointSet.grid(d, grid_per_axis)
+    reference = forward_superpose(family, g, grid)
     errors = []
     for n in n_list:
         net = build_knetwork(family, g, m=n, n=n)
-        errors.append(float(np.max(np.abs(eval_knetwork(net, pts)
+        errors.append(float(np.max(np.abs(eval_knetwork(net, grid)
                                           - reference))))
     errors = np.array(errors)
     if np.all(errors == 0.0):
