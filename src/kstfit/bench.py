@@ -2,7 +2,6 @@
 its pivotal point set, fit the benchmark functions, and emit the result
 tables, convergence slopes and pivotal counts as CSV."""
 
-import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ import numpy as np
 from . import cache as cache_io, kb
 from .fitting import dls_fit, evaluate_fit, omp_fit
 from .inner import PROFILES, build_inner_family, default_rank
-from .kb import DesignMatrix, KBBasis, PointSet
+from .kb import DesignMatrix, KBBasis, PointSet, as_size
 from .knet import rate_experiment
 from .pivotal import estimate_rank, maxvol_select, pivotal_fit, \
     pivotal_locations
@@ -29,14 +28,6 @@ BUILD_SETTINGS = ("fit_grid", "degree", "penalty", "segments")
 
 _DEFAULT_SEGMENTS = {1: 24, 2: 24, 3: 12}
 _DEFAULT_EVAL_GRID = {1: 1001, 2: 101, 3: 101}
-
-
-def _size(name, value):
-    """value as an int; ValueError for a float or other non-integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -57,9 +48,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("d", "fit_grid", "eval_grid", "degree", "segments"):
-            object.__setattr__(self, name, _size(name, getattr(self, name)))
+            object.__setattr__(self, name, as_size(name, getattr(self, name)))
         object.__setattr__(self, "n_list",
-                           tuple(_size("n", n) for n in self.n_list))
+                           tuple(as_size("n", n) for n in self.n_list))
         object.__setattr__(self, "penalty", float(self.penalty))
         if self.d not in _DEFAULT_SEGMENTS:
             raise ValueError(f"no basis settings for d={self.d}; choose d "
@@ -83,7 +74,7 @@ class ExperimentSpec:
         """Every input of the size-n build, the dict the cache hashes and
         names the file by; the build reads its settings from it, and
         prune_tol names the fixed cut of build_lkb_basis."""
-        return {"d": self.d, "n": _size("n", n), "fit_grid": self.fit_grid,
+        return {"d": self.d, "n": as_size("n", n), "fit_grid": self.fit_grid,
                 "degree": self.degree, "penalty": self.penalty,
                 "segments": self.segments, "inner_rank": default_rank(self.d),
                 "rank_tol": PIPELINE_RANK_TOL, "prune_tol": kb.PRUNE_TOL}

@@ -8,7 +8,7 @@ import numpy as np
 
 from .bsplines import contract_axes
 from .kb import combine_columns
-from .smoothing import SmoothSurface, eval_surface_on_grid
+from .smoothing import SmoothSurface, eval_surface
 
 # Relative singular-value threshold of the rank-revealing solve.
 LSTSQ_RCOND = 1e-10
@@ -35,7 +35,7 @@ def target_vector(values, count):
     f = np.asarray(values, dtype=float)
     if f.shape != (count,):
         raise ValueError(f"expected {count} target values, got {f.shape}")
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError("target values must be finite")
     return f
 
@@ -120,7 +120,8 @@ def dls_fit(matrix, f_values):
 
 
 def evaluate_fit(fit, lkb_basis, pts, f):
-    """RMS of (fit - f) over the point set, recorded on the fit.
+    """RMS of (fit - f) over the PointSet pts, recorded on the fit; f's
+    values pass target_vector, as every fit's targets do.
 
     The fitted function is collapsed into a single tensor-product surface
     (linear combinations stay in the space), so evaluation never builds a
@@ -133,9 +134,8 @@ def evaluate_fit(fit, lkb_basis, pts, f):
         surface = SmoothSurface(coeffs=kept[1], config=lkb_basis.config)
     else:
         surface = lkb_basis.combine(fit.coefficients, fit.support)
-    approx = eval_surface_on_grid(surface, pts)
-    target = np.asarray(f(pts.points), dtype=float)
-    err = rms_seminorm(approx - target)
+    target = target_vector(f(pts.points), len(pts))
+    err = rms_seminorm(eval_surface(surface, pts) - target)
     fit.eval_rmse = err
     return err
 

@@ -451,16 +451,16 @@ def coordinate_terms(x, d, f):
     axes = getattr(x, "grid_axes", None)
     if axes is None:
         xa = np.asarray(getattr(x, "points", x), dtype=float)
-        coords = [xa[..., i] for i in range(xa.shape[-1])]
+        coords = [xa[..., i] for i in range(xa.shape[-1] if xa.ndim else 0)]
         shape = xa.shape[:-1]
     else:
         coords = [np.asarray(a, dtype=float) for a in axes]
+        xa = np.concatenate(coords)
         shape = (math.prod(len(a) for a in coords),)
     if len(coords) != d:
         raise ValueError(f"expected last axis of size {d}")
-    for t in coords:
-        if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
-            raise ValueError("point outside the unit cube")
+    if not ((xa >= 0.0) & (xa <= 1.0)).all():  # NaN fails too
+        raise ValueError("point outside the unit cube")
     terms = [f(i, t) for i, t in enumerate(coords)]
     if axes is not None:
         terms = [np.reshape(v, (-1,) + (1,) * (d - 1 - i))

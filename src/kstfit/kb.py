@@ -7,6 +7,7 @@ reach sum(lambda) < d, a block of trailing columns is identically zero;
 pruning removes those before any fitting."""
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,6 +18,14 @@ from .inner import eval_z, forward_superpose
 
 # Relative column norm at or below which a raw KB column is pruned.
 PRUNE_TOL = 1e-10
+
+
+def as_size(name, value):
+    """value as an int; ValueError for a float or other non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,8 @@ class PointSet:
     def grid(cls, d, per_axis):
         """Uniform tensor grid with per_axis points along every axis."""
         if np.isscalar(per_axis):
-            per_axis = (int(per_axis),) * d
+            per_axis = (per_axis,) * d
+        per_axis = tuple(as_size("grid size", n) for n in per_axis)
         if len(per_axis) != d or any(n < 2 for n in per_axis):
             raise ValueError("need >= 2 grid points per axis")
         axes = tuple(np.linspace(0.0, 1.0, n) for n in per_axis)
@@ -89,15 +99,16 @@ class KBBasis:
 
 
 def eval_kb(basis, j, x):
-    """Basis column j at a point (or (N, d) array of points): the
-    superposition sum_q b_j(z_q(x)) of the univariate B-spline b_j."""
+    """Basis column j, sum_q b_j(z_q(x)) with b_j the univariate B-spline,
+    at the points x of inner.coordinate_terms."""
     if not 0 <= j < basis.n_columns:
         raise IndexError(f"column {j} out of range 0..{basis.n_columns - 1}")
-    xa = np.asarray(x, dtype=float)
-    col = forward_superpose(basis.family,
-                            lambda z: basis.univariate.design_matrix(z)[:, j],
-                            xa.reshape(-1, basis.d))
-    return float(col[0]) if xa.ndim == 1 else col
+
+    def b_j(z):
+        col = basis.univariate.design_matrix(np.ravel(z))[:, j]
+        return col.reshape(np.shape(z))
+
+    return forward_superpose(basis.family, b_j, x)
 
 
 def _column_norms(a):

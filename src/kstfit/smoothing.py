@@ -26,6 +26,7 @@ from .bsplines import (
     eval_spline,
     spline_derivative,
 )
+from .inner import coordinate_terms
 from .kb import (DesignMatrix, assemble_design_matrix, combine_columns,
                  prune_near_zero_columns)
 
@@ -240,32 +241,24 @@ def denoise_samples(values, grid, cfg):
 
 
 def eval_surface(surface, x):
-    """Surface values at one point (d,) or a stack (N, d)."""
-    xa = np.asarray(x, dtype=float)
-    single = xa.ndim == 1
-    pts = xa.reshape(-1, surface.d)
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
-        raise ValueError("points outside the unit cube")
-    out = np.empty(len(pts))
-    for lo in range(0, len(pts), _EVAL_CHUNK):
-        sub = pts[lo:lo + _EVAL_CHUNK]
-        # contract one axis at a time against per-point basis rows
+    """Surface values at the points x of inner.coordinate_terms, by one
+    contraction per axis: against the shared axis designs on a grid, and
+    against per-point basis rows, block by block, elsewhere."""
+    coords, shape = coordinate_terms(x, surface.d, lambda i, t: t)
+    if getattr(x, "grid_axes", None) is not None:
+        return contract_axes(_grid_designs(surface.config, x),
+                             surface.coeffs).reshape(-1)
+    coords = [np.ravel(t) for t in coords]
+    out = np.empty(len(coords[0]))
+    for lo in range(0, len(out), _EVAL_CHUNK):
         designs = [_axis_design(surface.config.degree,
-                                surface.config.segments, sub[:, a])
-                   for a in range(surface.d)]
+                                surface.config.segments,
+                                c[lo:lo + _EVAL_CHUNK]) for c in coords]
         t = np.tensordot(designs[0], surface.coeffs, axes=(1, 0))
         for a in range(1, surface.d):
             t = np.einsum("pi,pi...->p...", designs[a], t)
         out[lo:lo + _EVAL_CHUNK] = t
-    return float(out[0]) if single else out
-
-
-def eval_surface_on_grid(surface, grid):
-    """Fast path for tensor grids; returns values in grid row order."""
-    if not grid.is_grid:
-        return eval_surface(surface, grid.points)
-    return contract_axes(_grid_designs(surface.config, grid),
-                         surface.coeffs).reshape(-1)
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ class TestFunction:
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
+        if pts.shape[-1:] != (self.d,):
+            raise ValueError(f"expected last axis of size {self.d}")
         return self.fn(*(pts[..., i] for i in range(self.d)))
 
 

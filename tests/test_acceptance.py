@@ -35,7 +35,7 @@ from kstfit.knet import rate_experiment
 from kstfit.pivotal import (SWAP_MARGIN, build_cross_approximation,
                             maxvol_select, pivotal_fit)
 from kstfit.smoothing import (SmoothingConfig, build_lkb_basis,
-                              denoise_samples, eval_surface_on_grid)
+                              denoise_samples, eval_surface)
 from kstfit.testfuncs import registry
 
 TABLE1_FULL = {
@@ -165,7 +165,7 @@ def test_criterion_06_smoothing_error_bound():
     prepared = []
     for func, fxy in cases:
         clean = func(grid.points)
-        fitted = eval_surface_on_grid(denoise_samples(clean, grid, cfg), grid)
+        fitted = eval_surface(denoise_samples(clean, grid, cfg), grid)
         sup2 = second_derivative_sup(fxy)
         calib = max(calib, rms_seminorm(fitted - clean) / (sup2 * h ** 2))
         prepared.append((func, fxy, clean, sup2))
@@ -176,8 +176,7 @@ def test_criterion_06_smoothing_error_bound():
         hits = rng.choice(len(grid), size=len(grid) // 20, replace=False)
         amp = 0.5 * (clean.max() - clean.min())
         noise[hits] = amp * rng.choice([-1.0, 1.0], size=len(hits))
-        fitted = eval_surface_on_grid(
-            denoise_samples(clean + noise, grid, cfg), grid)
+        fitted = eval_surface(denoise_samples(clean + noise, grid, cfg), grid)
         err = rms_seminorm(fitted - clean)
         bound = (calib * sup2 * h ** 2 + 2 * rms_seminorm(noise)
                  + np.sqrt(cfg.penalty * thin_plate_energy_of(fxy)))

@@ -74,6 +74,17 @@ def test_registry_matches_hand_coded_duplicates(d):
         assert np.allclose(f(pts), dup[f.fid](pts), atol=1e-13), f.fid
 
 
+def test_registry_function_refuses_a_wrong_last_axis():
+    """A 3-d stack once lost its third coordinate in a 2-d function; the
+    closed forms stay defined off the cube."""
+    f = registry(2)[2]
+    with pytest.raises(ValueError, match="last axis"):
+        f(np.full((4, 3), 0.5))
+    with pytest.raises(ValueError, match="last axis"):
+        f(0.5)
+    assert f(np.array([2.0, -3.0])) == -6.0
+
+
 def test_slope_examples():
     slope, label = estimate_convergence_slope([1e-2, 5e-3, 2.5e-3],
                                               [100, 200, 400])

@@ -296,6 +296,24 @@ def test_evaluate_zero_fit_gives_rms_of_target(pipeline):
     assert err == pytest.approx(rms_seminorm(f(grid.points)))
 
 
+def test_evaluate_fit_reads_one_finite_target_per_point(pipeline):
+    """Targets are read as the fits read them.  An (N, 1) target once
+    broadcast against the (N,) surface into an N x N difference, and a NaN
+    target came back as a NaN error."""
+    lkb, matrix, grid = pipeline
+
+    def f(pts):
+        return np.sin(pts[:, 0]) * pts[:, 1]
+
+    fit = dls_fit(matrix, f(grid.points))
+    for bad in (lambda p: f(p)[:, None], lambda p: f(p)[1:],
+                lambda p: np.where(p[:, 0] > 0.5, np.nan, f(p))):
+        with pytest.raises(ValueError, match="target values"):
+            evaluate_fit(fit, lkb, grid, bad)
+    assert fit.eval_rmse is None
+    assert evaluate_fit(fit, lkb, grid, f) < 1e-2
+
+
 def test_omp_single_atom_unnormalized_scale():
     rng = np.random.default_rng(1)
     values = rng.normal(size=(40, 6))

@@ -45,6 +45,14 @@ def test_pointset_validates_cube():
         PointSet(d=2, points=np.array([[0.5, 1.5]]))
 
 
+@pytest.mark.parametrize("per_axis", [4.9, (3, 4.9), np.float64(5.0)])
+def test_grid_refuses_a_non_integer_size(per_axis):
+    """A size of 4.9 once built a 4-point axis."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        PointSet.grid(2, per_axis)
+    assert len(PointSet.grid(2, (np.int64(3), 4))) == 12
+
+
 def test_kb_column_sum_is_2d_plus_1(fam2):
     basis = KBBasis(fam2, n=20, degree=3)
     rng = np.random.default_rng(0)

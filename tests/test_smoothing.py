@@ -20,7 +20,6 @@ from kstfit.smoothing import (
     denoise_samples,
     energy_matrix,
     eval_surface,
-    eval_surface_on_grid,
 )
 
 
@@ -70,7 +69,7 @@ def test_affine_reproduced_for_every_penalty(grid, penalty):
     aff = 0.2 + 0.7 * grid.points[:, 0] + 0.1 * grid.points[:, 1]
     s = denoise_samples(aff, grid, SmoothingConfig(penalty=penalty,
                                                    segments=8))
-    fit = eval_surface_on_grid(s, grid)
+    fit = eval_surface(s, grid)
     assert np.max(np.abs(fit - aff)) <= 1e-8
 
 
@@ -101,7 +100,7 @@ def test_error_bound_with_impulsive_noise(grid):
     f2 = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     clean = f2(grid.points[:, 0], grid.points[:, 1])
 
-    noiseless = eval_surface_on_grid(denoise_samples(clean, grid, cfg), grid)
+    noiseless = eval_surface(denoise_samples(clean, grid, cfg), grid)
     sup2 = second_derivative_sup(f2)
     c_cal = np.sqrt(np.mean((noiseless - clean) ** 2)) / (sup2 * h ** 2)
 
@@ -109,8 +108,7 @@ def test_error_bound_with_impulsive_noise(grid):
     noise = np.zeros(len(grid))
     hits = rng.choice(len(grid), size=len(grid) // 20, replace=False)
     noise[hits] = rng.choice([-0.5, 0.5], size=len(hits))
-    fitted = eval_surface_on_grid(denoise_samples(clean + noise, grid, cfg),
-                                  grid)
+    fitted = eval_surface(denoise_samples(clean + noise, grid, cfg), grid)
     rms_err = np.sqrt(np.mean((fitted - clean) ** 2))
     bound = (c_cal * sup2 * h ** 2
              + 2 * np.sqrt(np.mean(noise ** 2))
@@ -179,7 +177,7 @@ def test_lkb_matches_fitted_surface_at_nodes(grid):
     lkb = build_lkb_basis(kb, grid, cfg)
     j = lkb.n_columns // 2
     node_vals = eval_surface(lkb.column(j), grid.points)
-    fitted = eval_surface_on_grid(lkb.column(j), grid)
+    fitted = eval_surface(lkb.column(j), grid)
     assert np.allclose(node_vals, fitted, atol=1e-12)
     with pytest.raises(IndexError):
         eval_surface(lkb.column(lkb.n_columns), grid.points[0])
@@ -188,7 +186,7 @@ def test_lkb_matches_fitted_surface_at_nodes(grid):
 def test_surface_point_eval_matches_grid_eval(grid):
     f = np.exp(-grid.points[:, 0] - grid.points[:, 1] ** 2)
     s = denoise_samples(f, grid, SmoothingConfig(penalty=1.0, segments=8))
-    via_grid = eval_surface_on_grid(s, grid)
+    via_grid = eval_surface(s, grid)
     via_points = eval_surface(s, grid.points)
     assert np.allclose(via_grid, via_points, atol=1e-12)
 
@@ -216,7 +214,7 @@ def test_grid_evaluation_reads_cached_read_only_axis_designs():
                 design[0, 0] = 1.0
         want = contract_axes([uni.design_matrix(a) for a in grid.grid_axes],
                              surface.coeffs).reshape(-1)
-        assert np.array_equal(eval_surface_on_grid(surface, grid), want)
+        assert np.array_equal(eval_surface(surface, grid), want)
 
 
 @pytest.mark.parametrize("d,per_axis,segments", [(1, 41, 12), (2, 41, 12),
@@ -287,7 +285,7 @@ def random_lkb_on_grid(draw):
 def test_grid_design_matrix_matches_per_column_eval(case):
     lkb, grid = case
     values = lkb.design_matrix(grid)
-    oracle = np.stack([eval_surface_on_grid(lkb.column(j), grid)
+    oracle = np.stack([eval_surface(lkb.column(j), grid)
                        for j in range(lkb.n_columns)], axis=1)
     # a view of the samples of one column after the other
     assert values.flags.f_contiguous
