@@ -57,6 +57,9 @@ class ExperimentSpec:
                              f"in {tuple(_DEFAULT_SEGMENTS)}")
         if any(n < 1 for n in self.n_list):
             raise ValueError(f"need every n >= 1, got {self.n_list}")
+        if not self.n_list or len(set(self.n_list)) < len(self.n_list):
+            raise ValueError(f"need one or more distinct sizes, got "
+                             f"{self.n_list}")
         object.__setattr__(self, "segments", self.segments
                            or _DEFAULT_SEGMENTS[self.d])
         object.__setattr__(self, "eval_grid", self.eval_grid
@@ -256,7 +259,7 @@ def pivotal_count_experiment(spec):
     if np.any(np.diff(counts) < 0):
         warnings.warn(f"pivotal counts not monotone over n: {counts}")
     slope = None
-    if len(set(spec.n_list)) >= 2:
+    if len(spec.n_list) >= 2:
         slope = float(np.polyfit(np.log(spec.n_list), np.log(counts), 1)[0])
     lines = ["n,pivotal_count"]
     lines += [f"{n},{c}" for n, c in zip(spec.n_list, counts)]

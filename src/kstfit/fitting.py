@@ -47,8 +47,8 @@ class FitResult:
     method is 'dls', 'omp' or 'pivotal'; support lists the active local
     column indices for sparse fits; eval_rmse is filled by evaluate_fit.
     tensor is (a weak reference to C, T = C^T coefficients) when the fit
-    formed T from a factored matrix's C, for evaluate_fit to reuse; it is
-    not part of to_dict.
+    formed T from the matrix's C, for evaluate_fit to reuse; it is not
+    part of to_dict.
     """
 
     coefficients: np.ndarray
@@ -77,19 +77,17 @@ class FitResult:
 
 def _training_rmse(matrix, coef, f, g, support=None):
     """(rms(M coef - f), tensor) for coefficients coef that are zero off
-    support (None: every column), samples f and g = matrix.project(f).  A
-    factored matrix never reads M: T = C^T coef over the support gives
+    support (None: every column), samples f and g = matrix.project(f),
+    without reading M: T = C^T coef over the support gives
     W coef = (R_1 x ... x R_d) T, and M coef - f = Q (W coef - g) +
     (Q g - f) splits into two orthogonal parts, so ||M coef - f||^2 =
     ||W coef - g||^2 + ||f - Q g||^2; tensor keeps T for evaluate_fit.
-    A plain matrix (W = M) reads values and keeps no tensor."""
-    if not matrix.qs:
-        return rms_seminorm(matrix.values @ coef - f), None
+    A plain matrix has no Q, so the second part is zero."""
     t = combine_columns(matrix.coeffs, coef, support)
     # the residual's parts inside and outside range(Q)
     inside = contract_axes(matrix.rs, t).reshape(-1) - g
     outside = contract_axes(matrix.qs, g.reshape(
-        [q.shape[1] for q in matrix.qs])).reshape(-1) - f
+        (-1, *(q.shape[1] for q in matrix.qs)))).reshape(-1) - f
     rms = np.sqrt((inside @ inside + outside @ outside) / len(f))
     return float(rms), (weakref.ref(matrix.coeffs), t)
 

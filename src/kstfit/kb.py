@@ -6,7 +6,6 @@ on [0, d] and z_q the weighted superposition maps.  Because the maps only
 reach sum(lambda) < d, a block of trailing columns is identically zero;
 pruning removes those before any fitting."""
 
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -105,21 +104,21 @@ def eval_kb(basis, j, x):
         raise IndexError(f"column {j} out of range 0..{basis.n_columns - 1}")
 
     def b_j(z):
-        col = basis.univariate.design_matrix(np.ravel(z))[:, j]
-        return col.reshape(np.shape(z))
+        uni = basis.univariate
+        col = design_csr(np.ravel(z), uni.knots, uni.degree)[:, [j]]
+        return col.toarray().reshape(np.shape(z))
 
     return forward_superpose(basis.family, b_j, x)
 
 
-def _column_norms(a):
-    return np.sqrt(np.einsum("ij,ij->j", a, a))
-
-
 def _read_only(a):
-    """a as a read-only float array.  An array already marked read-only is
-    taken as handed over and kept; any other is copied (same layout), so
-    no later write through the caller's array reaches it."""
+    """a as a read-only float array, refused unless finite.  An array
+    already marked read-only is taken as handed over and kept; any other
+    is copied (same layout), so no later write through the caller's array
+    reaches it."""
     a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("design matrix entries must be finite")
     if a.flags.writeable:
         a = a.copy(order="K")
         a.flags.writeable = False
@@ -128,63 +127,69 @@ def _read_only(a):
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Dense samples of basis columns at a point set.
+    """Dense samples M of basis columns at a point set, given as values
+    (a plain matrix) or as the per-axis designs B_a of a grid and the
+    coefficient tensor C, shape (columns,) + (coeffs per axis, ...), of
+    M = (B_1 x ... x B_d) C.  The matrix derives the rest when it is
+    made: M, and the thin QR factors B_a = Q_a R_a of the factorization
+    M = (Q_1 x ... x Q_d) W with the small rank factor
+    W = (R_1 x ... x R_d) C.  A plain matrix is the case with no axes:
+    C = M^T, no Q and W = M.  The arrays are held read-only, and a
+    writable one is copied first, so the SVD of W that the matrix keeps
+    cannot go stale; builders that own a fresh array mark it read-only to
+    hand it over without a copy."""
 
-    On a grid the matrix may carry its factorization M = (Q_1 x ... x Q_d)
-    W with W = (R_1 x ... x R_d) C: qs and rs hold the thin QR factors
-    B_a = Q_a R_a of the per-axis designs and coeffs the coefficient
-    tensor C, shape (columns,) + (coeffs per axis, ...) (LKBBasis.sample
-    fills all three).  A plain matrix has none of them and W = values.
-    The arrays are held read-only, and a writable one is copied first, so
-    the SVD of W that the matrix keeps cannot go stale;
-    builders that own a fresh array mark it read-only to hand it over
-    without a copy."""
-
-    values: np.ndarray
-    qs: tuple = ()
-    rs: tuple = ()
+    values: np.ndarray = None
+    designs: tuple = ()
     coeffs: np.ndarray = None
+    qs: tuple = field(init=False, repr=False)
+    rs: tuple = field(init=False, repr=False)
 
     @property
     def shape(self):
         return self.values.shape
 
     def __post_init__(self):
-        values = _read_only(self.values)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("design matrix entries must be finite")
-        object.__setattr__(self, "values", values)
-        if not self.qs:
-            return
-        qs = tuple(_read_only(q) for q in self.qs)
-        rs = tuple(_read_only(r) for r in self.rs)
-        coeffs = _read_only(self.coeffs)
-        if (math.prod(q.shape[0] for q in qs) != values.shape[0]
-                or [q.shape[1] for q in qs] != [r.shape[0] for r in rs]
-                or coeffs.shape != values.shape[1:]
-                + tuple(r.shape[1] for r in rs)):
-            raise ValueError("factors do not match the values")
-        object.__setattr__(self, "qs", qs)
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "coeffs", coeffs)
+        if (self.values is None) == (self.coeffs is None) \
+                or (self.values is not None and self.designs):
+            raise ValueError("a design matrix takes values, or designs "
+                             "and coeffs")
+        designs = tuple(_read_only(b) for b in self.designs)
+        if self.values is None:
+            coeffs = _read_only(self.coeffs)
+            if coeffs.shape[1:] != tuple(b.shape[1] for b in designs):
+                raise ValueError("coefficient axes do not match the designs")
+            # one column's samples after the other: Fortran-ordered
+            values = contract_axes(designs, coeffs).reshape(len(coeffs),
+                                                            -1).T
+            values.flags.writeable = False
+        else:
+            values = _read_only(self.values)
+            coeffs = values.T  # no axes: C = M^T
+        qrs = [np.linalg.qr(b) for b in designs]
+        for a in (x for qr in qrs for x in qr):
+            a.flags.writeable = False
+        for name, a in (("values", values), ("designs", designs),
+                        ("coeffs", coeffs),
+                        ("qs", tuple(q for q, _ in qrs)),
+                        ("rs", tuple(r for _, r in qrs))):
+            object.__setattr__(self, name, a)
 
     def rank_factor(self):
-        """W as a new Fortran-ordered array: (R_1 x ... x R_d) C, or a copy
-        of values for a plain matrix.  W^T W = M^T M, so W has the singular
-        values of M, with at most as many rows: prod_a min(|axis_a|, coeffs
-        per axis) for a factored matrix, whatever the grid size."""
-        if not self.qs:
-            return self.values.T.copy().T  # a Fortran-ordered copy
+        """W = (R_1 x ... x R_d) C, Fortran-ordered: a new array, or the
+        read-only M itself for a plain matrix.  W^T W = M^T M, so W has
+        the singular values of M, with at most as many rows: prod_a
+        min(|axis_a|, coeffs per axis) for a factored matrix, whatever
+        the grid size."""
         # C's column blocks stay blocks: the columns of a Fortran-ordered W
         w = contract_axes(self.rs, self.coeffs)
-        return w.reshape(self.values.shape[1], -1).T
+        return w.reshape(self.shape[1], -1).T
 
     def project(self, f):
         """(Q_1 x ... x Q_d)^T f: samples f (N,) in the row coordinates of
         W; f itself for a plain matrix."""
-        shape = [q.shape[0] for q in self.qs] or [len(f)]
-        return contract_axes([q.T for q in self.qs],
-                             np.reshape(f, shape)).reshape(-1)
+        return contract_axes([q.T for q in self.qs], np.reshape(
+            f, (-1, *(q.shape[0] for q in self.qs)))).reshape(-1)
 
     @cached_property
     def svd(self):
@@ -194,11 +199,10 @@ class DesignMatrix:
         missing up to min(M.shape) are zero."""
         from scipy.linalg import svd
         w = self.rank_factor()
-        if self.qs:
-            # W^T W = M^T M: the column norms of M, read off W before
-            # LAPACK factors this new Fortran-ordered array in place
-            self.__dict__["_w_norms"] = _column_norms(w)
-        factors = svd(w, full_matrices=False, overwrite_a=True,
+        # W^T W = M^T M: the column norms of M, read off W before LAPACK
+        # factors it, in place when W is a new array and not M itself
+        self.__dict__["_w_norms"] = np.sqrt(np.einsum("ij,ij->j", w, w))
+        factors = svd(w, full_matrices=False, overwrite_a=w.flags.writeable,
                       check_finite=False)
         for a in factors:
             a.flags.writeable = False
@@ -207,14 +211,11 @@ class DesignMatrix:
     @cached_property
     def column_norms(self):
         """Euclidean norms of the columns of M, read-only; taken on the
-        first read and kept.  A factored matrix has those of its rank
-        factor W, which svd takes before it factors W, so it never reads
-        values; a plain one takes them from values."""
-        if self.qs:
-            self.svd
-            norms = self.__dict__["_w_norms"]
-        else:
-            norms = _column_norms(self.values)
+        first read and kept.  They are those of the rank factor W, which
+        svd takes before it factors W, so a factored matrix never reads
+        values."""
+        self.svd
+        norms = self.__dict__["_w_norms"]
         norms.flags.writeable = False
         return norms
 

@@ -26,8 +26,7 @@ def _as_matrix(matrix):
     one, so that every caller reads its one kept SVD."""
     if isinstance(matrix, DesignMatrix):
         return matrix
-    values = np.asarray(matrix, dtype=float)
-    return DesignMatrix(values=values)
+    return DesignMatrix(values=matrix)
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,6 @@ def pivotal_fit(matrix, rows, cols, f_at_rows):
     factor the block once and give the same bits as a fresh SVD.  That SVD
     gives both the block's condition number and the solve."""
     matrix = _as_matrix(matrix)
-    m = matrix.values
     f = target_vector(f_at_rows, len(rows))
     u, s, vt = matrix.block_svd(rows, cols)
     cond = s[0] / s[-1] if s[-1] > 0 else np.inf
@@ -244,9 +242,9 @@ def pivotal_fit(matrix, rows, cols, f_at_rows):
     # cond <= 1e12 keeps every sigma above the eps * max(shape) cut that
     # lstsq would make, for any block narrower than ~4500
     x = vt.T @ ((u.T @ f) / s)
-    coef = np.zeros(m.shape[1])
+    coef = np.zeros(matrix.shape[1])
     coef[np.asarray(cols)] = x
-    resid = rms_seminorm(m[np.ix_(rows, cols)] @ x - f)
+    resid = rms_seminorm(matrix.values[np.ix_(rows, cols)] @ x - f)
     return FitResult(coefficients=coef, training_rmse=resid,
                      method="pivotal", support=np.asarray(cols, dtype=int))
 

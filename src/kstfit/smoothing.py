@@ -302,24 +302,15 @@ class LKBBasis:
 
     def design_matrix(self, grid):
         """(|grid|, n_columns) samples of every column on a full uniform
-        grid: one contraction of the factors of M = (B_1 x ... x B_d) C,
-        a Fortran-ordered view of one column's samples after the other."""
-        t = contract_axes(_grid_designs(self.config, grid), self.coeffs)
-        return t.reshape(self.n_columns, -1).T
+        grid, one column's samples after the other: sample(grid).values."""
+        return self.sample(grid).values
 
     def sample(self, grid):
-        """The DesignMatrix M = design_matrix(grid) with its factorization
-        M = (Q_1 x ... x Q_d) (R_1 x ... x R_d) C, where B_a = Q_a R_a is
-        the thin QR of the axis design.  The matrix builds its small rank
-        factor W = (R_1 x ... x R_d) C only when asked.  The fresh M, Q_a
-        and R_a are handed over read-only, uncopied; C is copied only if
-        this basis holds it writable."""
-        qrs = [np.linalg.qr(b) for b in _grid_designs(self.config, grid)]
-        values = self.design_matrix(grid)
-        for a in (values, *(x for qr in qrs for x in qr)):
-            a.flags.writeable = False
-        return DesignMatrix(values=values, qs=tuple(q for q, _ in qrs),
-                            rs=tuple(r for _, r in qrs), coeffs=self.coeffs)
+        """The DesignMatrix M = (B_1 x ... x B_d) C of this basis on a full
+        uniform grid, from the shared axis designs B_a and C, which it
+        takes uncopied unless this basis holds C writable."""
+        return DesignMatrix(designs=tuple(_grid_designs(self.config, grid)),
+                            coeffs=self.coeffs)
 
 
 def build_lkb_basis(kb, grid, cfg):

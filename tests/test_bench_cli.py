@@ -856,9 +856,19 @@ def test_repeated_sizes_give_no_slope(monkeypatch, capsys):
         d=2, n=cfg["n"], grid=None, lkb=None, matrix=None,
         rows=np.arange(40), cols=np.arange(40)))
     csv, counts, slope = pivotal_count_experiment(
-        ExperimentSpec(d=2, n_list=(20, 20)))
-    assert counts == [40, 40] and slope is None
+        ExperimentSpec(d=2, n_list=(20,)))
+    assert counts == [40] and slope is None
     assert "slope" not in csv
+
+
+def test_spec_refuses_an_empty_or_repeating_sweep(monkeypatch):
+    """An empty n_list gave a table of ten function ids and no column,
+    and a pivotal count of its header alone; a spec now refuses it, and a
+    repeated size, as the --n-list flag does, before any build."""
+    _refuse_builds(monkeypatch)
+    for sizes in ((), (20, 30, 20), (40, 40)):
+        with pytest.raises(ValueError, match="one or more distinct sizes"):
+            ExperimentSpec(d=2, n_list=sizes)
 
 
 def test_cli_config_n_list_is_checked_like_the_flag(tmp_path, monkeypatch,

@@ -135,6 +135,9 @@ def test_factored_and_plain_paths_agree(pipeline):
     assert matrix.rank_factor().shape[0] < plain.rank_factor().shape[0]
     k = matrix.rank(LSTSQ_RCOND)
     assert plain.rank(LSTSQ_RCOND) == k
+    assert plain.rank(PIPELINE_RANK_TOL) == matrix.rank(PIPELINE_RANK_TOL)
+    assert np.allclose(plain.column_norms, matrix.column_norms, rtol=1e-12,
+                       atol=0.0)
     for f in (np.sin(3 * grid.points[:, 0]) * grid.points[:, 1],
               np.exp(grid.points.sum(axis=1)), np.ones(len(grid))):
         a, b = dls_fit(matrix, f), dls_fit(plain, f)
@@ -221,13 +224,35 @@ def test_pipeline_hands_its_arrays_over_without_copies(pipeline):
 
 def test_design_matrix_rejects_mismatched_factor(pipeline):
     _, matrix, _ = pipeline
-    with pytest.raises(ValueError, match="factors"):
-        DesignMatrix(values=matrix.values,
-                     qs=matrix.qs[:1], rs=matrix.rs[:1],
+    with pytest.raises(ValueError, match="do not match the designs"):
+        DesignMatrix(designs=matrix.designs[:1], coeffs=matrix.coeffs)
+    with pytest.raises(ValueError, match="do not match the designs"):
+        DesignMatrix(designs=matrix.designs, coeffs=matrix.coeffs[:, 1:])
+    with pytest.raises(ValueError, match="do not match the designs"):
+        DesignMatrix(designs=(matrix.designs[0], matrix.designs[1][:, 1:]),
                      coeffs=matrix.coeffs)
-    with pytest.raises(ValueError, match="factors"):
-        DesignMatrix(values=matrix.values, qs=matrix.qs,
-                     rs=matrix.rs, coeffs=matrix.coeffs[1:])
+
+
+def test_design_matrix_takes_values_or_designs_and_coeffs(pipeline):
+    _, matrix, _ = pipeline
+    for kwargs in ({"values": matrix.values, "designs": matrix.designs,
+                    "coeffs": matrix.coeffs},
+                   {"values": matrix.values, "coeffs": matrix.coeffs},
+                   {"values": matrix.values, "designs": matrix.designs},
+                   {"designs": matrix.designs}, {}):
+        with pytest.raises(ValueError, match="values, or designs"):
+            DesignMatrix(**kwargs)
+    made = DesignMatrix(designs=matrix.designs, coeffs=matrix.coeffs)
+    assert np.array_equal(made.values, matrix.values)
+
+
+def test_design_matrix_refuses_a_non_finite_coefficient(pipeline):
+    _, matrix, _ = pipeline
+    for bad in (np.nan, np.inf):
+        coeffs = matrix.coeffs.copy()
+        coeffs[3, 2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DesignMatrix(designs=matrix.designs, coeffs=coeffs)
 
 
 def test_dls_dimension_mismatch(pipeline):
@@ -244,12 +269,13 @@ def _nan_at(values, i=1):
 
 @pytest.mark.parametrize("call", [
     lambda: PointSet(d=2, points=_nan_at(np.full((3, 2), 0.5))),
+    lambda: DesignMatrix(values=_nan_at(np.eye(4))),
     lambda: dls_fit(DesignMatrix(values=np.eye(4)),
                     _nan_at(np.ones(4))),
     lambda: omp_fit(DesignMatrix(values=np.eye(4)),
                     _nan_at(np.ones(4)), sparsity=2),
     lambda: pivotal_fit(np.eye(4), [0, 1], [0, 1], _nan_at(np.ones(2))),
-], ids=["PointSet", "dls_fit", "omp_fit", "pivotal_fit"])
+], ids=["PointSet", "DesignMatrix", "dls_fit", "omp_fit", "pivotal_fit"])
 def test_non_finite_input_rejected(call):
     with pytest.raises(ValueError, match="finite"):
         call()

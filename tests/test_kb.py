@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -83,6 +85,23 @@ def test_trailing_columns_vanish(fam2):
     basis = KBBasis(fam2, n=50)
     pts = np.random.default_rng(2).random((500, 2))
     assert np.all(eval_kb(basis, basis.n_columns - 1, pts) == 0.0)
+
+
+def test_one_column_allocates_little_beside_its_values(fam2):
+    """One column of a 2-d n=1000 basis on the 101^2 grid.  Densifying the
+    univariate design of each map (10201 x 2000 floats) to read column j
+    peaked at 325 MB traced; column j of the sparse design is O(N)."""
+    basis = KBBasis(fam2, n=1000)
+    grid = PointSet.grid(2, 101)
+    eval_kb(basis, 500, grid)  # the lazy SciPy import, outside the trace
+    tracemalloc.start()
+    try:
+        values = eval_kb(basis, 500, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.size == len(grid) and np.any(values)
+    assert peak < 8e6
 
 
 def test_design_matrix_rows_match_pointwise_eval(fam2):
