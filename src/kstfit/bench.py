@@ -121,15 +121,21 @@ def _grid_and_smoothing(cfg):
                             segments=cfg["segments"]))
 
 
+def _inner_family(d, rank, cache_dir):
+    """The (d, rank) inner family: built, or read through the family file
+    of cache_dir when one is given (cache.inner_family)."""
+    if cache_dir is None:
+        return build_inner_family(d, rank)
+    os.makedirs(cache_dir, exist_ok=True)
+    return cache_io.inner_family(cache_dir, d, rank)
+
+
 def _build(cfg, cache_dir=None):
     """Full pipeline from one build_config: inner family (through the
     family file of cache_dir, when given) -> raw columns on the grid ->
     prune -> denoise -> numerical rank -> dominant row/column sets."""
     grid, smoothing = _grid_and_smoothing(cfg)
-    if cache_dir is None:
-        family = build_inner_family(grid.d, cfg["inner_rank"])
-    else:
-        family = cache_io.inner_family(cache_dir, grid.d, cfg["inner_rank"])
+    family = _inner_family(grid.d, cfg["inner_rank"], cache_dir)
     # the raw matrix lives inside build_lkb_basis only: it is freed before
     # the pivot search, which runs next to the kept SVD of W
     lkb = build_lkb_basis(KBBasis(family, n=cfg["n"], degree=cfg["degree"]),
@@ -268,13 +274,14 @@ def pivotal_count_experiment(spec):
     return "\n".join(lines) + "\n", counts, slope
 
 
-def run_knet_rate(d, profile, n_list):
+def run_knet_rate(d, profile, n_list, cache_dir=None):
     """Network sup-error against the family superposition of one of
-    inner.PROFILES, as CSV."""
+    inner.PROFILES, as CSV.  The default-rank family is read through the
+    family file of cache_dir, when given, as a basis build reads it."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
                          f"choose from {sorted(PROFILES)}")
-    family = build_inner_family(d)
+    family = _inner_family(d, default_rank(d), cache_dir)
     res = rate_experiment(family, PROFILES[profile], list(n_list))
     lines = ["n,sup_error"]
     lines += [f"{n},{e:.4e}" for n, e in zip(res["n"], res["sup_error"])]

@@ -50,6 +50,7 @@ def _make_parser(defaults=None):
         basis-build ones), then the defaults over all of p's arguments:
         call it after the subcommand's own."""
         p.add_argument("--d", type=int, default=2)
+        p.add_argument("--cache-dir", default=None)
         if basis:
             p.add_argument("--grid", type=int, default=41,
                            help="fit-grid points per axis")
@@ -61,7 +62,6 @@ def _make_parser(defaults=None):
                            dest="lambda_pen")
             p.add_argument("--segments", type=int, default=0,
                            help="smoothing segments per axis (0 = default)")
-            p.add_argument("--cache-dir", default=None)
         p.add_argument("--out", default=None,
                        help="write output here instead of stdout")
         p.set_defaults(**defaults)
@@ -132,11 +132,14 @@ def _spec(args):
         n_list = FULL_SWEEP_2D
     else:
         n_list = SHORT_SWEEP
-    cache_dir = args.cache_dir or os.environ.get("KST_CACHE_DIR")
     return ExperimentSpec(d=args.d, n_list=n_list,
                           fit_grid=args.grid, eval_grid=args.eval_grid,
                           degree=args.degree, penalty=args.lambda_pen,
-                          segments=args.segments, cache_dir=cache_dir)
+                          segments=args.segments, cache_dir=_cache_dir(args))
+
+
+def _cache_dir(args):
+    return args.cache_dir or os.environ.get("KST_CACHE_DIR")
 
 
 def main(argv=None):
@@ -204,7 +207,8 @@ def main(argv=None):
     elif args.command == "pivotal-count":
         csv = pivotal_count_experiment(spec)[0]
     else:
-        csv = run_knet_rate(args.d, args.g, args.n_list)[0]
+        csv = run_knet_rate(args.d, args.g, args.n_list,
+                            cache_dir=_cache_dir(args))[0]
     _emit(csv, args.out)
     return 0
 

@@ -907,8 +907,7 @@ def test_cli_knet_rate_refuses_the_basis_flags(capsys):
     """knet-rate builds no basis, so a basis flag is a usage error rather
     than silently ignored."""
     for flag in (["--grid", "5"], ["--eval-grid", "41"], ["--degree", "2"],
-                 ["--lambda-pen", "0.5"], ["--segments", "8"],
-                 ["--cache-dir", "/nonexistent/x"]):
+                 ["--lambda-pen", "0.5"], ["--segments", "8"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(["knet-rate", "--d", "1", "--n-list", "8,16,32"]
                      + flag)
@@ -921,13 +920,40 @@ def test_cli_knet_rate_takes_config_defaults(tmp_path, capsys):
     assert cli.main(argv) == 0
     want = capsys.readouterr().out
     conf = tmp_path / "conf.json"
-    # keys of other subcommands' flags in a shared config stay harmless
+    # keys of other subcommands' flags in a shared config stay harmless,
+    # and the shared cache directory holds the family
     conf.write_text(json.dumps({"d": 1, "g": "exp", "n_list": [4, 8, 16],
-                                "grid": 5, "cache_dir": "/nonexistent/x"}))
+                                "grid": 5,
+                                "cache_dir": str(tmp_path / "kc")}))
     out_file = tmp_path / "rate.csv"
     assert cli.main(["--config", str(conf), "knet-rate",
                      "--out", str(out_file)]) == 0
     assert out_file.read_text() == want
+    assert os.path.exists(family_path(tmp_path / "kc", 1,
+                                      inner.default_rank(1)))
+
+
+def test_cli_knet_rate_reads_the_family_file(tmp_path, monkeypatch,
+                                             capsys):
+    """A second knet-rate in one cache directory loads the family the
+    first one wrote, builds none, and prints the same CSV bytes."""
+    argv = ["knet-rate", "--d", "2", "--n-list", "4,8,16",
+            "--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    assert os.path.exists(family_path(tmp_path, 2, inner.default_rank(2)))
+
+    def no_build(*args):
+        raise AssertionError("inner family built beside its file")
+
+    monkeypatch.setattr(bench, "build_inner_family", no_build)
+    monkeypatch.setattr(inner, "build_inner_family", no_build)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    # so does a directory named by KST_CACHE_DIR alone
+    monkeypatch.setenv("KST_CACHE_DIR", str(tmp_path))
+    assert cli.main(argv[:-2]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_cli_table_and_fit(tmp_path, cache_dir, capsys):

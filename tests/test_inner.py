@@ -1,5 +1,7 @@
 import hashlib
 import struct
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -314,9 +316,9 @@ def test_build_checks_each_anchor_array_once(d, monkeypatch):
     same anchors again.  The tables keep their bytes."""
     checked = []
 
-    def spy(anchors, lambdas, cap=inner._BUILD_CHECK_CAP):
+    def spy(anchors, lambdas, **kwargs):
         checked.append(hashlib.sha256(anchors.tobytes()).hexdigest())
-        return min_cube_gap(anchors, lambdas, cap=cap)
+        return min_cube_gap(anchors, lambdas, **kwargs)
 
     min_cube_gap = inner._min_cube_gap
     monkeypatch.setattr(inner, "_min_cube_gap", spy)
@@ -324,6 +326,68 @@ def test_build_checks_each_anchor_array_once(d, monkeypatch):
     assert checked and len(set(checked)) == len(checked)
     tables = b"".join(table.tobytes() for table in family.phis)
     assert hashlib.sha256(tables).hexdigest() == _PHI_SHA256[d]
+
+
+@pytest.mark.parametrize("cores", [1, 7])
+@pytest.mark.parametrize("d,rank", [(2, 3), (3, 1)])
+def test_family_tables_do_not_depend_on_the_worker_count(d, rank, cores,
+                                                         monkeypatch):
+    """The phis are built on min(2d+1, usable cores) threads, each checking
+    into its own sums buffer.  One usable core gives one thread; more
+    workers than cores, with a short switch interval, never share a
+    buffer.  Both give the table bytes of the default build."""
+    want = [t.tobytes() for t in _build_cached.__wrapped__(d, rank).phis]
+    threads, in_use = set(), set()
+    lock = threading.Lock()
+    build_phi = inner._build_phi
+
+    def spy(d, rank, q, lambdas, buf):
+        with lock:
+            threads.add(threading.get_ident())
+            assert id(buf) not in in_use, "one sums buffer in two checks"
+            in_use.add(id(buf))
+        try:
+            return build_phi(d, rank, q, lambdas, buf)
+        finally:
+            with lock:
+                in_use.discard(id(buf))
+
+    monkeypatch.setattr(inner, "_build_phi", spy)
+    monkeypatch.setattr(inner.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        family = _build_cached.__wrapped__(d, rank)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t.tobytes() for t in family.phis] == want
+    assert 1 <= len(threads) <= min(cores, 2 * d + 1)
+    if cores == 1:
+        assert len(threads) == 1
+
+
+@pytest.mark.parametrize("cores", [1, None])
+def test_a_failing_phi_fails_the_build(cores, monkeypatch):
+    """The RuntimeError of one phi surfaces from build_inner_family; on one
+    core no phi after it starts."""
+    started = []
+
+    def fake(d, rank, q, lambdas, buf):
+        started.append(q)
+        if q == 1:
+            raise RuntimeError("no windows for q=1")
+        return np.array([[0.0, 0.0], [1.0, 1.0]])
+
+    monkeypatch.setattr(inner, "_build_phi", fake)
+    if cores:
+        monkeypatch.setattr(inner.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+    with pytest.raises(RuntimeError, match="q=1"):
+        build_inner_family(5, 2)  # a (d, rank) no other test caches
+    assert 1 in started
+    if cores == 1:
+        assert started == [0, 1]
 
 
 @st.composite
@@ -358,6 +422,23 @@ def test_streamed_cube_gap_matches_the_plain_check(problem):
     with mock.patch.object(inner, "_STREAM_SLAB", slab):
         streamed = inner._streamed_cube_gap(anchors, lambdas)
     assert streamed == plain
+
+
+@settings(max_examples=200, deadline=None)
+@given(cube_gap_problems())
+def test_chunked_cube_gap_matches_the_whole_difference(problem):
+    """The smallest gap taken chunk by chunk in a caller's buffer, against
+    np.diff over all the sorted sums; chunks go down to one difference."""
+    anchors, lambdas, chunk = problem
+    sums = lambdas[0] * anchors
+    for lam in lambdas[1:]:
+        sums = (sums[:, None] + lam * anchors).ravel()
+    sums.sort()
+    want = float(np.diff(sums).min()) if sums.size > 1 else float("inf")
+    with mock.patch.object(inner, "_GAP_CHUNK", chunk):
+        assert inner._min_cube_gap(anchors, lambdas) == want
+        buf = np.full(sums.size + 3, np.nan)
+        assert inner._min_cube_gap(anchors, lambdas, buf=buf) == want
 
 
 def test_serialization_roundtrip(tmp_path):
