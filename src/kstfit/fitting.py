@@ -1,6 +1,7 @@
 """Discrete least-squares fitting over sampled basis columns, plus greedy
 sparse fitting by orthogonal matching pursuit."""
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -201,6 +202,8 @@ def omp_fit(matrix, f_values, sparsity):
     active = []
     residual = h.copy()
     z = vt.T @ (s * h)
+    # the steps' products c u_k and c w_k, written in place
+    step_p, step_m = np.empty(len(s)), np.empty(n_cols)
     stagnated = False
     while len(active) < budget:
         k = len(active)
@@ -210,19 +213,22 @@ def omp_fit(matrix, f_values, sparsity):
             stagnated = True
             break
         col = s * vt[:, best]
+        u_a, r_k = u[:k], r[:k, k]
         for _ in range(2):
-            proj = u[:k] @ col
-            col -= proj @ u[:k]
-            r[:k, k] += proj
-        r[k, k] = np.linalg.norm(col)
+            proj = u_a @ col
+            col -= proj @ u_a
+            r_k += proj
+        # np.linalg.norm is sqrt(x . x): the same bits
+        r[k, k] = math.sqrt(np.dot(col, col))
         if r[k, k] <= LSTSQ_RCOND * norms[best]:
             stagnated = True
             break
-        u[k] = col / r[k, k]
-        w[k] = (gram[best] - r[:k, k] @ w[:k]) / r[k, k]
+        np.divide(col, r[k, k], out=u[k])
+        np.subtract(gram[best], r_k @ w[:k], out=w[k])
+        w[k] /= r[k, k]
         c = u[k] @ residual
-        residual -= c * u[k]
-        z -= c * w[k]
+        residual -= np.multiply(c, u[k], out=step_p)
+        z -= np.multiply(c, w[k], out=step_m)
         phi[best] = np.inf
         active.append(best)
     k = len(active)

@@ -122,16 +122,16 @@ def _min_cube_gap(anchors, lambdas, cap=_BUILD_CHECK_CAP, buf=None):
     Exhaustive over all len(anchors)**d combinations when that count is
     within cap; returns None when it is not.  Equal sums give gap 0.
     Above _BUILD_CHECK_CAP sums (d >= 2) the check is streamed in value
-    slabs, with the same result.  Up to that many sums are written into
-    buf (a float64 array at least as long, allocated when None) and
-    sorted there.
+    slabs, with the same result.  Up to that many sums, or one slab's,
+    are written into buf (a float64 array at least as long, allocated
+    when None) and sorted there.
     """
     t = len(anchors)
     d = len(lambdas)
     if t == 0 or t ** d > cap:
         return None if t ** d > cap else math.inf
     if d > 1 and t ** d > _BUILD_CHECK_CAP:
-        return _streamed_cube_gap(anchors, lambdas)
+        return _streamed_cube_gap(anchors, lambdas, buf)
     sums = np.empty(t ** d) if buf is None else buf[:t ** d]
     # summed weight by weight, the last sum into sums; 0.0 + x is x
     head = np.zeros(1)
@@ -140,6 +140,12 @@ def _min_cube_gap(anchors, lambdas, cap=_BUILD_CHECK_CAP, buf=None):
     np.add(head[:, None], lambdas[-1] * anchors,
            out=sums.reshape(len(head), t))
     sums.sort()
+    return _least_gap(sums)
+
+
+def _least_gap(sums):
+    """Smallest adjacent difference of the sorted sums (inf for fewer
+    than two), taken _GAP_CHUNK differences at a time."""
     gap = math.inf
     for lo in range(0, sums.size - 1, _GAP_CHUNK):
         hi = min(lo + _GAP_CHUNK, sums.size - 1)
@@ -147,7 +153,7 @@ def _min_cube_gap(anchors, lambdas, cap=_BUILD_CHECK_CAP, buf=None):
     return gap
 
 
-def _streamed_cube_gap(anchors, lambdas):
+def _streamed_cube_gap(anchors, lambdas, buf=None):
     """_min_cube_gap over all d-fold sums (d >= 2) in value slabs of about
     _STREAM_SLAB sums each, so no array holds every sum.
 
@@ -155,10 +161,11 @@ def _streamed_cube_gap(anchors, lambdas):
     added in _min_cube_gap's order, and w = lambdas[-1] * anchors, so it
     has the same bits as there.  Rounded addition is monotone, so the sums
     of one anchor k that fall in a slab [lo, hi) are one run of the sorted
-    heads; searchsorted finds it, widened by a rounding slack, and the
-    exact test keeps each sum in exactly one slab.  The smallest gap is
-    the least of the gaps inside each sorted slab and the gaps across slab
-    edges.
+    heads; searchsorted finds it, widened by a rounding slack, and a
+    second searchsorted on the run's sums keeps each sum in exactly one
+    slab.  A slab's sums are written into buf (allocated when None or too
+    short) and sorted there.  The smallest gap is the least of the gaps
+    inside each sorted slab and the gaps across slab edges.
     """
     head = lambdas[0] * anchors
     for lam in lambdas[1:-1]:
@@ -170,7 +177,8 @@ def _streamed_cube_gap(anchors, lambdas):
     # sum standing for `stride` sums
     nslab = -(-total // _STREAM_SLAB)
     stride = max(1, total // (64 * nslab * len(w)))
-    sample = np.sort((head[::stride, None] + w).ravel())
+    sample = (head[::stride, None] + w).ravel()
+    sample.sort()
     edges = np.unique(sample[len(sample) * np.arange(1, nslab) // nslab])
     bounds = np.concatenate([[-np.inf], edges, [np.inf]])
     slack = 8.0 * np.finfo(float).eps * (np.abs(head).max()
@@ -178,15 +186,20 @@ def _streamed_cube_gap(anchors, lambdas):
     best, last = math.inf, -math.inf
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         start = np.searchsorted(head, lo - w - slack)
-        count = np.searchsorted(head, hi - w + slack, side="right") - start
-        first = np.cumsum(count) - count
-        idx = np.repeat(start - first, count) + np.arange(count.sum())
-        sums = head[idx] + np.repeat(w, count)
-        sums = sums[(sums >= lo) & (sums < hi)]
-        if sums.size:
+        stop = np.searchsorted(head, hi - w + slack, side="right")
+        need = int((stop - start).sum())
+        out = buf if buf is not None and len(buf) >= need else np.empty(need)
+        size = 0
+        for k in np.flatnonzero(stop > start):
+            run = np.add(head[start[k]:stop[k]], w[k],
+                         out=out[size:size + stop[k] - start[k]])
+            a, b = np.searchsorted(run, (lo, hi))
+            out[size:size + b - a] = run[a:b]
+            size += b - a
+        if size:
+            sums = out[:size]
             sums.sort()
-            best = min(best, float(sums[0] - last),
-                       float(np.diff(sums).min(initial=math.inf)))
+            best = min(best, float(sums[0] - last), _least_gap(sums))
             last = sums[-1]
     return best
 

@@ -6,6 +6,7 @@ on [0, d] and z_q the weighted superposition maps.  Because the maps only
 reach sum(lambda) < d, a block of trailing columns is identically zero;
 pruning removes those before any fitting."""
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -125,55 +126,89 @@ def _read_only(a):
     return a
 
 
-@dataclass(frozen=True)
+# Samples of M (1 MiB) per block of columns when M is written out: 77
+# columns on the 41^2 grid, one on the 41^3 grid, so a block's
+# intermediates stay a small part of the N x m result.
+_BLOCK_SAMPLES = 2 ** 17
+
+
+@dataclass(frozen=True, init=False)
 class DesignMatrix:
-    """Dense samples M of basis columns at a point set, given as values
-    (a plain matrix) or as the per-axis designs B_a of a grid and the
-    coefficient tensor C, shape (columns,) + (coeffs per axis, ...), of
-    M = (B_1 x ... x B_d) C.  The matrix derives the rest when it is
-    made: M, and the thin QR factors B_a = Q_a R_a of the factorization
-    M = (Q_1 x ... x Q_d) W with the small rank factor
-    W = (R_1 x ... x R_d) C.  A plain matrix is the case with no axes:
-    C = M^T, no Q and W = M.  The arrays are held read-only, and a
-    writable one is copied first, so the SVD of W that the matrix keeps
-    cannot go stale; builders that own a fresh array mark it read-only to
-    hand it over without a copy."""
+    """Dense samples M (N x m) of basis columns at a point set, given as
+    values (a plain matrix) or as the per-axis designs B_a of a grid and
+    the coefficient tensor C, shape (columns,) + (coeffs per axis, ...),
+    of M = (B_1 x ... x B_d) C.  The matrix derives the thin QR factors
+    B_a = Q_a R_a of the factorization M = (Q_1 x ... x Q_d) W with the
+    small rank factor W = (R_1 x ... x R_d) C when it is made; a factored
+    matrix forms M itself only when values is first read.  A plain matrix
+    is the case with no axes: C = M^T, no Q and W = M.  The arrays are
+    held read-only, and a writable one is copied first, so the SVD of W
+    that the matrix keeps cannot go stale; builders that own a fresh array
+    mark it read-only to hand it over without a copy."""
 
-    values: np.ndarray = None
-    designs: tuple = ()
-    coeffs: np.ndarray = None
-    qs: tuple = field(init=False, repr=False)
-    rs: tuple = field(init=False, repr=False)
+    designs: tuple
+    coeffs: np.ndarray
+    qs: tuple = field(repr=False)
+    rs: tuple = field(repr=False)
 
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def __post_init__(self):
-        if (self.values is None) == (self.coeffs is None) \
-                or (self.values is not None and self.designs):
+    def __init__(self, values=None, designs=(), coeffs=None):
+        if (values is None) == (coeffs is None) \
+                or (values is not None and designs):
             raise ValueError("a design matrix takes values, or designs "
                              "and coeffs")
-        designs = tuple(_read_only(b) for b in self.designs)
-        if self.values is None:
-            coeffs = _read_only(self.coeffs)
+        designs = tuple(_read_only(b) for b in designs)
+        if values is None:
+            coeffs = _read_only(coeffs)
             if coeffs.shape[1:] != tuple(b.shape[1] for b in designs):
                 raise ValueError("coefficient axes do not match the designs")
-            # one column's samples after the other: Fortran-ordered
-            values = contract_axes(designs, coeffs).reshape(len(coeffs),
-                                                            -1).T
-            values.flags.writeable = False
         else:
-            values = _read_only(self.values)
+            values = _read_only(values)
             coeffs = values.T  # no axes: C = M^T
+            self.__dict__["values"] = values
         qrs = [np.linalg.qr(b) for b in designs]
         for a in (x for qr in qrs for x in qr):
             a.flags.writeable = False
-        for name, a in (("values", values), ("designs", designs),
-                        ("coeffs", coeffs),
+        for name, a in (("designs", designs), ("coeffs", coeffs),
                         ("qs", tuple(q for q, _ in qrs)),
                         ("rs", tuple(r for _, r in qrs))):
             object.__setattr__(self, name, a)
+
+    @property
+    def shape(self):
+        """(N, m), read off the designs and C: M is not formed."""
+        rows = [b.shape[0] for b in self.designs] or self.coeffs.shape[1:]
+        return math.prod(rows), len(self.coeffs)
+
+    def column_samples(self, cols):
+        """M[:, cols]^T, (len(cols), N): the columns cols of C contracted
+        with the designs, so M is not formed.  For a plain matrix there is
+        no design, and these are the rows cols of C = M^T."""
+        return contract_axes(self.designs, self.coeffs[cols]).reshape(
+            -1, self.shape[0])
+
+    def write_values(self, out):
+        """Write M into out, an (N, m) float array of any layout, and
+        return out: copied from M once it is formed, and else contracted
+        from C a block of columns at a time (column_samples), so that no
+        other N x m array is made."""
+        if "values" in self.__dict__:
+            np.copyto(out, self.values)
+            return out
+        n_rows, n_cols = self.shape
+        width = max(1, _BLOCK_SAMPLES // max(1, n_rows))
+        for lo in range(0, n_cols, width):
+            block = slice(lo, lo + width)
+            out[:, block] = self.column_samples(block).T
+        return out
+
+    @cached_property
+    def values(self):
+        """M, read-only and Fortran-ordered: one column's samples after
+        the other.  A plain matrix holds it from the start; a factored one
+        writes it on the first read (write_values) and keeps it."""
+        values = self.write_values(np.empty(self.shape[::-1]).T)
+        values.flags.writeable = False
+        return values
 
     def rank_factor(self):
         """W = (R_1 x ... x R_d) C, Fortran-ordered: a new array, or the
@@ -230,23 +265,34 @@ class DesignMatrix:
         gram.flags.writeable = False
         return gram
 
+    def block(self, rows, cols):
+        """The block M[I, J], read-only: the rows I of column_samples(J),
+        so M is not formed.  The matrix keeps it with its thin SVD for the
+        last (I, J) asked for, as it keeps svd, so repeated fits on one
+        pivot set contract and factor the block once; any other (I, J) is
+        taken afresh and replaces it."""
+        return self._pivot_block(rows, cols)[0]
+
     def block_svd(self, rows, cols):
-        """The thin SVD (U, s, V^T) of the block values[I, J], read-only.
-        The matrix keeps it for the last (I, J) asked for, as it keeps
-        svd, so repeated fits on one pivot set factor the block once; any
-        other (I, J) is factored afresh and replaces it."""
+        """The thin SVD (U, s, V^T) of block(rows, cols), read-only and
+        kept with it."""
+        return self._pivot_block(rows, cols)[1]
+
+    def _pivot_block(self, rows, cols):
         rows = np.array(rows, dtype=np.intp)
         cols = np.array(cols, dtype=np.intp)
-        kept = self.__dict__.get("_block_svd")
+        kept = self.__dict__.get("_block")
         if (kept is not None and np.array_equal(kept[0], rows)
                 and np.array_equal(kept[1], cols)):
             return kept[2]
-        factors = np.linalg.svd(self.values[np.ix_(rows, cols)],
-                                full_matrices=False)
-        for a in factors:
+        # C-ordered like values[np.ix_(I, J)], so products with it round
+        # the same way
+        block = np.ascontiguousarray(self.column_samples(cols)[:, rows].T)
+        factors = np.linalg.svd(block, full_matrices=False)
+        for a in (block, *factors):
             a.flags.writeable = False
-        self.__dict__["_block_svd"] = (rows, cols, factors)
-        return factors
+        self.__dict__["_block"] = (rows, cols, (block, factors))
+        return block, factors
 
     @property
     def singular_values(self):

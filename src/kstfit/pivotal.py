@@ -7,6 +7,7 @@ accuracy comparable to the full point set, and (I, J) depend only on the
 matrix, never on the target values.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -80,7 +81,9 @@ def _abs_argmax(a):
 
 def _full_pivot_init(m, r, skip=0):
     """Rows/columns of the first r completely pivoted LU steps, optionally
-    skipping the `skip` largest residual entries to diversify starts."""
+    skipping the `skip` largest residual entries to diversify starts.  m
+    is an array, which the residual copies, or a _Residual, whose shared
+    buffer the residual is."""
     resid = np.array(m, dtype=float, order="C")
     rows, cols = [], []
     ban_i, ban_j = [], []
@@ -116,13 +119,31 @@ def _full_pivot_init(m, r, skip=0):
 _DIVERSE_START_BUDGET = 2.0e8
 
 
+class _Residual:
+    """The matrix as the complete-pivot starts read it: np.array of it
+    writes M into one C-ordered buffer (DesignMatrix.write_values, from
+    the factors or from M once formed) and hands that buffer over as the
+    copy.  The starts run one after the other and each one overwrites its
+    residual, so they share the buffer, the one N x m array they hold."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.shape = matrix.shape
+        self.buffer = np.empty(self.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.matrix.write_values(self.buffer)
+
+
 def _initial_selections(m, r):
-    """Complete-pivot starting pairs; small problems get extra diversified
-    starts because the alternating sweeps only explore single swaps and
-    can stall on a local optimum."""
-    starts = [_full_pivot_init(m, r)]
-    if m.size * r <= _DIVERSE_START_BUDGET:
-        starts += [_full_pivot_init(m, r, skip=s) for s in range(1, 6)]
+    """Complete-pivot starting pairs of the matrix m, an array or a
+    DesignMatrix, all read through one _Residual; small problems get extra
+    diversified starts because the alternating sweeps only explore single
+    swaps and can stall on a local optimum."""
+    resid = _Residual(_as_matrix(m))
+    starts = [_full_pivot_init(resid, r)]
+    if math.prod(resid.shape) * r <= _DIVERSE_START_BUDGET:
+        starts += [_full_pivot_init(resid, r, skip=s) for s in range(1, 6)]
     return [(rows, cols) for rows, cols in starts if len(rows) == r]
 
 
@@ -161,23 +182,28 @@ def _sweep_rows(m, rows, cols, log):
 def maxvol_select(matrix, r, with_history=False):
     """Greedy dominant r x r submatrix: complete-pivot starts, then
     alternating row and column sweeps, each swap growing the volume by a
-    factor above 1 + SWAP_MARGIN (so the loop always terminates).
+    factor above 1 + SWAP_MARGIN (so the loop always terminates).  The
+    starts read a factored matrix through its factors; the sweeps read M,
+    which the matrix forms after the last start.
 
     Returns (I, J) as sorted index arrays; with_history=True appends the
     relative-volume trace (strictly increasing across accepted swaps).
     """
     matrix = _as_matrix(matrix)
-    m = matrix.values
-    n_rows, n_cols = m.shape
+    n_rows, n_cols = matrix.shape
     if not 1 <= r <= min(n_rows, n_cols):
-        raise ValueError(f"rank {r} out of range for a {m.shape} matrix")
-    achieved = matrix.rank(max(m.shape) * np.finfo(float).eps)
+        raise ValueError(f"rank {r} out of range for a {matrix.shape} "
+                         f"matrix")
+    achieved = matrix.rank(max(matrix.shape) * np.finfo(float).eps)
     if achieved < r:
         raise ValueError(
             f"matrix has numerical rank {achieved} < requested {r}")
 
+    # every start runs, and frees its residual, before the sweeps read M
+    starts = _initial_selections(matrix, r)
+    m = matrix.values
     best = None
-    for rows, cols in _initial_selections(m, r):
+    for rows, cols in starts:
         log = [1.0]  # relative volume trace; swaps multiply it up
         for _ in range(64):
             grew = _sweep_rows(m, rows, cols, log)
@@ -229,9 +255,10 @@ def pivotal_fit(matrix, rows, cols, f_at_rows):
     """Least-squares solve of the pivotal block M[I, J] x ~= f_I, embedded
     as a full-length coefficient vector (zeros off J).  (I, J) depend on
     the basis alone, so the SVD of the block comes from the matrix, which
-    keeps it for the last (I, J) asked for: repeated fits on one basis
-    factor the block once and give the same bits as a fresh SVD.  That SVD
-    gives both the block's condition number and the solve."""
+    keeps it with the block for the last (I, J) asked for: repeated fits
+    on one basis contract and factor the block once, never form M, and
+    give the same bits as a fresh SVD.  That SVD gives both the block's
+    condition number and the solve, and the block the training RMSE."""
     matrix = _as_matrix(matrix)
     f = target_vector(f_at_rows, len(rows))
     u, s, vt = matrix.block_svd(rows, cols)
@@ -244,7 +271,7 @@ def pivotal_fit(matrix, rows, cols, f_at_rows):
     x = vt.T @ ((u.T @ f) / s)
     coef = np.zeros(matrix.shape[1])
     coef[np.asarray(cols)] = x
-    resid = rms_seminorm(matrix.values[np.ix_(rows, cols)] @ x - f)
+    resid = rms_seminorm(matrix.block(rows, cols) @ x - f)
     return FitResult(coefficients=coef, training_rmse=resid,
                      method="pivotal", support=np.asarray(cols, dtype=int))
 

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import struct
+import tracemalloc
 import warnings
 import weakref
 
@@ -13,7 +14,7 @@ import pytest
 from scipy import linalg as sla
 
 from conftest import record_blocks, reframed
-from kstfit import bench, cli, inner, smoothing
+from kstfit import bench, cli, inner, pivotal, smoothing
 from kstfit.bench import (
     ExperimentSpec,
     estimate_convergence_slope,
@@ -28,6 +29,7 @@ from kstfit.cache import CacheMismatch, cache_path, config_hash, \
     family_path, inner_family, read_basis_cache, save_inner_family, \
     write_basis_cache
 from kstfit.fitting import dls_fit, omp_fit
+from kstfit.kb import DesignMatrix
 from kstfit.smoothing import SmoothingConfig
 from kstfit.testfuncs import get as get_function, registry
 
@@ -147,6 +149,79 @@ def test_2d_n100_pivots_and_table_keep_their_bytes():
     table = run_table_experiment(spec)
     assert "pivotal n=100 (52 samples)" in table
     assert hashlib.sha256(table.encode()).hexdigest() == _TABLE_2D_N100_SHA256
+
+
+# sha256 of the 2-d n=1000 pivot rows then columns (little-endian int64)
+# and of the table CSV of n = 100 and 1000; the same under 1 and 2
+# OpenBLAS threads and on one core
+_PIVOTS_2D_N1000_SHA256 = \
+    "a1f928cb4cbea3128d7a04a36c88c6bf3fda571c0a0bc409425ef9818601e836"
+_TABLE_2D_N1000_SHA256 = \
+    "a0ae95c97e6c6ca89b690d5f8f356390bad86e29665b9447fc1b99505e793001"
+
+
+def test_2d_n1000_pivots_and_table_keep_their_bytes(tmp_path):
+    """The same-numbers gate of the six complete-pivot starts on a matrix
+    wider than its grid (1681 x 1458): a cold build keeps the 71 pivots,
+    and the table, which reads that build back from the cache, keeps its
+    text byte for byte."""
+    spec = ExperimentSpec(d=2, n_list=(100, 1000), cache_dir=str(tmp_path))
+    basis = spec.basis(1000)
+    assert basis.rank == 71
+    pivots = np.concatenate([basis.rows, basis.cols]).astype("<i8")
+    assert hashlib.sha256(pivots.tobytes()).hexdigest() \
+        == _PIVOTS_2D_N1000_SHA256
+    table = run_table_experiment(spec)
+    assert "pivotal n=1000 (71 samples)" in table
+    assert hashlib.sha256(table.encode()).hexdigest() \
+        == _TABLE_2D_N1000_SHA256
+
+
+def test_a_cold_build_forms_the_sampled_matrix_after_the_last_start(
+        monkeypatch):
+    """The complete-pivot starts read the factors through one shared
+    residual, and M is formed once, for the sweeps after them: during the
+    starts at most one N x m array is alive."""
+    events, peaks = [], []
+    form = DesignMatrix.values.func
+
+    def forming(self):
+        events.append("M")
+        return form(self)
+
+    def started(m, r, skip=0):
+        events.append("start")
+        return start(m, r, skip)
+
+    def traced(m, r):
+        tracemalloc.start()
+        try:
+            return select(m, r)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    start, select = pivotal._full_pivot_init, pivotal._initial_selections
+    monkeypatch.setattr(DesignMatrix.values, "func", forming)
+    monkeypatch.setattr(pivotal, "_full_pivot_init", started)
+    monkeypatch.setattr(pivotal, "_initial_selections", traced)
+    basis = get_basis_set(2, 100)
+    assert events == ["start"] * 6 + ["M"]
+    assert peaks[0] < 2 * basis.matrix.values.nbytes
+
+
+def test_a_warm_table_never_forms_the_sampled_matrix(tmp_path, monkeypatch):
+    """A cache load samples the basis without M, and DLS and pivotal fits
+    and their evaluation read its factors, so a warm table runs with the
+    writing of M refused and keeps the cold table's bytes."""
+    spec = ExperimentSpec(d=2, n_list=(100,), cache_dir=str(tmp_path))
+    cold = run_table_experiment(spec)
+
+    def refused(self, out):
+        raise AssertionError("the sampled matrix was formed")
+
+    monkeypatch.setattr(DesignMatrix, "write_values", refused)
+    assert run_table_experiment(spec) == cold
 
 
 # OMP at sparsity = rank on f1-f10: the supports (little-endian int64),

@@ -727,20 +727,26 @@ def pipeline_2d():
 
 
 def test_no_fit_reads_the_sampled_matrix(pipeline_2d):
-    """DLS, OMP and the column norms run on the factors alone: with every
-    entry of values NaN they give the bits of the intact matrix."""
+    """DLS, OMP, pivotal fits, their evaluation and the column norms run
+    on the factors alone: with every entry of values NaN they give the
+    bits of the intact matrix."""
     lkb, intact, targets = pipeline_2d[100]
     grid = PointSet.grid(2, 41)
+    eval_pts = PointSet.grid(2, 21)
     blind = lkb.sample(grid)
     object.__setattr__(blind, "values",
                        np.broadcast_to(np.nan, intact.shape))
     sparsity = intact.rank(PIPELINE_RANK_TOL)
-    for f in targets[:3]:
+    rows, cols = maxvol_select(intact, sparsity)
+    for func, f in zip(registry(2)[:3], targets):
         for fit in (lambda m: dls_fit(m, f),
-                    lambda m: omp_fit(m, f, sparsity=sparsity)):
+                    lambda m: omp_fit(m, f, sparsity=sparsity),
+                    lambda m: pivotal_fit(m, rows, cols, f[rows])):
             a, b = fit(blind), fit(intact)
             assert np.array_equal(a.coefficients, b.coefficients)
-            assert np.isfinite(a.training_rmse)
+            assert a.training_rmse == b.training_rmse
+            assert evaluate_fit(a, lkb, eval_pts, func) \
+                == evaluate_fit(b, lkb, eval_pts, func)
     assert np.array_equal(blind.column_norms, intact.column_norms)
 
 

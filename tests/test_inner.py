@@ -421,6 +421,11 @@ def test_streamed_cube_gap_matches_the_plain_check(problem):
     plain = inner._min_cube_gap(anchors, lambdas)
     with mock.patch.object(inner, "_STREAM_SLAB", slab):
         streamed = inner._streamed_cube_gap(anchors, lambdas)
+        # slabs in a caller's buffer, one long enough for all the sums and
+        # one too short for any slab but a one-sum one
+        for size in (len(anchors) ** len(lambdas), 1):
+            buf = np.full(size, np.nan)
+            assert inner._streamed_cube_gap(anchors, lambdas, buf) == plain
     assert streamed == plain
 
 

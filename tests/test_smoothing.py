@@ -388,8 +388,10 @@ def test_lkb_build_keeps_the_raw_matrix_sparse():
 
 def test_sampling_allocates_little_beside_the_matrix():
     """M of a 3-d basis (190 columns, 15^3 coefficients, 41^3 grid) is
-    105 MB.  One batched product per axis leaves M beside the previous
-    step's smaller result; a transposing copy of the samples into grid
+    105 MB.  Sampling forms no M, and its first read writes M a block of
+    columns at a time, so M meets only one block's intermediates; one
+    contraction of all the columns held the previous axis step's result
+    beside it (1.37 x M), and a transposing copy of the samples into grid
     order reached 2.0 x M."""
     cfg = SmoothingConfig(segments=12)
     rng = np.random.default_rng(0)
@@ -399,11 +401,14 @@ def test_sampling_allocates_little_beside_the_matrix():
     tracemalloc.start()
     try:
         matrix = lkb.sample(grid)
+        sampled = tracemalloc.get_traced_memory()[0]
+        values = matrix.values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert matrix.shape == (41 ** 3, 190)
-    assert peak < 1.5 * matrix.values.nbytes
+    assert sampled < 0.1 * values.nbytes
+    assert peak < 1.1 * values.nbytes
 
 
 def test_smoother_forms_its_normal_matrix_in_place():
