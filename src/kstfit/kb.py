@@ -188,12 +188,8 @@ class DesignMatrix:
 
     def write_values(self, out):
         """Write M into out, an (N, m) float array of any layout, and
-        return out: copied from M once it is formed, and else contracted
-        from C a block of columns at a time (column_samples), so that no
-        other N x m array is made."""
-        if "values" in self.__dict__:
-            np.copyto(out, self.values)
-            return out
+        return out: contracted from C a block of columns at a time
+        (column_samples), so that no other N x m array is made."""
         n_rows, n_cols = self.shape
         width = max(1, _BLOCK_SAMPLES // max(1, n_rows))
         for lo in range(0, n_cols, width):
@@ -281,6 +277,10 @@ class DesignMatrix:
     def _pivot_block(self, rows, cols):
         rows = np.array(rows, dtype=np.intp)
         cols = np.array(cols, dtype=np.intp)
+        # a negative index would wrap to a row or column from the end
+        for index, size in zip((rows, cols), self.shape):
+            if index.size and (index.min() < 0 or index.max() >= size):
+                raise IndexError("pivot index out of range")
         kept = self.__dict__.get("_block")
         if (kept is not None and np.array_equal(kept[0], rows)
                 and np.array_equal(kept[1], cols)):

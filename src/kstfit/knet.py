@@ -66,7 +66,11 @@ def eval_knetwork(net, x):
     return float(out) if np.ndim(out) == 0 else out.reshape(shape)
 
 
-def rate_experiment(family, g, n_list, grid_per_axis=None):
+# Points per axis of the grid rate_experiment checks the networks on.
+RATE_GRID_PER_AXIS = {1: 2001, 2: 201, 3: 61}
+
+
+def rate_experiment(family, g, n_list):
     """Sup-error of the m=n network against the family's own superposition
     of g, for each n, plus the fitted log-log slope.
 
@@ -77,9 +81,7 @@ def rate_experiment(family, g, n_list, grid_per_axis=None):
     if len(set(n_list)) < 3:
         raise ValueError("need at least 3 distinct sizes to fit a slope")
     d = family.d
-    if grid_per_axis is None:
-        grid_per_axis = {1: 2001, 2: 201, 3: 61}.get(d, 21)
-    grid = PointSet.grid(d, grid_per_axis)
+    grid = PointSet.grid(d, RATE_GRID_PER_AXIS.get(d, 21))
     reference = forward_superpose(family, g, grid)
     errors = []
     for n in n_list:

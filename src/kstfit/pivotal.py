@@ -7,7 +7,6 @@ accuracy comparable to the full point set, and (I, J) depend only on the
 matrix, never on the target values.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -79,12 +78,11 @@ def _abs_argmax(a):
     return divmod(flat, a.shape[1])
 
 
-def _full_pivot_init(m, r, skip=0):
+def _full_pivot_init(resid, r, skip=0):
     """Rows/columns of the first r completely pivoted LU steps, optionally
-    skipping the `skip` largest residual entries to diversify starts.  m
-    is an array, which the residual copies, or a _Residual, whose shared
-    buffer the residual is."""
-    resid = np.array(m, dtype=float, order="C")
+    skipping the `skip` largest residual entries to diversify starts.
+    resid, a C-ordered float64 array holding the matrix, is overwritten
+    with the residual."""
     rows, cols = [], []
     ban_i, ban_j = [], []
     for step in range(r + skip):
@@ -117,34 +115,6 @@ def _full_pivot_init(m, r, skip=0):
 
 # Above this work estimate (entries * rank) only the first start is tried.
 _DIVERSE_START_BUDGET = 2.0e8
-
-
-class _Residual:
-    """The matrix as the complete-pivot starts read it: np.array of it
-    writes M into one C-ordered buffer (DesignMatrix.write_values, from
-    the factors or from M once formed) and hands that buffer over as the
-    copy.  The starts run one after the other and each one overwrites its
-    residual, so they share the buffer, the one N x m array they hold."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.shape = matrix.shape
-        self.buffer = np.empty(self.shape)
-
-    def __array__(self, dtype=None, copy=None):
-        return self.matrix.write_values(self.buffer)
-
-
-def _initial_selections(m, r):
-    """Complete-pivot starting pairs of the matrix m, an array or a
-    DesignMatrix, all read through one _Residual; small problems get extra
-    diversified starts because the alternating sweeps only explore single
-    swaps and can stall on a local optimum."""
-    resid = _Residual(_as_matrix(m))
-    starts = [_full_pivot_init(resid, r)]
-    if math.prod(resid.shape) * r <= _DIVERSE_START_BUDGET:
-        starts += [_full_pivot_init(resid, r, skip=s) for s in range(1, 6)]
-    return [(rows, cols) for rows, cols in starts if len(rows) == r]
 
 
 def _sweep_rows(m, rows, cols, log):
@@ -182,9 +152,12 @@ def _sweep_rows(m, rows, cols, log):
 def maxvol_select(matrix, r, with_history=False):
     """Greedy dominant r x r submatrix: complete-pivot starts, then
     alternating row and column sweeps, each swap growing the volume by a
-    factor above 1 + SWAP_MARGIN (so the loop always terminates).  The
-    starts read a factored matrix through its factors; the sweeps read M,
-    which the matrix forms after the last start.
+    factor above 1 + SWAP_MARGIN (so the loop always terminates).  Small
+    problems get extra diversified starts because the sweeps only explore
+    single swaps and can stall on a local optimum.  The search holds one
+    N x m array: M is written into it (DesignMatrix.write_values) before
+    each start, which overwrites it with its residual, and once more for
+    the sweeps, so the matrix never forms values.
 
     Returns (I, J) as sorted index arrays; with_history=True appends the
     relative-volume trace (strictly increasing across accepted swaps).
@@ -199,11 +172,15 @@ def maxvol_select(matrix, r, with_history=False):
         raise ValueError(
             f"matrix has numerical rank {achieved} < requested {r}")
 
-    # every start runs, and frees its residual, before the sweeps read M
-    starts = _initial_selections(matrix, r)
-    m = matrix.values
+    m = np.empty(matrix.shape)
+    diverse = n_rows * n_cols * r <= _DIVERSE_START_BUDGET
+    starts = [_full_pivot_init(matrix.write_values(m), r, skip)
+              for skip in range(6 if diverse else 1)]
+    matrix.write_values(m)
     best = None
     for rows, cols in starts:
+        if len(rows) < r:
+            continue
         log = [1.0]  # relative volume trace; swaps multiply it up
         for _ in range(64):
             grew = _sweep_rows(m, rows, cols, log)

@@ -14,7 +14,7 @@ import pytest
 from scipy import linalg as sla
 
 from conftest import record_blocks, reframed
-from kstfit import bench, cli, inner, pivotal, smoothing
+from kstfit import bench, cli, inner, smoothing
 from kstfit.bench import (
     ExperimentSpec,
     estimate_convergence_slope,
@@ -168,6 +168,7 @@ def test_2d_n1000_pivots_and_table_keep_their_bytes(tmp_path):
     spec = ExperimentSpec(d=2, n_list=(100, 1000), cache_dir=str(tmp_path))
     basis = spec.basis(1000)
     assert basis.rank == 71
+    assert "values" not in basis.matrix.__dict__
     pivots = np.concatenate([basis.rows, basis.cols]).astype("<i8")
     assert hashlib.sha256(pivots.tobytes()).hexdigest() \
         == _PIVOTS_2D_N1000_SHA256
@@ -177,37 +178,36 @@ def test_2d_n1000_pivots_and_table_keep_their_bytes(tmp_path):
         == _TABLE_2D_N1000_SHA256
 
 
-def test_a_cold_build_forms_the_sampled_matrix_after_the_last_start(
-        monkeypatch):
-    """The complete-pivot starts read the factors through one shared
-    residual, and M is formed once, for the sweeps after them: during the
-    starts at most one N x m array is alive."""
-    events, peaks = [], []
-    form = DesignMatrix.values.func
+def test_a_cold_build_never_forms_the_sampled_matrix(monkeypatch):
+    """The pivot search writes M from the factors into one N x m buffer
+    before each complete-pivot start, which overwrites it, and once more
+    for the sweeps: a cold build runs with the forming of M refused, and
+    the search holds no second N x m array."""
+    buffers, peaks = [], []
+    write, select = DesignMatrix.write_values, bench.maxvol_select
 
-    def forming(self):
-        events.append("M")
-        return form(self)
+    def refused(self):
+        raise AssertionError("the sampled matrix was formed")
 
-    def started(m, r, skip=0):
-        events.append("start")
-        return start(m, r, skip)
+    def writing(self, out):
+        buffers.append(out)
+        return write(self, out)
 
-    def traced(m, r):
+    def traced(matrix, r):
         tracemalloc.start()
         try:
-            return select(m, r)
+            return select(matrix, r)
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    start, select = pivotal._full_pivot_init, pivotal._initial_selections
-    monkeypatch.setattr(DesignMatrix.values, "func", forming)
-    monkeypatch.setattr(pivotal, "_full_pivot_init", started)
-    monkeypatch.setattr(pivotal, "_initial_selections", traced)
-    basis = get_basis_set(2, 100)
-    assert events == ["start"] * 6 + ["M"]
-    assert peaks[0] < 2 * basis.matrix.values.nbytes
+    monkeypatch.setattr(DesignMatrix.values, "func", refused)
+    monkeypatch.setattr(DesignMatrix, "write_values", writing)
+    monkeypatch.setattr(bench, "maxvol_select", traced)
+    get_basis_set(2, 100)
+    assert len(buffers) == 7
+    assert all(out is buffers[0] for out in buffers)
+    assert peaks[0] < 2 * buffers[0].nbytes
 
 
 def test_a_warm_table_never_forms_the_sampled_matrix(tmp_path, monkeypatch):

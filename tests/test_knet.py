@@ -9,7 +9,8 @@ from kstfit.bsplines import eval_relu_combination
 from kstfit.inner import PROFILES, build_inner_family, eval_z, \
     forward_superpose
 from kstfit.kb import KBBasis, PointSet, assemble_design_matrix
-from kstfit.knet import KNetwork, build_knetwork, eval_knetwork, rate_experiment
+from kstfit.knet import RATE_GRID_PER_AXIS, KNetwork, build_knetwork, \
+    eval_knetwork, rate_experiment
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +72,14 @@ def test_identity_profile_approaches_sum_of_z(family):
 
 
 def test_rate_experiment_lipschitz_slope(family):
-    res = rate_experiment(family, np.sin, [16, 64, 256], grid_per_axis=101)
+    res = rate_experiment(family, np.sin, [16, 64, 256])
     assert res["flag"] == "ok"
     assert res["slope"] <= -0.8
     assert np.all(np.diff(res["sup_error"]) <= 0.05 * res["sup_error"][:-1])
 
 
 def test_rate_experiment_constant_flags_exact(family):
-    res = rate_experiment(family, lambda t: np.full_like(t, 1.5),
-                          [4, 8, 16], grid_per_axis=51)
+    res = rate_experiment(family, lambda t: np.full_like(t, 1.5), [4, 8, 16])
     assert res["flag"] == "exact"
     assert res["slope"] is None
     assert np.all(res["sup_error"] == 0.0)
@@ -130,7 +130,7 @@ def _grid_matches_points(d, per_axis, g, n):
                           forward_superpose(family, g, grid.points))
 
 
-@pytest.mark.parametrize("d, per_axis", [(1, 2001), (2, 201), (3, 61)])
+@pytest.mark.parametrize("d, per_axis", sorted(RATE_GRID_PER_AXIS.items()))
 @pytest.mark.parametrize("profile", ["sin", "sqrt"])
 def test_grid_path_keeps_the_bits_of_the_points(d, per_axis, profile):
     """On a grid the inner functions run once per axis coordinate; the

@@ -86,14 +86,30 @@ def reference_sweep_rows(m, rows, cols, log):
     return changed
 
 
-def search_outcome(m, r):
-    """Starts, final (I, J) and history of the search, or the ValueError
-    text for a rejected matrix."""
-    try:
-        rows, cols, history = maxvol_select(m, r, with_history=True)
-    except ValueError as exc:
-        return str(exc)
-    return pivotal._initial_selections(m, r), rows, cols, history
+def search_outcome(m, r, start, sweep):
+    """Starts, final (I, J) and history of the search with the kernels
+    start and sweep, or the ValueError text for a rejected matrix.  Every
+    start and every sweep must read the one buffer of the search."""
+    starts, read = [], []
+
+    def started(resid, r, skip=0):
+        read.append(resid)
+        rows, cols = start(resid, r, skip)
+        starts.append((list(rows), list(cols)))  # the sweeps swap in place
+        return rows, cols
+
+    def swept(m, rows, cols, log):
+        read.append(m)
+        return sweep(m, rows, cols, log)
+
+    with mock.patch.multiple(pivotal, _full_pivot_init=started,
+                             _sweep_rows=swept):
+        try:
+            rows, cols, history = maxvol_select(m, r, with_history=True)
+        except ValueError as exc:
+            return str(exc)
+    assert all(np.shares_memory(a, read[0]) for a in read)
+    return starts, rows, cols, history
 
 
 def reference_runs_out(m, r):
@@ -143,11 +159,9 @@ HISTORY_RTOL = 1e-10
 @example((np.array([[1.0, 2.0], [3.0, 4.0]]), 1, "integer"))
 def test_in_place_kernels_match_allocating_reference(case):
     m, r, kind = case
-    got = search_outcome(m, r)
-    with mock.patch.multiple(pivotal,
-                             _full_pivot_init=reference_full_pivot_init,
-                             _sweep_rows=reference_sweep_rows):
-        want = search_outcome(m, r)
+    got = search_outcome(m, r, pivotal._full_pivot_init, pivotal._sweep_rows)
+    want = search_outcome(m, r, reference_full_pivot_init,
+                          reference_sweep_rows)
     if kind == "low rank":
         assert isinstance(want, str) and "numerical rank" in want
     if isinstance(want, str):
@@ -418,6 +432,16 @@ def test_pivotal_fit_validates_length():
     m = np.eye(4)
     with pytest.raises(ValueError):
         pivotal_fit(m, [0, 1], [0, 1], np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("rows, cols", [([0, 1], [-1, 0]), ([-1, 0], [0, 1]),
+                                        ([0, 6], [0, 1]), ([0, 1], [0, 4])])
+def test_pivotal_fit_refuses_an_index_out_of_range(rows, cols):
+    """A negative pivot is refused, not wrapped to a row or column from
+    the end and written into the fit's support."""
+    m = np.random.default_rng(3).normal(size=(6, 4))
+    with pytest.raises(IndexError, match="out of range"):
+        pivotal_fit(m, rows, cols, np.ones(2))
 
 
 def test_selection_independent_of_targets():
