@@ -10,7 +10,7 @@ import numpy as np
 
 from . import cache as cache_io, kb
 from .fitting import dls_fit, evaluate_fit, omp_fit
-from .inner import PROFILES, build_inner_family, default_rank
+from .inner import PROFILES, default_rank
 from .kb import DesignMatrix, KBBasis, PointSet, as_size
 from .knet import rate_experiment
 from .pivotal import estimate_rank, maxvol_select, pivotal_fit, \
@@ -121,21 +121,12 @@ def _grid_and_smoothing(cfg):
                             segments=cfg["segments"]))
 
 
-def _inner_family(d, rank, cache_dir):
-    """The (d, rank) inner family: built, or read through the family file
-    of cache_dir when one is given (cache.inner_family)."""
-    if cache_dir is None:
-        return build_inner_family(d, rank)
-    os.makedirs(cache_dir, exist_ok=True)
-    return cache_io.inner_family(cache_dir, d, rank)
-
-
 def _build(cfg, cache_dir=None):
     """Full pipeline from one build_config: inner family (through the
     family file of cache_dir, when given) -> raw columns on the grid ->
     prune -> denoise -> numerical rank -> dominant row/column sets."""
     grid, smoothing = _grid_and_smoothing(cfg)
-    family = _inner_family(grid.d, cfg["inner_rank"], cache_dir)
+    family = cache_io.inner_family(cache_dir, grid.d, cfg["inner_rank"])
     # the raw matrix lives inside build_lkb_basis only: it is freed before
     # the pivot search, which runs next to the kept SVD of W
     lkb = build_lkb_basis(KBBasis(family, n=cfg["n"], degree=cfg["degree"]),
@@ -281,7 +272,7 @@ def run_knet_rate(d, profile, n_list, cache_dir=None):
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
                          f"choose from {sorted(PROFILES)}")
-    family = _inner_family(d, default_rank(d), cache_dir)
+    family = cache_io.inner_family(cache_dir, d, default_rank(d))
     res = rate_experiment(family, PROFILES[profile], list(n_list))
     lines = ["n,sup_error"]
     lines += [f"{n},{e:.4e}" for n, e in zip(res["n"], res["sup_error"])]

@@ -8,8 +8,9 @@ last; every number is little-endian, and every block a multiple of 8
 bytes, so each starts 8-byte aligned.  A record is hashed while it streams
 into a temporary file, which is fsynced and renamed into place.  A read
 checks magic and version first, so a file of an older layout is refused
-by its version, then the length and the checksum, and hands out
-read-only views of the one buffer it read.  A file that fails a check
+by its version, then the length, the checksum and the block lengths, and
+hands out read-only views of the one buffer it read; each reader then
+checks its own block count and contents.  A file that fails a check
 raises CacheMismatch, and get_basis_set or inner_family rebuild and
 rewrite it with a warning.
 
@@ -20,7 +21,8 @@ setting: the build configuration that its hash covers gives the block's
 shape and the smoothing settings.  The sampled matrix is not stored
 either; a load resamples it.  Beside the basis files lives one
 inner-family file per (d, rank), holding [d and rank, the weights,
-phi_0 ... phi_2d], so a directory builds and verifies each family once.
+phi_0 ... phi_2d], so a directory builds and verifies each family once
+(inner_family, which builds the family when there is no directory).
 It is named by a hash of (d, rank, ALGO_VERSION), the version that also
 keys the basis files, so one bump re-keys both.
 """
@@ -92,7 +94,7 @@ def _write_record(path, magic, blocks):
 def _read_record(path, magic):
     """The blocks of the record at path, as read-only memoryviews of one
     aligned buffer; CacheMismatch for a bad magic, version, length or
-    checksum."""
+    checksum, or a block that is not whole 8-byte words."""
     data = np.fromfile(path, np.uint8)
     data.flags.writeable = False
     data, off = memoryview(data), 0
@@ -118,6 +120,10 @@ def _read_record(path, magic):
         raise CacheMismatch(f"{path}: {len(data) - off} trailing bytes")
     if hashlib.sha256(data[:-32]).digest() != digest:
         raise CacheMismatch(f"{path}: checksum mismatch")
+    for block in blocks:
+        if len(block) % 8:
+            raise CacheMismatch(f"{path}: a block of {len(block)} bytes, "
+                                f"not whole 8-byte words")
     return blocks
 
 
@@ -132,11 +138,15 @@ def write_basis_cache(path, basis_set, build_config):
 
 
 def read_basis_cache(path, build_config, smoothing):
-    """Read a basis record, checking that its hash is build_config's, the
-    kept map and the pivots strictly increasing indices in range, with as
-    many rows as columns, and the last block one (ncf,)*d tensor of
-    smoothing's coefficients per kept column, d = build_config["d"]."""
-    digest, kept, rows, cols, coeffs = _read_record(path, BASIS_MAGIC)
+    """Read a basis record, checking that it has five blocks, its hash is
+    build_config's, the kept map and the pivots strictly increasing
+    indices in range, with as many rows as columns, and the last block one
+    (ncf,)*d tensor of smoothing's coefficients per kept column,
+    d = build_config["d"]."""
+    blocks = _read_record(path, BASIS_MAGIC)
+    if len(blocks) != 5:
+        raise CacheMismatch(f"{path}: {len(blocks)} blocks, not 5")
+    digest, kept, rows, cols, coeffs = blocks
     if digest != config_hash(build_config):
         raise CacheMismatch(f"{path}: configuration hash mismatch")
     kept, rows, cols = [np.frombuffer(b, "<i8") for b in (kept, rows, cols)]
@@ -171,21 +181,32 @@ def save_inner_family(family, path):
 def load_inner_family(path):
     """Read a family written by save_inner_family, its tables as they are
     (they must match what build_inner_family would produce), as read-only
-    arrays.  Besides the record's own checks, CacheMismatch for a d or
-    rank that build_inner_family refuses, weights that are not
-    superposition_weights(d) bit for bit, or a table that does not rise
-    strictly from (0, 0) to (1, 1)."""
+    arrays.  Besides the record's own checks, CacheMismatch for a first
+    block that is not one (d, rank) pair, a d or rank that
+    build_inner_family refuses, a block count other than 2 + (2d+1),
+    weights that are not superposition_weights(d) bit for bit, or a table
+    that is not whole (x, phi) pairs rising strictly from (0, 0) to
+    (1, 1)."""
     blocks = _read_record(path, FAMILY_MAGIC)
+    if not blocks or len(blocks[0]) != 8:
+        raise CacheMismatch(f"{path}: no (d, rank) block")
     d, rank = struct.unpack("<II", blocks[0])
     try:
         inner.check_construction(d, rank)
     except ValueError as exc:
         raise CacheMismatch(f"{path}: {exc}") from None
+    if len(blocks) != 2 * d + 3:
+        raise CacheMismatch(f"{path}: {len(blocks)} blocks, not "
+                            f"2 + (2d+1) = {2 * d + 3}")
     if blocks[1] != inner.superposition_weights(d).astype("<f8").tobytes():
         raise CacheMismatch(f"{path}: weights are not "
                             f"superposition_weights({d})")
-    phis = [np.frombuffer(b, "<f8").reshape(-1, 2) for b in blocks[2:]]
+    phis = [np.frombuffer(b, "<f8") for b in blocks[2:]]
     for q, table in enumerate(phis):
+        if table.size % 2:
+            raise CacheMismatch(f"{path}: table {q} is not whole (x, phi) "
+                                f"pairs")
+        table = phis[q] = table.reshape(-1, 2)
         if not (len(table) >= 2 and np.all(np.diff(table, axis=0) > 0.0)
                 and table[0].tolist() == [0.0, 0.0]
                 and table[-1].tolist() == [1.0, 1.0]):
@@ -207,7 +228,11 @@ def family_path(cache_dir, d, rank):
 def inner_family(cache_dir, d, rank):
     """The (d, rank) inner family of cache_dir: loaded from its file when
     that passes load_inner_family's checks, else built by
-    build_inner_family and written (with a warning for a bad file)."""
+    build_inner_family and written (with a warning for a bad file).  With
+    no cache_dir (None) it is built, and nothing is written."""
+    if cache_dir is None:
+        return inner.build_inner_family(d, rank)
+    os.makedirs(cache_dir, exist_ok=True)
     path = family_path(cache_dir, d, rank)
     if os.path.exists(path):
         try:

@@ -363,38 +363,44 @@ def _build_phi(d, rank, q, lambdas, buf):
     too_deep = (f"could not assign disjoint value windows for family q={q} "
                 f"(d={d}, rank={rank}); refinement too deep for float64")
 
-    # Per-rank budget of one full town's value window.
+    # Per-rank budget of one full town's value window, tuned in passes at
+    # _BUILD_CHECK_CAP, then verified at _FINAL_CHECK_CAP, which decides
+    # for the ranks the tuning could only extrapolate.  A last tuning pass
+    # that measured every rank and found none crowded has decided already.
     caps = np.array([0.02 / (3.0 * lam_sum * (2 * d + 2)) ** (k - 1)
                      for k in range(1, rank + 1)])
-
-    def solve(cap):
-        widths = _assign_widths(plan, caps, town_lens)
-        widths = np.where(lengths > 0, np.maximum(widths, _WIDTH_FLOOR), 0.0)
-        vals = np.concatenate([[0.0], np.cumsum(widths)])
-        vals /= vals[-1]
-        vals[-1] = 1.0
-        # Separation and widest window per rank.  Ranks whose cube count
-        # exceeds cap get a separation extrapolated by the last measured
-        # per-rank shrink ratio (pigeonhole-like decay).
-        report = []
-        seps = []
-        for k in range(rank):
-            anchors = vals[li[k]]
-            maxw = float((vals[ri[k]] - anchors).max())
-            sep = _min_cube_gap(anchors, lambdas, cap=cap, buf=buf)
-            measured = sep is not None
-            if not measured:
-                ratio = seps[-1] / seps[-2] if len(seps) >= 2 else 1e-4
-                sep = seps[-1] * min(ratio, 1.0)
-            seps.append(sep)
-            report.append((sep, maxw, measured))
-        return vals, report
-
-    def tighten(report):
-        """Shrink caps of crowded ranks; raise when a measured crowded rank
-        already sits on the float64 floor and cannot be thinned further."""
-        for k, (sep, maxw, measured) in enumerate(report):
-            if maxw * lam_sum * _SEP_MARGIN > sep:
+    for cap, passes in ((_BUILD_CHECK_CAP, 10), (_FINAL_CHECK_CAP, 4)):
+        for _ in range(passes):
+            widths = _assign_widths(plan, caps, town_lens)
+            widths = np.where(lengths > 0,
+                              np.maximum(widths, _WIDTH_FLOOR), 0.0)
+            vals = np.concatenate([[0.0], np.cumsum(widths)])
+            vals /= vals[-1]
+            vals[-1] = 1.0
+            # Separation and widest window per rank.  Ranks whose cube
+            # count exceeds cap get a separation extrapolated by the last
+            # measured per-rank shrink ratio (pigeonhole-like decay).
+            seps, crowded, guessed = [], [], False
+            for k in range(rank):
+                anchors = vals[li[k]]
+                maxw = float((vals[ri[k]] - anchors).max())
+                sep = _min_cube_gap(anchors, lambdas, cap=cap, buf=buf)
+                measured = sep is not None
+                if not measured:
+                    guessed = True
+                    ratio = seps[-1] / seps[-2] if len(seps) >= 2 else 1e-4
+                    sep = seps[-1] * min(ratio, 1.0)
+                seps.append(sep)
+                if maxw * lam_sum * _SEP_MARGIN > sep:
+                    crowded.append((k, sep, maxw, measured))
+            # an extrapolated rank counts as crowded in the tuning only
+            bad = any(measured or cap == _BUILD_CHECK_CAP
+                      for *_, measured in crowded)
+            if not bad:
+                break
+            # Shrink the caps of crowded ranks; a measured crowded rank
+            # already on the float64 floor cannot be thinned further.
+            for k, sep, maxw, measured in crowded:
                 if caps[k] <= _WIDTH_FLOOR:
                     if measured:
                         raise RuntimeError(too_deep)
@@ -402,26 +408,8 @@ def _build_phi(d, rank, q, lambdas, buf):
                 caps[k] = max(caps[k] * 0.9 * sep
                               / (_SEP_MARGIN * lam_sum * maxw),
                               0.5 * _WIDTH_FLOOR)
-
-    for _ in range(10):
-        vals, report = solve(_BUILD_CHECK_CAP)
-        bad = [k for k, (sep, maxw, _) in enumerate(report)
-               if maxw * lam_sum * _SEP_MARGIN > sep]
-        if not bad:
+        if not (bad or guessed):
             break
-        tighten(report)
-    # Verify exhaustively at the larger cap (this is what decides for
-    # ranks the tuning loop could only extrapolate).  A last tuning pass
-    # that measured every rank and found none crowded has decided already:
-    # the larger cap would recompute the same anchors and gaps.
-    if bad or not all(measured for _, _, measured in report):
-        for _ in range(4):
-            vals, report = solve(_FINAL_CHECK_CAP)
-            bad = [k for k, (sep, maxw, measured) in enumerate(report)
-                   if measured and maxw * lam_sum * _SEP_MARGIN > sep]
-            if not bad:
-                break
-            tighten(report)
     if bad or not (np.all(np.diff(vals) > 0.0)
                    and np.all(np.diff(edges) > 0.0)):
         raise RuntimeError(too_deep)

@@ -261,20 +261,12 @@ class DesignMatrix:
         gram.flags.writeable = False
         return gram
 
-    def block(self, rows, cols):
-        """The block M[I, J], read-only: the rows I of column_samples(J),
-        so M is not formed.  The matrix keeps it with its thin SVD for the
-        last (I, J) asked for, as it keeps svd, so repeated fits on one
-        pivot set contract and factor the block once; any other (I, J) is
-        taken afresh and replaces it."""
-        return self._pivot_block(rows, cols)[0]
-
-    def block_svd(self, rows, cols):
-        """The thin SVD (U, s, V^T) of block(rows, cols), read-only and
-        kept with it."""
-        return self._pivot_block(rows, cols)[1]
-
-    def _pivot_block(self, rows, cols):
+    def pivot_block(self, rows, cols):
+        """(M[I, J], its thin SVD (U, s, V^T)), read-only: the block is
+        the rows I of column_samples(J), so M is not formed.  The matrix
+        keeps both for the last (I, J) asked for, as it keeps svd, so
+        repeated fits on one pivot set contract and factor the block once;
+        any other (I, J) is taken afresh and replaces them."""
         rows = np.array(rows, dtype=np.intp)
         cols = np.array(cols, dtype=np.intp)
         # a negative index would wrap to a row or column from the end

@@ -220,7 +220,7 @@ def build_cross_approximation(matrix, r):
     matrix = _as_matrix(matrix)
     rows, cols = maxvol_select(matrix, r)
     residual, bound = cross_certificate(matrix, rows, cols)
-    s = matrix.block_svd(rows, cols)[1]
+    _, (_, s, _) = matrix.pivot_block(rows, cols)
     cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     return CrossApproximation(rows=rows, cols=cols, rank=r,
                               residual_chebyshev=residual,
@@ -238,7 +238,7 @@ def pivotal_fit(matrix, rows, cols, f_at_rows):
     condition number and the solve, and the block the training RMSE."""
     matrix = _as_matrix(matrix)
     f = target_vector(f_at_rows, len(rows))
-    u, s, vt = matrix.block_svd(rows, cols)
+    block, (u, s, vt) = matrix.pivot_block(rows, cols)
     cond = s[0] / s[-1] if s[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > PIVOTAL_CONDITION_LIMIT:
         raise ValueError(
@@ -248,7 +248,7 @@ def pivotal_fit(matrix, rows, cols, f_at_rows):
     x = vt.T @ ((u.T @ f) / s)
     coef = np.zeros(matrix.shape[1])
     coef[np.asarray(cols)] = x
-    resid = rms_seminorm(matrix.block(rows, cols) @ x - f)
+    resid = rms_seminorm(block @ x - f)
     return FitResult(coefficients=coef, training_rmse=resid,
                      method="pivotal", support=np.asarray(cols, dtype=int))
 

@@ -486,6 +486,15 @@ def test_family_file_is_built_once_per_cache_directory(tmp_path,
     assert family_arrays(loaded) == family_arrays(built)
 
 
+def test_family_lookup_without_a_directory_builds_and_writes_nothing(
+        tmp_path, monkeypatch):
+    """With no cache directory the lookup is build_inner_family itself:
+    the same (cached) object, and no file anywhere."""
+    monkeypatch.chdir(tmp_path)
+    assert inner_family(None, 2, 2) is inner.build_inner_family(2, 2)
+    assert list(tmp_path.iterdir()) == []
+
+
 def family_arrays(family):
     """d, rank and the bytes of the weights and of every table."""
     return (family.d, family.rank, family.lambdas.tobytes(),
@@ -521,7 +530,9 @@ def format_2_family(family):
                                                  *blocks[1:]]),
      "rank=1"),
     (lambda data: format_2_family(inner.build_inner_family(2, 2)),
-     "format version 2")])
+     "format version 2"),
+    (lambda data: reframed(data, lambda blocks: blocks[:-1]),
+     "6 blocks, not")])
 def test_bad_family_file_is_rebuilt_and_rewritten(corrupt, reason, tmp_path,
                                                   monkeypatch):
     cache = str(tmp_path)
@@ -640,12 +651,14 @@ def test_cache_detects_corruption(cache_dir, tmp_path):
 
 def with_indices(data, edit):
     """The cache file bytes data with its kept map, pivot rows and pivot
-    columns replaced by edit(kept, rows, cols) -> (kept, rows, cols,
-    trailing bytes), under the checksum of the edited blocks."""
+    columns replaced by edit(kept, rows, cols) -> (index blocks...,
+    trailing bytes), under the checksum of the edited blocks.  An index
+    block is an array, or bytes taken as they are."""
     blocks = record_blocks(data)
     *sets, tail = edit(*(np.frombuffer(b, "<i8").copy() for b in blocks[1:4]))
-    return reframed(data, lambda b: [
-        b[0], *(np.asarray(s, "<i8").tobytes() for s in sets), b[4]]) + tail
+    return reframed(data, lambda b: [b[0], *(
+        s if isinstance(s, bytes) else np.asarray(s, "<i8").tobytes()
+        for s in sets), b[4]]) + tail
 
 
 def swapped(a, i, j):
@@ -665,9 +678,14 @@ CORRUPTIONS = {
     "cols past kept": lambda k, r, c: (k, r, np.r_[c[:-1], len(k)], b""),
     "cols out of order": lambda k, r, c: (k, r, swapped(c, 0, 1), b""),
     "fewer rows than cols": lambda k, r, c: (k, r[:-1], c, b""),
+    "4 blocks": lambda k, r, c: (k, r, b""),
+    "6 blocks": lambda k, r, c: (k, r, c, c, b""),
+    "7-byte index block": lambda k, r, c: (k, r, c.tobytes()[:7], b""),
 }
 REASONS = {"trailing bytes": "8 trailing bytes",
-           "fewer rows than cols": "pivot rows but"}
+           "fewer rows than cols": "pivot rows but",
+           "4 blocks": "4 blocks, not 5", "6 blocks": "6 blocks, not 5",
+           "7-byte index block": "7 bytes, not whole 8-byte words"}
 
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
@@ -745,7 +763,7 @@ def _refuse_builds(monkeypatch):
         raise AssertionError("basis or inner family built for a bad input")
 
     monkeypatch.setattr(bench, "_build", no_build)
-    monkeypatch.setattr(bench, "build_inner_family", no_build)
+    monkeypatch.setattr(inner, "build_inner_family", no_build)
 
 
 def test_unknown_function_fails_before_any_build(monkeypatch, capsys):
@@ -1021,7 +1039,6 @@ def test_cli_knet_rate_reads_the_family_file(tmp_path, monkeypatch,
     def no_build(*args):
         raise AssertionError("inner family built beside its file")
 
-    monkeypatch.setattr(bench, "build_inner_family", no_build)
     monkeypatch.setattr(inner, "build_inner_family", no_build)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == first

@@ -482,6 +482,15 @@ def test_serialization_rejects_corruption(tmp_path):
             struct.pack("<II", d, rank), *b[1:]]))
         with pytest.raises(CacheMismatch, match=word):
             load_inner_family(tmp_path / "bad.ksti")
+    # blocks that do not make a family, under a matching checksum
+    for edit, word in (
+            (lambda b: [b[0][:7], *b[1:]], "7 bytes"),
+            (lambda b: b[:1], "1 blocks, not"),
+            (lambda b: [*b[:-1], b[-1][:-8]], "table 4 is not whole"),
+            (lambda b: b[:-1], "6 blocks, not")):  # d=2 without phi_4
+        (tmp_path / "bad.ksti").write_bytes(reframed(raw, edit))
+        with pytest.raises(CacheMismatch, match=word):
+            load_inner_family(tmp_path / "bad.ksti")
 
 
 def test_load_checks_the_checksum_weights_and_tables(tmp_path):

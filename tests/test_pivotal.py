@@ -383,10 +383,13 @@ def test_pivotal_fit_reuses_the_kept_block_svd():
     matrix = DesignMatrix(values=values)
     rows, cols = maxvol_select(matrix, 6)
     targets = rng.normal(size=(4, 6))
-    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+            mock.patch.object(DesignMatrix, "pivot_block", autospec=True,
+                              side_effect=DesignMatrix.pivot_block) as look:
         fits = [pivotal_fit(matrix, rows, cols, f) for f in targets]
         again = pivotal_fit(matrix, list(rows), list(cols), targets[0])
     assert [call.args[0].shape for call in svd.call_args_list] == [(6, 6)]
+    assert look.call_count == len(fits) + 1  # the block is read once a fit
     assert np.array_equal(again.coefficients, fits[0].coefficients)
     assert again.training_rmse == fits[0].training_rmse
     u, s, vt = np.linalg.svd(values[np.ix_(rows, cols)], full_matrices=False)
@@ -394,7 +397,9 @@ def test_pivotal_fit_reuses_the_kept_block_svd():
         assert np.array_equal(fit.coefficients[cols], vt.T @ ((u.T @ f) / s))
         fresh = pivotal_fit(values, rows, cols, f)  # a new plain matrix
         assert np.array_equal(fit.coefficients, fresh.coefficients)
-    for a, b in zip(matrix.block_svd(rows, cols), (u, s, vt)):
+    block, factors = matrix.pivot_block(rows, cols)
+    for a, b in zip((block, *factors), (values[np.ix_(rows, cols)], u, s,
+                                        vt)):
         assert np.array_equal(a, b)
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -416,7 +421,7 @@ def test_another_pivot_set_gets_its_own_block_svd():
                            atol=1e-12)
         fresh = np.linalg.svd(values[np.ix_(rows, cols)],
                               full_matrices=False)
-        for kept, want in zip(matrix.block_svd(rows, cols), fresh):
+        for kept, want in zip(matrix.pivot_block(rows, cols)[1], fresh):
             assert np.array_equal(kept, want)
     # the key is a copy: changing the caller's index array refactors
     rows = np.array([0, 3, 5, 8])
