@@ -171,18 +171,19 @@ def get_basis_set(d, n, cache_dir=None, **settings):
 
 def fit_by_method(basis, func, method, eval_pts, sparsity=None):
     """Fit func's samples on the basis grid by 'dls' (all samples),
-    'pivotal' (the pivotal rows only) or 'omp' (sparsity columns, default
-    the pivotal rank), then record the RMSE over eval_pts on the fit.  A
-    sparsity with any other method is refused, not dropped."""
+    'pivotal' (func asked at the pivotal points only) or 'omp' (sparsity
+    columns, default the pivotal rank), then record the RMSE over eval_pts
+    on the fit.  A sparsity with any other method is refused, not
+    dropped."""
     if sparsity and method != "omp":
         raise ValueError(f"sparsity applies to method 'omp' only, "
                          f"not {method!r}")
-    target = func(basis.grid.points)
+    target = func(basis.pivotal_points if method == "pivotal"
+                  else basis.grid.points)
     if method == "dls":
         fit = dls_fit(basis.matrix, target)
     elif method == "pivotal":
-        fit = pivotal_fit(basis.matrix, basis.rows, basis.cols,
-                          target[basis.rows])
+        fit = pivotal_fit(basis.matrix, basis.rows, basis.cols, target)
     elif method == "omp":
         fit = omp_fit(basis.matrix, target,
                       sparsity=sparsity or basis.rank)

@@ -410,25 +410,9 @@ def _build_phi(d, rank, q, lambdas, buf):
                               0.5 * _WIDTH_FLOOR)
         if not (bad or guessed):
             break
-    if bad or not (np.all(np.diff(vals) > 0.0)
-                   and np.all(np.diff(edges) > 0.0)):
+    if bad or not np.all(np.diff(vals) > 0.0):
         raise RuntimeError(too_deep)
     return np.column_stack([edges, vals])
-
-
-def _release_freed_heap():
-    """Return the free memory of every allocator arena to the system where
-    the C library can (glibc's malloc_trim).  What a worker thread frees
-    stays in its arena otherwise, out of reach of the caller's later
-    allocations: a cold 3-d n=100 build then peaked 36 MB higher."""
-    import ctypes
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    trim(0)
 
 
 @lru_cache(maxsize=8)
@@ -437,7 +421,9 @@ def _build_cached(d, rank):
     phi is independent and its sorts release the GIL, so the tables have
     the bits of a serial build.  Each worker checks into one sums buffer,
     allocated here and handed out through a queue, so concurrent checks
-    hold no more than those buffers.  The first failure (in q order) is
+    hold no more than those buffers (a buffer per phi, sized to its own
+    towns on its worker thread, raised the peak of a cold 2-d n=100+1000
+    or 3-d n=100 build by 16-19 MB).  The first failure (in q order) is
     raised, and no phi starts after one has failed."""
     import queue
     import threading
@@ -469,11 +455,8 @@ def _build_cached(d, rank):
 
     # map reads the results in q order and cancels the unstarted rest
     # when one raises
-    try:
-        with ThreadPoolExecutor(workers) as pool:
-            phis = list(pool.map(build, range(n_phi)))
-    finally:
-        _release_freed_heap()
+    with ThreadPoolExecutor(workers) as pool:
+        phis = list(pool.map(build, range(n_phi)))
     return InnerFamily(d=d, rank=rank, lambdas=lambdas, phis=phis)
 
 

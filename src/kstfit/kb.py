@@ -90,10 +90,6 @@ class KBBasis:
         object.__setattr__(self, "univariate", uni)
 
     @property
-    def d(self):
-        return self.family.d
-
-    @property
     def n_columns(self):
         return self.family.d * self.n
 
@@ -286,15 +282,10 @@ class DesignMatrix:
         self.__dict__["_block"] = (rows, cols, (block, factors))
         return block, factors
 
-    @property
-    def singular_values(self):
-        """sigma(M), largest first: the s of svd."""
-        return self.svd[1]
-
     def rank(self, tol):
         """Count of singular values above tol * sigma_1 (0 for a zero
         matrix): the one rank rule of the package."""
-        s = self.singular_values
+        s = self.svd[1]
         return int(np.sum(s > tol * s[0])) if s.size else 0
 
 
@@ -356,6 +347,5 @@ def independence_check(basis, pts):
         "n_nonzero_columns": n_cols,
         "rank": rank,
         "independent": rank == n_cols,
-        "smallest_singular_value": float(
-            nonzero.singular_values[n_cols - 1]),
+        "smallest_singular_value": float(nonzero.svd[1][n_cols - 1]),
     }

@@ -201,7 +201,7 @@ def cross_certificate(matrix, rows, cols):
     """(Chebyshev residual, (1+r) sigma_{r+1}) of the skeleton on (I, J)."""
     from scipy import linalg as sla
     matrix = _as_matrix(matrix)
-    m, svals = matrix.values, matrix.singular_values
+    m, svals = matrix.values, matrix.svd[1]
     core = m[np.ix_(rows, cols)]
     r = len(rows)
     try:

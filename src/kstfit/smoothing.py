@@ -277,10 +277,6 @@ class LKBBasis:
     def n_columns(self):
         return self.coeffs.shape[0]
 
-    @property
-    def d(self):
-        return self.coeffs.ndim - 1
-
     def column(self, j):
         """The surface of column j."""
         if not 0 <= j < self.n_columns:

@@ -30,6 +30,7 @@ from kstfit.cache import CacheMismatch, cache_path, config_hash, \
     write_basis_cache
 from kstfit.fitting import dls_fit, omp_fit
 from kstfit.kb import DesignMatrix
+from kstfit.pivotal import pivotal_fit
 from kstfit.smoothing import SmoothingConfig
 from kstfit.testfuncs import get as get_function, registry
 
@@ -758,6 +759,27 @@ def test_fit_by_method_refuses_a_sparsity_outside_omp(method, cache_dir):
                       spec.eval_points(), sparsity=5)
 
 
+def test_a_pivotal_fit_asks_f_only_at_its_pivotal_points(cache_dir):
+    """A pivotal fit asks f at its r pivotal points, then at the evaluation
+    points, and its coefficients are bit for bit those of the pivotal rows
+    of f on the whole fit grid."""
+    spec = ExperimentSpec(d=2, n_list=(100,), cache_dir=cache_dir)
+    basis, eval_pts = spec.basis(100), spec.eval_points()
+    for func in registry(2):
+        asked = []
+
+        def counted(pts, func=func):
+            asked.append(np.array(pts))
+            return func(pts)
+
+        fit = fit_by_method(basis, counted, "pivotal", eval_pts)
+        assert [len(pts) for pts in asked] == [basis.rank, len(eval_pts)]
+        assert np.array_equal(asked[0], basis.pivotal_points)
+        on_grid = pivotal_fit(basis.matrix, basis.rows, basis.cols,
+                              func(basis.grid.points)[basis.rows])
+        assert np.array_equal(fit.coefficients, on_grid.coefficients)
+
+
 def _refuse_builds(monkeypatch):
     def no_build(*args):
         raise AssertionError("basis or inner family built for a bad input")
@@ -952,6 +974,19 @@ def test_repeated_sizes_give_no_slope(monkeypatch, capsys):
         ExperimentSpec(d=2, n_list=(20,)))
     assert counts == [40] and slope is None
     assert "slope" not in csv
+
+
+@pytest.mark.parametrize("argv,sweep", [
+    (["table", "--d", "2", "--full"], cli.FULL_SWEEP_2D),
+    (["table", "--d", "3", "--full"], cli.SHORT_SWEEP),
+    (["pivotal-count", "--d", "2"], cli.SHORT_SWEEP),
+    (["slopes", "--d", "2", "--function", "f4"], cli.SHORT_SWEEP),
+], ids=["table-2d-full", "table-3d-full", "pivotal-count", "slopes"])
+def test_cli_default_sweeps(argv, sweep, monkeypatch):
+    """Without --n-list a sweep is the short one, and --full extends it to
+    n=10000 in 2-d only; read off the spec, before any build."""
+    _refuse_builds(monkeypatch)
+    assert cli._spec(cli._make_parser().parse_args(argv)).n_list == sweep
 
 
 def test_spec_refuses_an_empty_or_repeating_sweep(monkeypatch):

@@ -396,6 +396,18 @@ def test_omp_orthogonal_target_stagnates():
     assert len(fit.support) == 0
 
 
+def test_omp_stops_at_a_column_in_the_span_of_the_active_set():
+    """Of two columns 1e-11 apart the second is in the span of the first
+    to LSTSQ_RCOND: the fit stagnates with one of them, where taking both
+    gives coefficients of 3e10."""
+    a, b, c = np.random.default_rng(0).standard_normal((3, 40))
+    m = DesignMatrix(values=np.column_stack([a, a + 1e-11 * b, c]))
+    fit = omp_fit(m, a + 0.3 * b, sparsity=3)
+    assert fit.stagnated
+    assert len(fit.support) == 2 and 2 in fit.support
+    assert np.max(np.abs(fit.coefficients)) < 10
+
+
 def test_omp_never_beats_dls(pipeline):
     _, matrix, grid = pipeline
     f = np.sin(3 * grid.points[:, 0]) + np.cos(2 * grid.points[:, 1])

@@ -333,11 +333,15 @@ def test_build_checks_each_anchor_array_once(d, monkeypatch):
 def test_family_tables_do_not_depend_on_the_worker_count(d, rank, cores,
                                                          monkeypatch):
     """The phis are built on min(2d+1, usable cores) threads, each checking
-    into its own sums buffer.  One usable core gives one thread; more
-    workers than cores, with a short switch interval, never share a
-    buffer.  Both give the table bytes of the default build."""
+    into its own sums buffer, and the 2d+1 checks reuse the buffers the
+    build allocated for its workers.  One usable core gives one thread
+    and one buffer; more workers than cores, with a short switch
+    interval, never share a buffer.  Both give the table bytes of the
+    default build."""
     want = [t.tobytes() for t in _build_cached.__wrapped__(d, rank).phis]
     threads, in_use = set(), set()
+    # every buffer seen stays referenced, so no two of them share an id
+    buffers = {}
     lock = threading.Lock()
     build_phi = inner._build_phi
 
@@ -346,6 +350,7 @@ def test_family_tables_do_not_depend_on_the_worker_count(d, rank, cores,
             threads.add(threading.get_ident())
             assert id(buf) not in in_use, "one sums buffer in two checks"
             in_use.add(id(buf))
+            buffers[id(buf)] = buf
         try:
             return build_phi(d, rank, q, lambdas, buf)
         finally:
@@ -363,6 +368,7 @@ def test_family_tables_do_not_depend_on_the_worker_count(d, rank, cores,
         sys.setswitchinterval(interval)
     assert [t.tobytes() for t in family.phis] == want
     assert 1 <= len(threads) <= min(cores, 2 * d + 1)
+    assert 1 <= len(buffers) <= min(cores, 2 * d + 1)
     if cores == 1:
         assert len(threads) == 1
 
